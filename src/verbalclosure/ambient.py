@@ -9,11 +9,12 @@ in the square module and an explicit retraction G -> H is produced, or a
 witness equation solvable in G but certified unsolvable in H is built.
 """
 
+import operator
 import re
 from dataclasses import dataclass
 from math import gcd
 
-from .dihedral import DihedralElement
+from .dihedral import IDENTITY, DihedralElement
 from .involutions import (
     Character,
     InvolutionModule,
@@ -64,23 +65,96 @@ class NormalizationFailure(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # factors and elements
+#
+# Each factor class owns its arithmetic.  A factor provides its generator
+# letters and generator(letter); identity, mul, inv, pow, random_element and
+# has_infinite_order; q_letter, the generator whose square generates the
+# factor's coordinate of Q, q_coordinate(x) and q_order (None when that
+# coordinate is free); quotient_letters, the generators it contributes to
+# G/Q, and coset_bits(x), the image of x on them.
 
 
 @dataclass(frozen=True)
 class DInf:
+    """Infinite dihedral factor <a, b | b^2, (ab)^2> with DihedralElement
+    coordinates; Q is <a^2> and G/Q is generated by a and b."""
+
+    letters = ("a", "b")
+    q_letter = "a"
+    q_order = None
+    quotient_letters = ("a", "b")
+    identity = IDENTITY
+    # builtins, so the product group's hot mul costs no Python frame
+    mul = staticmethod(operator.mul)
+    inv = staticmethod(DihedralElement.inverse)
+    pow = staticmethod(operator.pow)
+
     def __str__(self):
         return "DInf"
+
+    def generator(self, letter):
+        return DihedralElement(0, 1) if letter == "b" else DihedralElement(1, 0)
+
+    def random_element(self, rng, bound):
+        return DihedralElement(rng.randint(-bound, bound), rng.randint(0, 1))
+
+    def has_infinite_order(self, x):
+        return x.flip == 0 and x.translation != 0
+
+    def q_coordinate(self, x):
+        if x.flip or x.translation % 2:
+            raise NotInQ(f"{x!r} is outside the square subgroup")
+        return x.translation // 2
+
+    def coset_bits(self, x):
+        return (x.translation & 1, x.flip)
 
 
 @dataclass(frozen=True)
 class Zed:
+    """Infinite cyclic factor <t> with int coordinates; Q is <t^2> and G/Q
+    is generated by t."""
+
+    letters = ("t",)
+    q_letter = "t"
+    q_order = None
+    quotient_letters = ("t",)
+    identity = 0
+    mul = staticmethod(operator.add)
+    inv = staticmethod(operator.neg)
+    pow = staticmethod(operator.mul)  # written additively: x^e is e * x
+
     def __str__(self):
         return "Zed"
+
+    def generator(self, letter):
+        return 1
+
+    def random_element(self, rng, bound):
+        return rng.randint(-bound, bound)
+
+    def has_infinite_order(self, x):
+        return x != 0
+
+    def q_coordinate(self, x):
+        if x % 2:
+            raise NotInQ(f"{x} is odd")
+        return x // 2
+
+    def coset_bits(self, x):
+        return (x & 1,)
 
 
 @dataclass(frozen=True)
 class ZedMod:
+    """Finite cyclic factor <c | c^k> with residue coordinates; Q is <c^2>,
+    of order k // gcd(2, k).  For odd k that is the whole factor, which then
+    contributes no generator to G/Q."""
+
     modulus: int
+    letters = ("c",)
+    q_letter = "c"
+    identity = 0
 
     def __post_init__(self):
         if self.modulus < 1:
@@ -89,64 +163,80 @@ class ZedMod:
     def __str__(self):
         return f"ZedMod({self.modulus})"
 
+    def generator(self, letter):
+        return 1 % self.modulus
+
+    def mul(self, x, y):
+        return (x + y) % self.modulus
+
+    def inv(self, x):
+        return -x % self.modulus
+
+    def pow(self, x, e):
+        return x * e % self.modulus
+
+    def random_element(self, rng, bound):
+        return rng.randrange(self.modulus)
+
+    def has_infinite_order(self, x):
+        return False
+
+    @property
+    def q_order(self):
+        return self.modulus // gcd(2, self.modulus)
+
+    @property
+    def quotient_letters(self):
+        return ("c",) if self.modulus % 2 == 0 else ()
+
+    def q_coordinate(self, x):
+        k = self.modulus
+        if k % 2:
+            return x * ((k + 1) // 2) % k
+        if x % 2:
+            raise NotInQ(f"{x} is odd mod {k}")
+        return x // 2
+
+    def coset_bits(self, x):
+        return (x & 1,) if self.modulus % 2 == 0 else ()
+
+
+FACTOR_TYPES = (DInf, Zed, ZedMod)
+
 
 class AmbientGroup:
-    """Direct product of the supported factors; elements are coordinate
-    tuples (DihedralElement / int / residue)."""
+    """Direct product of the supported factors; an element is a tuple with
+    one coordinate per factor, in that factor's representation."""
 
     def __init__(self, factors):
         self.factors = tuple(factors)
-        self.generators = {}
-        for j, f in enumerate(self.factors, start=1):
-            if isinstance(f, DInf):
-                self.generators[f"a{j}"] = j - 1
-                self.generators[f"b{j}"] = j - 1
-            elif isinstance(f, Zed):
-                self.generators[f"t{j}"] = j - 1
-            elif isinstance(f, ZedMod):
-                self.generators[f"c{j}"] = j - 1
-            else:
-                raise SpecError(f"unsupported factor {f!r}")
-
-    @property
-    def identity(self):
-        out = []
         for f in self.factors:
-            out.append(DihedralElement(0, 0) if isinstance(f, DInf) else 0)
-        return tuple(out)
+            if not isinstance(f, FACTOR_TYPES):
+                raise SpecError(f"unsupported factor {f!r}")
+        self.generators = {f"{letter}{j}": j - 1
+                           for j, f in enumerate(self.factors, start=1)
+                           for letter in f.letters}
+        self.identity = tuple(f.identity for f in self.factors)
+        # bound once: mul and inv are the hot calls of evaluating a word
+        # DAG in G
+        self._muls = tuple(f.mul for f in self.factors)
+        self._invs = tuple(f.inv for f in self.factors)
 
+    # plain loops: a comprehension costs one more frame per call
     def mul(self, x, y):
         out = []
-        for f, a, b in zip(self.factors, x, y):
-            if isinstance(f, DInf):
-                out.append(a * b)
-            elif isinstance(f, ZedMod):
-                out.append((a + b) % f.modulus)
-            else:
-                out.append(a + b)
+        for mul, a, b in zip(self._muls, x, y):
+            out.append(mul(a, b))
         return tuple(out)
 
     def inv(self, x):
         out = []
-        for f, a in zip(self.factors, x):
-            if isinstance(f, DInf):
-                out.append(a.inverse())
-            elif isinstance(f, ZedMod):
-                out.append(-a % f.modulus)
-            else:
-                out.append(-a)
+        for inv, a in zip(self._invs, x):
+            out.append(inv(a))
         return tuple(out)
 
     def pow(self, x, e):
-        out = []
-        for f, a in zip(self.factors, x):
-            if isinstance(f, DInf):
-                out.append(a ** e)
-            elif isinstance(f, ZedMod):
-                out.append(a * e % f.modulus)
-            else:
-                out.append(a * e)
-        return tuple(out)
+        return tuple([f.pow(a, e) for f, a in zip(self.factors, x)])
 
     @property
     def ops(self):
@@ -156,13 +246,8 @@ class AmbientGroup:
         if name not in self.generators:
             raise SpecParseError(f"unknown generator {name!r}")
         j = self.generators[name]
-        f = self.factors[j]
-        out = [DihedralElement(0, 0) if isinstance(g, DInf) else 0
-               for g in self.factors]
-        if isinstance(f, DInf):
-            out[j] = DihedralElement(0, 1) if name.startswith("b") else DihedralElement(1, 0)
-        else:
-            out[j] = 1 % f.modulus if isinstance(f, ZedMod) else 1
+        out = list(self.identity)
+        out[j] = self.factors[j].generator(name[0])
         return tuple(out)
 
     def evaluate_word(self, word):
@@ -172,24 +257,10 @@ class AmbientGroup:
         return val
 
     def random_element(self, rng, bound):
-        out = []
-        for f in self.factors:
-            if isinstance(f, DInf):
-                out.append(DihedralElement(rng.randint(-bound, bound),
-                                           rng.randint(0, 1)))
-            elif isinstance(f, ZedMod):
-                out.append(rng.randrange(f.modulus))
-            else:
-                out.append(rng.randint(-bound, bound))
-        return tuple(out)
+        return tuple(f.random_element(rng, bound) for f in self.factors)
 
     def has_infinite_order(self, x):
-        for f, a in zip(self.factors, x):
-            if isinstance(f, DInf) and a.flip == 0 and a.translation != 0:
-                return True
-            if isinstance(f, Zed) and a != 0:
-                return True
-        return False
+        return any(f.has_infinite_order(a) for f, a in zip(self.factors, x))
 
 
 # ---------------------------------------------------------------------------
@@ -329,22 +400,14 @@ class SquareData:
         Raises NotInQ when some coordinate is not a square-subgroup member
         (odd translation, a flip, or an odd residue in an even cyclic
         factor)."""
-        return _q_coordinates_raw(self.spec, element)
+        return tuple(f.q_coordinate(x)
+                     for f, x in zip(self.spec.factors, element))
 
     def coset_bits(self, element):
         """Image of an element in G/Q, as exponent bits on the independent
         generators."""
-        bits = []
-        for name in self.c_names:
-            j = self.spec.group.generators[name]
-            f = self.spec.factors[j]
-            a = element[j]
-            if isinstance(f, DInf):
-                bits.append(a.flip if name.startswith("b")
-                            else a.translation & 1)
-            else:
-                bits.append(a & 1)
-        return tuple(bits)
+        return tuple(bit for f, x in zip(self.spec.factors, element)
+                     for bit in f.coset_bits(x))
 
     def sign_of(self, chi, element):
         return chi.on_element(self.coset_bits(element))
@@ -359,29 +422,20 @@ def square_data(spec):
     computed by direct conjugation of the coordinate generators.
     """
     group = spec.group
-    n = len(spec.factors)
+    factors = spec.factors
+    n = len(factors)
     q_roots = []
     q_root_names = []
     relations = []
     c_names = []
-    for j, f in enumerate(spec.factors, start=1):
-        if isinstance(f, DInf):
-            q_roots.append(group.generator_element(f"a{j}"))
-            q_root_names.append(f"a{j}^2")
-            c_names.extend([f"a{j}", f"b{j}"])
-        elif isinstance(f, Zed):
-            q_roots.append(group.generator_element(f"t{j}"))
-            q_root_names.append(f"t{j}^2")
-            c_names.append(f"t{j}")
-        else:
-            q_roots.append(group.generator_element(f"c{j}"))
-            q_root_names.append(f"c{j}^2")
-            order = f.modulus // gcd(2, f.modulus)
+    for j, f in enumerate(factors, start=1):
+        q_roots.append(group.generator_element(f"{f.q_letter}{j}"))
+        q_root_names.append(f"{f.q_letter}{j}^2")
+        c_names.extend(f"{letter}{j}" for letter in f.quotient_letters)
+        if f.q_order is not None:
             row = [0] * n
-            row[j - 1] = order
+            row[j - 1] = f.q_order
             relations.append(tuple(row))
-            if f.modulus % 2 == 0:
-                c_names.append(f"c{j}")
     presentation = AbelianPresentation(n, relations)
 
     d_elements = [group.generator_element(name) for name in c_names]
@@ -392,9 +446,8 @@ def square_data(spec):
         for l, root in enumerate(q_roots):
             s = group.mul(root, root)
             conj = group.mul(group.mul(d, s), dinv)
-            col = _q_coordinates_raw(spec, conj)
-            for i in range(n):
-                matrix[i][l] = col[i]
+            for i, (f, x) in enumerate(zip(factors, conj)):
+                matrix[i][l] = f.q_coordinate(x)
         actions.append(matrix)
     module = InvolutionModule(presentation, actions)
     m = len(c_names)
@@ -410,28 +463,6 @@ def square_data(spec):
         d_elements=d_elements,
         coset_words=coset_words,
     )
-
-
-def _q_coordinates_raw(spec, element):
-    coords = []
-    for f, a in zip(spec.factors, element):
-        if isinstance(f, DInf):
-            if a.flip or a.translation % 2:
-                raise NotInQ(f"{a!r} is outside the square subgroup")
-            coords.append(a.translation // 2)
-        elif isinstance(f, Zed):
-            if a % 2:
-                raise NotInQ(f"{a} is odd")
-            coords.append(a // 2)
-        else:
-            k = f.modulus
-            if k % 2 == 0:
-                if a % 2:
-                    raise NotInQ(f"{a} is odd mod {k}")
-                coords.append(a // 2)
-            else:
-                coords.append(a * ((k + 1) // 2) % k)
-    return tuple(coords)
 
 
 def image_of_a_squared(spec, data):

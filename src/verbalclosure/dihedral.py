@@ -89,10 +89,6 @@ DIHEDRAL_OPS = GroupOps(
 )
 
 
-def multiply(g, h):
-    return g * h
-
-
 def character_of_substitution(delta):
     """The character selected by substituting x_j = b^{delta_j} a^{k_j}:
     its value on the j-th generator is (-1)^{delta_j}."""

@@ -21,10 +21,6 @@ def eye(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def zeros(r, c):
-    return [[0] * c for _ in range(r)]
-
-
 def mat_mul(A, B):
     rb = len(B)
     cb = len(B[0]) if rb else 0
@@ -38,22 +34,8 @@ def mat_vec(A, v):
     return tuple(sum(a * x for a, x in zip(row, v)) for row in A)
 
 
-def transpose(A):
-    if not A:
-        return []
-    return [list(col) for col in zip(*A)]
-
-
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, v):
-    return tuple(c * a for a in v)
 
 
 def is_zero_vector(v):
@@ -67,6 +49,30 @@ def vec_gcd(v):
     return g
 
 
+def _gauss_jordan(rows, ncols):
+    """Reduce rows, in place and exactly, to reduced row echelon form on
+    their first ncols columns; returns the pivot columns.
+
+    Rows are lists of Fractions and may run past ncols (an augmented part,
+    which is reduced along with them).
+    """
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        p = rows[r][col]
+        rows[r] = [x / p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return pivots
+
+
 def mat_inv(A):
     """Exact inverse of a square matrix via Gauss-Jordan over Fraction.
 
@@ -76,17 +82,8 @@ def mat_inv(A):
     n = len(A)
     work = [[Fraction(A[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
             for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if work[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        work[col], work[piv] = work[piv], work[col]
-        p = work[col][col]
-        work[col] = [x / p for x in work[col]]
-        for i in range(n):
-            if i != col and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
+    if len(_gauss_jordan(work, n)) != n:
+        raise ValueError("matrix is singular")
     out = []
     for i in range(n):
         row = []
@@ -107,24 +104,9 @@ def solve_rational(columns, target):
     n = len(target)
     aug = [[Fraction(columns[j][i]) for j in range(k)] + [Fraction(target[i])]
            for i in range(n)]
-    pivots = []
-    r = 0
-    for col in range(k):
-        piv = next((i for i in range(r, n) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        p = aug[r][col]
-        aug[r] = [x / p for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, n):
-        if aug[i][k] != 0:
-            return None
+    pivots = _gauss_jordan(aug, k)
+    if any(aug[i][k] != 0 for i in range(len(pivots), n)):
+        return None
     coeffs = [Fraction(0)] * k
     for i, col in enumerate(pivots):
         coeffs[col] = aug[i][k]
@@ -304,7 +286,7 @@ class Lattice:
             dim = len(basis[0])
             if any(len(v) != dim for v in basis):
                 raise ValueError("basis vectors of unequal length")
-            if _rational_rank(basis) != len(basis):
+            if len(_gauss_jordan(list(basis), dim)) != len(basis):
                 raise ValueError("basis vectors are linearly dependent")
         self.basis = basis
         # original (possibly dependent) generators, kept so membership
@@ -364,25 +346,6 @@ class Lattice:
 
     def __repr__(self):
         return f"Lattice({self.basis!r})"
-
-
-def _rational_rank(vectors):
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        p = rows[rank][col]
-        rows[rank] = [x / p for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
 
 
 def membership_solve(L, v):
@@ -489,8 +452,3 @@ class AbelianPresentation:
     def __repr__(self):
         return (f"AbelianPresentation(rank={self.rank}, "
                 f"relations={self.relations!r})")
-
-
-def torsion_data(P):
-    """(torsion order, invariant factors, free rank) of a presented group."""
-    return P.torsion_order, list(P.invariant_factors), P.free_rank

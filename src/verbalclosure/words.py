@@ -59,7 +59,7 @@ class Inv(SLWord):
         self.length = child.length
 
     def __repr__(self):
-        return f"Inv({self.child!r})"
+        return f"Inv(length={self.length})"
 
 
 class Concat(SLWord):
@@ -70,7 +70,7 @@ class Concat(SLWord):
         self.length = sum(p.length for p in self.parts)
 
     def __repr__(self):
-        return f"Concat({self.parts!r})"
+        return f"Concat({len(self.parts)} parts, length={self.length})"
 
 
 class Pow(SLWord):
@@ -82,10 +82,7 @@ class Pow(SLWord):
         self.length = abs(exp) * base.length
 
     def __repr__(self):
-        return f"Pow({self.base!r}, {self.exp})"
-
-
-EMPTY = Concat(())
+        return f"Pow(exp={self.exp}, length={self.length})"
 
 
 @dataclass
@@ -226,12 +223,15 @@ def build_w_chi(chi, c_exprs):
     bit-tuple order used everywhere; the innermost commutator uses the last
     entry.  The result is a DAG of depth |C| in the single variable y.
     """
-    m = chi.rank
-    elements = enumerate_group_elements(m)
+    return _tower(chi, list(c_exprs), Gen("y"))
+
+
+def _tower(chi, c_exprs, body):
+    """Nest skew commutators by c_exprs around body, the last innermost."""
+    elements = enumerate_group_elements(chi.rank)
     if len(c_exprs) != len(elements):
         raise ValueError(f"need {len(elements)} element words, got {len(c_exprs)}")
-    body = Gen("y")
-    for bits, ce in zip(reversed(elements), reversed(list(c_exprs))):
+    for bits, ce in zip(reversed(elements), reversed(c_exprs)):
         body = skew_commutator(ce, chi.on_element(bits), body)
     return body
 
@@ -250,17 +250,10 @@ def build_v_chi(chi, coset_words, y_word=None):
     of the generators whose product represents it.  Substituting the actual
     cosets for the x-variables recovers the nested commutator word exactly.
     """
-    m = chi.rank
-    elements = enumerate_group_elements(m)
-    if len(coset_words) != len(elements):
-        raise ValueError("coset word count must match group order")
     c_exprs = []
     for indices in coset_words:
         c_exprs.append(Concat(tuple(Gen(f"x{j + 1}") for j in indices)))
-    body = y_word if y_word is not None else Gen("y")
-    for bits, ce in zip(reversed(elements), reversed(c_exprs)):
-        body = skew_commutator(ce, chi.on_element(bits), body)
-    return body
+    return _tower(chi, c_exprs, y_word if y_word is not None else Gen("y"))
 
 
 # ---------------------------------------------------------------------------
@@ -351,35 +344,55 @@ def build_witness_equation(report, n, torsion_order, c_rank, coset_words,
 # serialization: deterministic, sharing-preserving S-expressions
 
 
+def _children(w):
+    if isinstance(w, Concat):
+        return w.parts
+    if isinstance(w, Inv):
+        return (w.child,)
+    if isinstance(w, Pow):
+        return (w.base,)
+    if isinstance(w, Gen):
+        return ()
+    raise TypeError(f"not a word node: {w!r}")
+
+
 def serialize_equation(eq):
     """Textual form of an equation, one definition per DAG node.
 
     Node labels are assigned in post-order of first visit, so the output is
-    deterministic and the parse rebuilds the exact sharing structure.
+    deterministic and the parse rebuilds the exact sharing structure.  The
+    walk keeps its own stack of (node, unvisited children): a tower over |C|
+    group elements nests |C| levels deep.
     """
-    labels = {}
+    labels = {}  # keyed by node: words compare by identity
     lines = []
-
-    def visit(w):
-        key = id(w)
-        if key in labels:
-            return labels[key]
-        if isinstance(w, Gen):
-            body = f"(gen {w.name})"
-        elif isinstance(w, Inv):
-            body = f"(inv {visit(w.child)})"
-        elif isinstance(w, Concat):
-            body = "(cat" + "".join(" " + visit(p) for p in w.parts) + ")"
-        elif isinstance(w, Pow):
-            body = f"(pow {visit(w.base)} {w.exp})"
+    stack = [(eq.lhs, iter(_children(eq.lhs)))]
+    while stack:
+        w, pending = stack[-1]
+        for c in pending:
+            if c in labels:
+                continue
+            if isinstance(c, Gen):
+                # a leaf is labelled in place: pushing each generator too
+                # made the walk about a fifth slower than a recursive one
+                labels[c] = label = f"n{len(labels)}"
+                lines.append(f"  ({label} (gen {c.name}))")
+            else:
+                stack.append((c, iter(_children(c))))
+                break
         else:
-            raise TypeError(f"not a word node: {w!r}")
-        label = f"n{len(labels)}"
-        labels[key] = label
-        lines.append(f"  ({label} {body})")
-        return label
-
-    root = visit(eq.lhs)
+            stack.pop()
+            if isinstance(w, Gen):
+                body = f"(gen {w.name})"
+            elif isinstance(w, Inv):
+                body = f"(inv {labels[w.child]})"
+            elif isinstance(w, Concat):
+                body = "(cat" + "".join([" " + labels[p] for p in w.parts]) + ")"
+            else:
+                body = f"(pow {labels[w.base]} {w.exp})"
+            labels[w] = label = f"n{len(labels)}"
+            lines.append(f"  ({label} {body})")
+    root = labels[eq.lhs]
     header = (f"(equation (c-rank {eq.c_rank}) (torsion {eq.torsion_order}) "
               f"(n {eq.n_squares}) (filler {eq.filler})\n"
               f"  (k{''.join(' ' + str(k) for k in eq.k_values)})\n"

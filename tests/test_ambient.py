@@ -31,6 +31,8 @@ from verbalclosure.dihedral import DihedralElement
 from verbalclosure.lattice import mat_vec
 from verbalclosure.words import y_var
 
+from util import dag_nodes
+
 
 def spec4():
     return validate_spec(GroupSpec([DInf(), DInf()], "b1*b2", "a1^3*a2^5"))
@@ -96,8 +98,19 @@ def test_spec_from_text_errors():
 # -- group arithmetic -------------------------------------------------------
 
 
-def test_ambient_group_axioms():
-    group = AmbientGroup([DInf(), Zed(), ZedMod(6)])
+# each factor type alone, at the modulus-1 and odd/even edges of ZedMod
+SINGLE_FACTORS = [[DInf()], [Zed()], [ZedMod(1)], [ZedMod(2)], [ZedMod(3)],
+                  [ZedMod(4)]]
+
+
+def factor_ids(factors):
+    return "-".join(map(str, factors))
+
+
+@pytest.mark.parametrize(
+    "factors", SINGLE_FACTORS + [[DInf(), Zed(), ZedMod(6)]], ids=factor_ids)
+def test_ambient_group_axioms(factors):
+    group = AmbientGroup(factors)
     rng = random.Random(10)
     for _ in range(100):
         x = group.random_element(rng, 10)
@@ -162,14 +175,19 @@ def test_square_data_odd_and_even_torsion():
         data.q_coordinates(g.generator_element("a1"))
 
 
-def test_every_square_lies_in_q():
+@pytest.mark.parametrize(
+    "factors", SINGLE_FACTORS + [[DInf(), Zed(), ZedMod(4), ZedMod(5)]],
+    ids=factor_ids)
+def test_every_square_lies_in_q(factors):
     rng = random.Random(14)
-    spec = validate_spec(GroupSpec([DInf(), Zed(), ZedMod(4), ZedMod(5)],
-                                   "b1", "a1"))
-    data = square_data(spec)
+    # Q and G/Q depend on the factors only, not on the words a and b
+    data = square_data(GroupSpec(factors, "1", "1"))
+    group = data.spec.group
     for _ in range(200):
-        g = spec.group.random_element(rng, 30)
-        data.q_coordinates(spec.group.mul(g, g))  # must not raise
+        g = group.random_element(rng, 30)
+        sq = group.mul(g, g)
+        data.q_coordinates(sq)  # must not raise
+        assert data.coset_bits(sq) == (0,) * data.c_rank
 
 
 def test_action_matrices_match_conjugation():
@@ -213,6 +231,11 @@ def test_analyze_witness_case():
     assert sorted(k for k in eq.k_values if k) == [3, 5]
     assert verdict.certificate.is_valid()
     assert verify_solution_in_G(eq, verdict.solution, verdict.spec)
+
+
+def test_verdict_repr_is_bounded_by_the_dag():
+    verdict = analyze(spec4())
+    assert len(repr(verdict)) <= 10 * dag_nodes(verdict.equation.lhs)
 
 
 def test_analyze_retract_cases():

@@ -14,6 +14,7 @@ from verbalclosure.lattice import AbelianPresentation
 from verbalclosure.words import (
     Concat,
     CountingOps,
+    Equation,
     Gen,
     GroupOps,
     Inv,
@@ -245,3 +246,18 @@ def test_serialization_round_trip_preserves_sharing():
                   for name in eq.variables()}
     assert (evaluate(eq.lhs, assignment, DIHEDRAL_OPS)
             == evaluate(eq2.lhs, assignment, DIHEDRAL_OPS))
+
+
+def test_serialization_of_a_deep_tower():
+    # a tower over 2^9 group elements nests 512 levels deep, past the
+    # default recursion limit of a recursive walk
+    m = 9
+    coset_words = [tuple(j for j, b in enumerate(bits) if b)
+                   for bits in enumerate_group_elements(m)]
+    eq = Equation(lhs=build_v_chi(Character((-1,) * m), coset_words),
+                  rhs_generator="a", rhs_exponent=2, c_rank=m,
+                  torsion_order=1, n_squares=1, filler=0, k_values=(0,))
+    text = serialize_equation(eq)
+    eq2 = parse_equation(text)
+    assert serialize_equation(eq2) == text
+    assert eq2.lhs.length == eq.lhs.length

@@ -1,8 +1,10 @@
-"""Shared test helpers: random module generators and a semidirect product
-group for evaluating words against direct module arithmetic."""
+"""Shared test helpers: random module generators, a semidirect product
+group for evaluating words against direct module arithmetic, and a DAG node
+counter."""
 
 from verbalclosure.involutions import InvolutionModule
 from verbalclosure.lattice import AbelianPresentation, eye, mat_inv, mat_mul, mat_vec
+from verbalclosure.words import Concat, Inv, Pow
 
 
 def random_unimodular(rng, n, steps=8):
@@ -137,3 +139,24 @@ class SemidirectGroup:
         from verbalclosure.words import GroupOps
 
         return GroupOps(mul=self.mul, inv=self.inv, identity=self.identity)
+
+
+def dag_nodes(root):
+    """Number of distinct nodes reachable from a word DAG's root."""
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        w = stack.pop()
+        if isinstance(w, Concat):
+            children = w.parts
+        elif isinstance(w, Pow):
+            children = (w.base,)
+        elif isinstance(w, Inv):
+            children = (w.child,)
+        else:
+            children = ()
+        for c in children:
+            if id(c) not in seen:
+                seen.add(id(c))
+                stack.append(c)
+    return len(seen)
