@@ -8,11 +8,12 @@ finite table of integer non-divisibility facts, one per flip pattern, which
 together prove that a witness equation has no dihedral solution.
 """
 
+import operator
 from dataclasses import dataclass
 from itertools import product
 
 from .involutions import Character, enumerate_characters
-from .words import GroupOps, evaluate, y_var
+from .words import GroupOps, interpret, postorder, y_var
 
 
 class InvalidEquation(ValueError):
@@ -83,8 +84,8 @@ A = DihedralElement(1, 0)
 B = DihedralElement(0, 1)
 
 DIHEDRAL_OPS = GroupOps(
-    mul=lambda x, y: x * y,
-    inv=lambda x: x.inverse(),
+    mul=operator.mul,
+    inv=DihedralElement.inverse,
     identity=IDENTITY,
 )
 
@@ -216,6 +217,7 @@ def spot_check_no_solution(eq, bound, trials, seed=0):
     deltas = list(product((0, 1), repeat=m))
     rhs = DihedralElement(eq.rhs_exponent, 0)
     n_chars = len(eq.k_values)
+    nodes = postorder(eq.lhs)  # one walk serves every trial
     for t in range(trials):
         delta = deltas[t % len(deltas)]
         assignment = {}
@@ -226,7 +228,6 @@ def spot_check_no_solution(eq, bound, trials, seed=0):
             for i in range(1, eq.n_squares + 1):
                 assignment[y_var(ci, i)] = DihedralElement(
                     rng.randint(-bound, bound), rng.randint(0, 1))
-        value = evaluate(eq.lhs, assignment, DIHEDRAL_OPS)
-        if value == rhs:
+        if interpret(nodes, assignment, DIHEDRAL_OPS) == rhs:
             return False
     return True

@@ -22,9 +22,9 @@ from .lattice import (
     mat_inv,
     mat_mul,
     mat_vec,
+    membership_solve,
     smith_normal_form,
     snf_diagonal,
-    solve_integer_combination,
     vec_sub,
 )
 
@@ -198,14 +198,9 @@ class InvolutionModule:
         scale = Fraction(1, 1 << self.c_size)
         return tuple(scale * x for x in mat_vec(num, fq))
 
-    def lift_rational(self, fvec):
-        lift = self.group._lift
-        return tuple(sum(row[j] * fvec[j] for j in range(self.group.free_rank))
-                     for row in lift)
-
     def project(self, q, chi):
         """The chi-component of q as a rational vector in ambient coordinates."""
-        return self.lift_rational(self.project_free(q, chi))
+        return self.group.lift_free(self.project_free(q, chi))
 
     # -- lattices -----------------------------------------------------------
 
@@ -223,7 +218,7 @@ class InvolutionModule:
     def eigenlattice(self, chi):
         """Z-basis of the lattice of chi-components of Q, ambient coordinates."""
         L = self.eigenlattice_free(chi)
-        return Lattice([self.lift_rational(v) for v in L.basis])
+        return Lattice([self.group.lift_free(v) for v in L.basis])
 
     def fixed_sublattice(self, chi):
         """Basis of {q in Q : cq = chi(c) q for all c}, modulo torsion."""
@@ -235,7 +230,7 @@ class InvolutionModule:
             for i in range(f):
                 stacked.append([A[i][k] - (s if i == k else 0) for k in range(f)])
         basis = kernel_basis(stacked, cols=f)
-        return Lattice([self.lift_rational(v) for v in basis])
+        return Lattice([self.group.lift_free(v) for v in basis])
 
     # -- simplicity ---------------------------------------------------------
 
@@ -263,17 +258,17 @@ class InvolutionModule:
             return SimplicityReport(
                 simple=True,
                 witness_character=chi,
-                primitive_direction=self.lift_rational(v),
+                primitive_direction=self.group.lift_free(v),
             )
         n = self.group.rank
-        units = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
         table = []
         for chi, k, u in components:
             if k == 0:
                 table.append(ComponentWitness(chi, 0, tuple([0] * n)))
                 continue
-            gens = [self.project_free(e, chi) for e in units]
-            coeffs = solve_integer_combination(gens, u)
+            # the eigenlattice's generators are the projections of the unit
+            # vectors, so the coefficients lift u back into Q
+            coeffs = membership_solve(self.eigenlattice_free(chi), u)
             if coeffs is None:
                 raise AssertionError("primitive part escaped its own lattice")
             table.append(ComponentWitness(chi, k, coeffs))
@@ -310,9 +305,8 @@ class InvolutionModule:
         Winv = mat_inv(W)
         n = self.group.rank
         functional = []
-        for i in range(n):
-            e = tuple(1 if j == i else 0 for j in range(n))
-            ci = L.integer_coordinates(self.project_free(e, chi))
+        for g in L.generators:  # the projection of each unit vector
+            ci = L.integer_coordinates(g)
             functional.append(sum(ci[t] * Winv[t][0] for t in range(k)))
         lam = tuple(functional)
         basis = kernel_basis([list(lam)], cols=n)
@@ -405,7 +399,7 @@ def project_via_epimorphism(target_module, phi, q, chi):
     fq = target_module.group.free_coordinates(q)
     scale = Fraction(1, 1 << (1 << m))  # the product has 2^m factors
     free = tuple(scale * x for x in mat_vec(M, fq))
-    return target_module.lift_rational(free)
+    return target_module.group.lift_free(free)
 
 
 def factor_through(chi, phi, m_hat):

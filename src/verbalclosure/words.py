@@ -1,8 +1,11 @@
 """Free-group words as shared DAGs (straight-line programs).
 
 Words built here can have flattened length exponential in their node count
-(the nested skew-commutator words do), so they are evaluated node by node
-with memoisation and are never flattened except for small-word tests.
+(the nested skew-commutator words do), so only small-word tests flatten them,
+through the recursive oracle `flatten`.  Every other pass starts from one
+iterative walk, `postorder`, listing each distinct node once, children first:
+`evaluate` interprets a GroupOps over that list, `serialize_equation` numbers
+it, and `parse_equation` rebuilds the nodes in the same order.
 """
 
 from dataclasses import dataclass
@@ -26,22 +29,14 @@ REDUCE_CAP = 10 ** 6
 
 
 class SLWord:
-    """Base node of a word DAG.  Subterms are shared, never copied."""
+    """Base node of a word DAG.  Subterms (`children`) are shared, never copied."""
 
     __slots__ = ()
-
-    def __mul__(self, other):
-        return Concat((self, other))
-
-    def __pow__(self, e):
-        return Pow(self, e)
-
-    def inverse(self):
-        return Inv(self)
 
 
 class Gen(SLWord):
     __slots__ = ("name", "length")
+    children = ()
 
     def __init__(self, name):
         self.name = name
@@ -58,6 +53,10 @@ class Inv(SLWord):
         self.child = child
         self.length = child.length
 
+    @property
+    def children(self):
+        return (self.child,)
+
     def __repr__(self):
         return f"Inv(length={self.length})"
 
@@ -68,6 +67,10 @@ class Concat(SLWord):
     def __init__(self, parts):
         self.parts = tuple(parts)
         self.length = sum(p.length for p in self.parts)
+
+    @property
+    def children(self):
+        return self.parts
 
     def __repr__(self):
         return f"Concat({len(self.parts)} parts, length={self.length})"
@@ -80,6 +83,10 @@ class Pow(SLWord):
         self.base = base
         self.exp = exp
         self.length = abs(exp) * base.length
+
+    @property
+    def children(self):
+        return (self.base,)
 
     def __repr__(self):
         return f"Pow(exp={self.exp}, length={self.length})"
@@ -111,51 +118,83 @@ class CountingOps:
         return self._ops.inv(x)
 
 
-def evaluate(word, assignment, ops):
-    """Image of the word under the homomorphism sending generators to their
-    assigned values.
+def postorder(word):
+    """Every distinct node of the DAG under word, once, children before
+    their parents, in the order a depth-first walk finishes them.
 
-    Each distinct DAG node is evaluated once; Pow nodes use square-and-
-    multiply, so the cost is O(nodes * log max-exponent) group operations no
-    matter how long the flattened word is.
+    The walk keeps its own stack of (node, unvisited children): a tower over
+    |C| group elements nests |C| levels deep, past any recursion limit.
     """
-    memo = {}
+    order = []
+    seen = {word}  # words compare by identity
+    stack = [(word, iter(word.children))]
+    while stack:
+        w, pending = stack[-1]
+        for c in pending:
+            if c in seen:
+                continue
+            seen.add(c)
+            kids = c.children
+            if kids:
+                stack.append((c, iter(kids)))
+                break
+            # a leaf is finished in place: pushing each generator too made
+            # the walk about a fifth slower
+            order.append(c)
+        else:
+            stack.pop()
+            order.append(w)
+    return order
 
-    def go(w):
-        key = id(w)
-        if key in memo:
-            return memo[key]
-        if isinstance(w, Gen):
+
+def interpret(nodes, assignment, ops):
+    """Value of the last of `nodes`, a list in post-order, under the
+    homomorphism sending generators to their assigned values.
+
+    Each node is computed once from its children's values; Pow nodes use
+    square-and-multiply.
+    """
+    mul, inv, identity = ops.mul, ops.inv, ops.identity
+    values = {}
+    for w in nodes:
+        kind = type(w)
+        if kind is Concat:
+            val = identity
+            for p in w.parts:
+                val = mul(val, values[p])
+        elif kind is Pow:
+            sq = values[w.base]
+            e = w.exp
+            if e < 0:
+                sq = inv(sq)
+                e = -e
+            val = identity
+            while e:
+                if e & 1:
+                    val = mul(val, sq)
+                e >>= 1
+                if e:
+                    sq = mul(sq, sq)
+        elif kind is Inv:
+            val = inv(values[w.child])
+        else:
             try:
                 val = assignment[w.name]
             except KeyError:
                 raise UnboundGenerator(w.name) from None
-        elif isinstance(w, Inv):
-            val = ops.inv(go(w.child))
-        elif isinstance(w, Concat):
-            val = ops.identity
-            for p in w.parts:
-                val = ops.mul(val, go(p))
-        elif isinstance(w, Pow):
-            base = go(w.base)
-            e = w.exp
-            if e < 0:
-                base = ops.inv(base)
-                e = -e
-            val = ops.identity
-            sq = base
-            while e:
-                if e & 1:
-                    val = ops.mul(val, sq)
-                e >>= 1
-                if e:
-                    sq = ops.mul(sq, sq)
-        else:
-            raise TypeError(f"not a word node: {w!r}")
-        memo[key] = val
-        return val
+        values[w] = val
+    return val
 
-    return go(word)
+
+def evaluate(word, assignment, ops):
+    """Image of the word under the homomorphism sending generators to their
+    assigned values.
+
+    The word's post-order is interpreted over `ops`, so each distinct DAG
+    node is evaluated once and the cost is O(nodes * log max-exponent) group
+    operations no matter how long the flattened word is.
+    """
+    return interpret(postorder(word), assignment, ops)
 
 
 def flatten(word, cap=REDUCE_CAP):
@@ -344,54 +383,27 @@ def build_witness_equation(report, n, torsion_order, c_rank, coset_words,
 # serialization: deterministic, sharing-preserving S-expressions
 
 
-def _children(w):
-    if isinstance(w, Concat):
-        return w.parts
-    if isinstance(w, Inv):
-        return (w.child,)
-    if isinstance(w, Pow):
-        return (w.base,)
-    if isinstance(w, Gen):
-        return ()
-    raise TypeError(f"not a word node: {w!r}")
-
-
 def serialize_equation(eq):
     """Textual form of an equation, one definition per DAG node.
 
-    Node labels are assigned in post-order of first visit, so the output is
-    deterministic and the parse rebuilds the exact sharing structure.  The
-    walk keeps its own stack of (node, unvisited children): a tower over |C|
-    group elements nests |C| levels deep.
+    Nodes are labelled n0, n1, ... in the order of `postorder(eq.lhs)`, so
+    the output is deterministic, every definition refers only to earlier
+    labels, and the parse rebuilds the exact sharing structure.
     """
     labels = {}  # keyed by node: words compare by identity
     lines = []
-    stack = [(eq.lhs, iter(_children(eq.lhs)))]
-    while stack:
-        w, pending = stack[-1]
-        for c in pending:
-            if c in labels:
-                continue
-            if isinstance(c, Gen):
-                # a leaf is labelled in place: pushing each generator too
-                # made the walk about a fifth slower than a recursive one
-                labels[c] = label = f"n{len(labels)}"
-                lines.append(f"  ({label} (gen {c.name}))")
-            else:
-                stack.append((c, iter(_children(c))))
-                break
+    for w in postorder(eq.lhs):
+        kind = type(w)
+        if kind is Concat:
+            body = "(cat" + "".join([" " + labels[p] for p in w.parts]) + ")"
+        elif kind is Inv:
+            body = f"(inv {labels[w.child]})"
+        elif kind is Pow:
+            body = f"(pow {labels[w.base]} {w.exp})"
         else:
-            stack.pop()
-            if isinstance(w, Gen):
-                body = f"(gen {w.name})"
-            elif isinstance(w, Inv):
-                body = f"(inv {labels[w.child]})"
-            elif isinstance(w, Concat):
-                body = "(cat" + "".join([" " + labels[p] for p in w.parts]) + ")"
-            else:
-                body = f"(pow {labels[w.base]} {w.exp})"
-            labels[w] = label = f"n{len(labels)}"
-            lines.append(f"  ({label} {body})")
+            body = f"(gen {w.name})"
+        labels[w] = label = f"n{len(labels)}"
+        lines.append(f"  ({label} {body})")
     root = labels[eq.lhs]
     header = (f"(equation (c-rank {eq.c_rank}) (torsion {eq.torsion_order}) "
               f"(n {eq.n_squares}) (filler {eq.filler})\n"
@@ -402,65 +414,57 @@ def serialize_equation(eq):
     return header + "\n".join(lines) + "\n" + footer
 
 
-def _tokenize(text):
-    return text.replace("(", " ( ").replace(")", " ) ").split()
-
-
-def _parse_sexpr(tokens, pos=0):
-    if tokens[pos] != "(":
-        return tokens[pos], pos + 1
-    pos += 1
-    items = []
-    while tokens[pos] != ")":
-        item, pos = _parse_sexpr(tokens, pos)
-        items.append(item)
-    return items, pos + 1
-
-
 def parse_equation(text):
-    """Inverse of serialize_equation."""
-    tree, _ = _parse_sexpr(_tokenize(text))
-    if not tree or tree[0] != "equation":
+    """Inverse of serialize_equation.
+
+    The text is read as one flat token list.  Node definitions are built in
+    the order they were written, each from labels defined before it, so the
+    DAG is rebuilt without a nested parse tree.  Raises ValueError when the
+    text is not an equation form.
+    """
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    if tokens[:2] != ["(", "equation"]:
         raise ValueError("not an equation form")
-    fields = {}
-    nodes_forms = None
-    lhs_label = None
-    rhs = None
-    k_values = None
-    for item in tree[1:]:
-        head = item[0]
-        if head == "nodes":
-            nodes_forms = item[1:]
-        elif head == "lhs":
-            lhs_label = item[1]
-        elif head == "rhs":
-            rhs = (item[1], int(item[2]))
-        elif head == "k":
-            k_values = tuple(int(x) for x in item[1:])
-        else:
-            fields[head] = int(item[1])
+    fields = {}  # head -> its atoms, for every field but the nodes
     built = {}
-    for form in nodes_forms:
-        label, body = form[0], form[1]
-        kind = body[0]
-        if kind == "gen":
-            node = Gen(body[1])
-        elif kind == "inv":
-            node = Inv(built[body[1]])
-        elif kind == "cat":
-            node = Concat(tuple(built[l] for l in body[1:]))
-        elif kind == "pow":
-            node = Pow(built[body[1]], int(body[2]))
-        else:
-            raise ValueError(f"unknown node kind {kind!r}")
-        built[label] = node
-    return Equation(
-        lhs=built[lhs_label],
-        rhs_generator=rhs[0],
-        rhs_exponent=rhs[1],
-        c_rank=fields["c-rank"],
-        torsion_order=fields["torsion"],
-        n_squares=fields["n"],
-        filler=fields["filler"],
-        k_values=k_values,
-    )
+    pos = 2
+    try:
+        while tokens[pos] == "(":
+            head = tokens[pos + 1]
+            if head != "nodes":
+                end = tokens.index(")", pos)
+                fields[head] = tokens[pos + 2:end]
+                pos = end + 1
+                continue
+            pos += 2
+            while tokens[pos] == "(":
+                # ( label ( kind atom ... ) )
+                label, kind = tokens[pos + 1], tokens[pos + 3]
+                end = tokens.index(")", pos)
+                if tokens[pos + 2] != "(" or tokens[end + 1] != ")":
+                    raise ValueError(f"malformed definition of {label}")
+                args = tokens[pos + 4:end]
+                if kind == "cat":
+                    built[label] = Concat([built[a] for a in args])
+                elif kind == "inv":
+                    built[label] = Inv(built[args[0]])
+                elif kind == "pow":
+                    built[label] = Pow(built[args[0]], int(args[1]))
+                elif kind == "gen":
+                    built[label] = Gen(args[0])
+                else:
+                    raise ValueError(f"unknown node kind {kind!r}")
+                pos = end + 2
+            pos += 1
+        return Equation(
+            lhs=built[fields["lhs"][0]],
+            rhs_generator=fields["rhs"][0],
+            rhs_exponent=int(fields["rhs"][1]),
+            c_rank=int(fields["c-rank"][0]),
+            torsion_order=int(fields["torsion"][0]),
+            n_squares=int(fields["n"][0]),
+            filler=int(fields["filler"][0]),
+            k_values=tuple(int(k) for k in fields["k"]),
+        )
+    except (IndexError, KeyError) as exc:
+        raise ValueError(f"malformed equation text: {exc!r}") from None

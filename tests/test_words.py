@@ -1,10 +1,19 @@
 """Tests for word DAGs, evaluation, the commutator tower and equations."""
 
+import gc
 import random
 
 import pytest
 
-from verbalclosure.dihedral import DIHEDRAL_OPS, DihedralElement
+from util import dag_nodes
+
+from verbalclosure import DInf, GroupSpec, analyze, validate_spec
+from verbalclosure.dihedral import (
+    DIHEDRAL_OPS,
+    DihedralElement,
+    character_of_substitution,
+    evaluate_v_closed_form,
+)
 from verbalclosure.involutions import (
     Character,
     InvolutionModule,
@@ -30,6 +39,7 @@ from verbalclosure.words import (
     flatten,
     free_reduce,
     parse_equation,
+    postorder,
     reduce,
     serialize_equation,
     skew_commutator,
@@ -261,3 +271,77 @@ def test_serialization_of_a_deep_tower():
     eq2 = parse_equation(text)
     assert serialize_equation(eq2) == text
     assert eq2.lhs.length == eq.lhs.length
+
+
+@pytest.fixture(scope="module")
+def witness_m4():
+    """The verdict of the c_rank-4 witness spec a = a1^3*a2^5 over 2xDInf."""
+    spec = validate_spec(GroupSpec([DInf(), DInf()], "b1*b2", "a1^3*a2^5"))
+    return spec, analyze(spec)
+
+
+@pytest.mark.parametrize("matching", [True, False])
+def test_evaluate_a_deep_tower(matching):
+    # 2^10 nested commutators: a recursive walk exceeds the recursion limit
+    m = 10
+    coset_words = [tuple(j for j, b in enumerate(bits) if b)
+                   for bits in enumerate_group_elements(m)]
+    delta = (1, 0) * (m // 2)
+    chi = character_of_substitution(delta)
+    if not matching:
+        chi = Character((-chi.signs[0],) + chi.signs[1:])
+    assignment = {f"x{j + 1}": DihedralElement(j - 3, delta[j])
+                  for j in range(m)}
+    assignment["y"] = DihedralElement(6, 0)
+    got = evaluate(build_v_chi(chi, coset_words), assignment, DIHEDRAL_OPS)
+    assert got == evaluate_v_closed_form(chi, delta, 6)
+
+
+def test_evaluate_leaves_no_garbage():
+    # values are freed by reference counting alone, with no cycle collector
+    word = Concat((Gen("a"), Inv(Gen("a"))))
+    gc.collect()
+    gc.disable()
+    try:
+        assert evaluate(word, {"a": 2}, INT_OPS) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_postorder_lists_each_node_once_children_first(witness_m4):
+    _, verdict = witness_m4
+    lhs = verdict.equation.lhs
+    order = postorder(lhs)
+    position = {id(w): i for i, w in enumerate(order)}
+    assert len(position) == len(order) == dag_nodes(lhs)
+    for i, w in enumerate(order):
+        assert all(position[id(c)] < i for c in w.children)
+    assert order[-1] is lhs
+
+
+def test_operation_count_of_the_m4_witness(witness_m4):
+    spec, verdict = witness_m4
+    eq = verdict.equation
+    ops = CountingOps(spec.group.ops)
+    evaluate(eq.lhs, verdict.solution, ops)
+    assert ops.count == 1999
+    dops = CountingOps(DIHEDRAL_OPS)
+    evaluate(eq.lhs, {name: DihedralElement(3, 1) for name in eq.variables()},
+             dops)
+    assert dops.count == 1999
+
+
+def test_parse_ignores_layout_and_rejects_other_text(witness_m4):
+    text = serialize_equation(witness_m4[1].equation)
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    reflowed = "".join(t + ("\n\t" if i % 7 == 0 else " " * (1 + i % 3))
+                       for i, t in enumerate(tokens))
+    assert reflowed != text
+    assert serialize_equation(parse_equation(reflowed)) == text
+    for bad in ["", "(lhs n0)", "(equation (nodes (n0 (gen x1) ) )",
+                text[:len(text) // 2],
+                text.replace("(gen y_0_1)", "(gen)"),
+                text.replace("(gen y_0_1)", "(hen y_0_1)")]:
+        with pytest.raises(ValueError):
+            parse_equation(bad)
