@@ -124,7 +124,6 @@ class InvolutionModule:
         for A in self.actions:
             AG = mat_mul(A, lift) if n else []
             self.free_actions.append(mat_mul(proj, AG) if f else [])
-        self._element_matrices = {}
         self._projectors = {}
         self._eigenlattices = {}
 
@@ -165,28 +164,20 @@ class InvolutionModule:
 
     def element_matrix(self, bits):
         """Induced free-coordinate matrix of the element of C given by bits."""
-        if bits not in self._element_matrices:
-            f = self.group.free_rank
-            M = eye(f)
-            for j, b in enumerate(bits):
-                if b:
-                    M = mat_mul(M, self.free_actions[j])
-            self._element_matrices[bits] = M
-        return self._element_matrices[bits]
+        M = eye(self.group.free_rank)
+        for A, b in zip(self.free_actions, bits):
+            if b:
+                M = mat_mul(M, A)
+        return M
 
     def projector_numerator(self, chi):
-        """The integer matrix prod_{c in C} (I + chi(c) A_c) on free coords;
-        the actual projector is this divided by 2^{|C|}."""
+        """The integer matrix prod_{c in C} (I + chi(c) A_c) on free coords,
+        2^{|C|} times the projector.  For commuting involutions it equals the
+        m-generator `_sign_product` shifted left by |C| - m bits."""
         if chi not in self._projectors:
-            f = self.group.free_rank
-            M = eye(f)
-            for bits in self.elements:
-                A = self.element_matrix(bits)
-                s = chi.on_element(bits)
-                term = [[(1 if i == j else 0) + s * A[i][j] for j in range(f)]
-                        for i in range(f)]
-                M = mat_mul(M, term)
-            self._projectors[chi] = M
+            M = _sign_product(self.free_actions, chi.signs, self.group.free_rank)
+            shift = self.c_size - self.c_rank
+            self._projectors[chi] = [[x << shift for x in row] for row in M]
         return self._projectors[chi]
 
     def project_free(self, q, chi):
@@ -237,41 +228,30 @@ class InvolutionModule:
     def is_simple(self, q):
         """Decide whether some chi-component of q is primitive in its lattice.
 
-        The first witnessing character in enumeration order is reported.  For
+        Returns at the first primitive component in enumeration order.  For
         non-simple q, every character gets its content k (0 for a vanishing
         component) and a lift into Q of the primitive direction.
         """
         components = []  # (chi, content, primitive part or None)
-        witness = None
         for chi in self.characters:
             v = self.project_free(q, chi)
             if is_zero_vector(v):
                 components.append((chi, 0, None))
                 continue
-            L = self.eigenlattice_free(chi)
-            k, u = content_and_primitive_part(v, L)
-            if k == 1 and witness is None:
-                witness = (chi, v)
+            k, u = content_and_primitive_part(v, self.eigenlattice_free(chi))
+            if k == 1:
+                return SimplicityReport(simple=True, witness_character=chi,
+                                        primitive_direction=self.group.lift_free(v))
             components.append((chi, k, u))
-        if witness is not None:
-            chi, v = witness
-            return SimplicityReport(
-                simple=True,
-                witness_character=chi,
-                primitive_direction=self.group.lift_free(v),
-            )
-        n = self.group.rank
+        zero = (0,) * self.group.rank
         table = []
         for chi, k, u in components:
-            if k == 0:
-                table.append(ComponentWitness(chi, 0, tuple([0] * n)))
-                continue
             # the eigenlattice's generators are the projections of the unit
             # vectors, so the coefficients lift u back into Q
-            coeffs = membership_solve(self.eigenlattice_free(chi), u)
-            if coeffs is None:
+            lift = membership_solve(self.eigenlattice_free(chi), u) if k else zero
+            if lift is None:
                 raise AssertionError("primitive part escaped its own lattice")
-            table.append(ComponentWitness(chi, k, coeffs))
+            table.append(ComponentWitness(chi, k, lift))
         return SimplicityReport(simple=False, components=table)
 
     # -- complements --------------------------------------------------------
@@ -376,41 +356,38 @@ def project_via_epimorphism(target_module, phi, q, chi):
     of the target group as a bit tuple.  The result equals the component of q
     at the unique factoring character when chi factors through phi, and is
     zero otherwise.  Raises NotEpimorphism when the images fail to generate
-    the target group.
+    the target group.  The product over all 2^m source elements is
+    2^{2^m - m} times the `_sign_product` over the m generator images, so
+    the latter is divided by 2^m.
     """
     m = chi.rank
     if len(phi) != m:
         raise ValueError("phi must assign an image to every source generator")
-    m_hat = target_module.c_rank
-    if _gf2_rank([list(bits) for bits in phi]) != m_hat:
+    if _gf2_rank([list(bits) for bits in phi]) != target_module.c_rank:
         raise NotEpimorphism("generator images do not span the target group")
-    f = target_module.group.free_rank
-    M = eye(f)
-    for bits in enumerate_group_elements(m):
-        img = [0] * m_hat
-        for j, b in enumerate(bits):
-            if b:
-                img = [x ^ y for x, y in zip(img, phi[j])]
-        A = target_module.element_matrix(tuple(img))
-        s = chi.on_element(bits)
-        term = [[(1 if i == j else 0) + s * A[i][j] for j in range(f)]
-                for i in range(f)]
-        M = mat_mul(M, term)
+    M = _sign_product([target_module.element_matrix(bits) for bits in phi],
+                      chi.signs, target_module.group.free_rank)
     fq = target_module.group.free_coordinates(q)
-    scale = Fraction(1, 1 << (1 << m))  # the product has 2^m factors
-    free = tuple(scale * x for x in mat_vec(M, fq))
-    return target_module.group.lift_free(free)
+    return target_module.group.lift_free(
+        tuple(Fraction(x, 1 << m) for x in mat_vec(M, fq)))
+
+
+def _sign_product(matrices, signs, f):
+    """The f x f integer matrix prod_j (I + s_j A_j).  For m commuting
+    involutions A_j it is 2^m times the projector onto their common
+    (s_1, ..., s_m)-eigenspace, and the product over all 2^m elements of the
+    group they generate is 2^{2^m - m} times it."""
+    M = eye(f)
+    for A, s in zip(matrices, signs):
+        M = mat_mul(M, [[(1 if i == j else 0) + s * A[i][j] for j in range(f)]
+                        for i in range(f)])
+    return M
 
 
 def factor_through(chi, phi, m_hat):
     """The character of the target group with chi = chi_hat o phi, or None."""
     for chi_hat in enumerate_characters(m_hat):
-        ok = True
-        for j in range(chi.rank):
-            if chi.signs[j] != chi_hat.on_element(phi[j]):
-                ok = False
-                break
-        if ok:
+        if all(s == chi_hat.on_element(bits) for s, bits in zip(chi.signs, phi)):
             return chi_hat
     return None
 

@@ -414,28 +414,39 @@ def serialize_equation(eq):
     return header + "\n".join(lines) + "\n" + footer
 
 
+# atoms per field; k must hold 2^c-rank, and the nodes are read one by one
+_FIELD_ATOMS = {"c-rank": 1, "torsion": 1, "n": 1, "filler": 1, "k": None,
+                "nodes": None, "lhs": 1, "rhs": 2}
+
+
 def parse_equation(text):
     """Inverse of serialize_equation.
 
     The text is read as one flat token list.  Node definitions are built in
     the order they were written, each from labels defined before it, so the
     DAG is rebuilt without a nested parse tree.  Raises ValueError when the
-    text is not an equation form.
+    text is not exactly one equation form: each field once, with its number
+    of atoms, and nothing after the closing parenthesis.
     """
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     if tokens[:2] != ["(", "equation"]:
         raise ValueError("not an equation form")
-    fields = {}  # head -> its atoms, for every field but the nodes
+    fields = {}  # head -> its atoms; the nodes go into `built`
     built = {}
     pos = 2
     try:
         while tokens[pos] == "(":
             head = tokens[pos + 1]
+            if head not in _FIELD_ATOMS or head in fields:
+                raise ValueError(f"unknown or repeated field {head!r}")
             if head != "nodes":
                 end = tokens.index(")", pos)
-                fields[head] = tokens[pos + 2:end]
+                atoms = fields[head] = tokens[pos + 2:end]
+                if "(" in atoms or len(atoms) != (_FIELD_ATOMS[head] or len(atoms)):
+                    raise ValueError(f"wrong number of atoms in field {head!r}")
                 pos = end + 1
                 continue
+            fields[head] = None
             pos += 2
             while tokens[pos] == "(":
                 # ( label ( kind atom ... ) )
@@ -455,16 +466,24 @@ def parse_equation(text):
                 else:
                     raise ValueError(f"unknown node kind {kind!r}")
                 pos = end + 2
+            if tokens[pos] != ")":
+                raise ValueError("malformed nodes field")
             pos += 1
+        if tokens[pos:] != [")"] or fields.keys() != _FIELD_ATOMS.keys():
+            raise ValueError("missing fields or text after the equation form")
+        c_rank, k_values = int(fields["c-rank"][0]), fields["k"]
+        # the range test keeps the shift no wider than len(k_values)
+        if c_rank not in range(len(k_values).bit_length()) or len(k_values) != 1 << c_rank:
+            raise ValueError("k must hold 2^c-rank values")
         return Equation(
             lhs=built[fields["lhs"][0]],
             rhs_generator=fields["rhs"][0],
             rhs_exponent=int(fields["rhs"][1]),
-            c_rank=int(fields["c-rank"][0]),
+            c_rank=c_rank,
             torsion_order=int(fields["torsion"][0]),
             n_squares=int(fields["n"][0]),
             filler=int(fields["filler"][0]),
-            k_values=tuple(int(k) for k in fields["k"]),
+            k_values=tuple(int(k) for k in k_values),
         )
     except (IndexError, KeyError) as exc:
         raise ValueError(f"malformed equation text: {exc!r}") from None

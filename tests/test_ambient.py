@@ -1,6 +1,7 @@
 """Tests for ambient groups, spec parsing, and the analyzer pipeline."""
 
 import random
+import time
 
 import pytest
 
@@ -247,6 +248,25 @@ def test_analyze_retract_cases():
         assert rho.apply(spec.h_a) == spec.h_a
         assert rho.apply(spec.h_b) == spec.h_b
         assert verify_retraction(rho, spec, samples=300, bound=25, seed=2)
+
+
+def test_retract_at_c_rank_10_decides_quickly():
+    # is_simple stops at the witness (character 1, resp. 256, of 1024), and
+    # each projection costs m = 10 matrix products, not 2^10
+    b = "b1*b2*b3*b4*b5"
+    for a, label, functional in [
+            ("a1^3*a2^5*a3^7*a4^9*a5", "chi(+++++++++-)", (0, 0, 0, 0, 1)),
+            ("a1*a2^3*a3^5*a4^7*a5^9", "chi(+-++++++++)", (1, 0, 0, 0, 0))]:
+        t0 = time.perf_counter()
+        spec = validate_spec(GroupSpec([DInf()] * 5, b, a))
+        verdict = analyze(spec)
+        elapsed = time.perf_counter() - t0
+        assert verdict.is_retract, a
+        rho = verdict.retraction
+        assert rho.data.c_rank == 10
+        assert rho.sign_character.label() == label
+        assert rho.functional == functional
+        assert elapsed < 10.0, (a, elapsed)
 
 
 def test_g_solution_matches_paper_assignment():

@@ -104,8 +104,9 @@ def test_torsion_element_reports_nonsimple():
 
 def test_projector_algebra_on_random_modules():
     rng = random.Random(42)
-    for _ in range(25):
-        mod = random_module(rng)
+    modules = [random_module(rng) for _ in range(25)]
+    modules += [random_module(rng, m=m) for m in (3, 4) for _ in range(5)]
+    for mod in modules:
         f = mod.group.free_rank
         size = 1 << mod.c_size
         idn = [[size if i == j else 0 for j in range(f)] for i in range(f)]
@@ -127,8 +128,9 @@ def test_projector_algebra_on_random_modules():
 
 def test_projector_orthogonality():
     rng = random.Random(17)
-    for _ in range(10):
-        mod = random_module(rng)
+    modules = [random_module(rng) for _ in range(10)]
+    modules += [random_module(rng, m=m) for m in (3, 4) for _ in range(3)]
+    for mod in modules:
         f = mod.group.free_rank
         zero = [[0] * f for _ in range(f)]
         for i, chi in enumerate(mod.characters):
@@ -216,8 +218,8 @@ def test_validation_rejects_bad_actions():
 def test_project_via_epimorphism_matches_components():
     rng = random.Random(31)
     checked = 0
-    for _ in range(40):
-        m, m_hat = rng.choice([(2, 1), (3, 2)])
+    for _ in range(60):
+        m, m_hat = rng.choice([(2, 1), (3, 2), (4, 2), (4, 3)])
         mod = random_decomposable_module(rng, m=m_hat,
                                         free_rank=rng.randint(1, 3))
         # random surjective phi: source generators -> target elements

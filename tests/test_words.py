@@ -266,7 +266,8 @@ def test_serialization_of_a_deep_tower():
                    for bits in enumerate_group_elements(m)]
     eq = Equation(lhs=build_v_chi(Character((-1,) * m), coset_words),
                   rhs_generator="a", rhs_exponent=2, c_rank=m,
-                  torsion_order=1, n_squares=1, filler=0, k_values=(0,))
+                  torsion_order=1, n_squares=1, filler=0,
+                  k_values=(0,) * (1 << m))
     text = serialize_equation(eq)
     eq2 = parse_equation(text)
     assert serialize_equation(eq2) == text
@@ -342,6 +343,17 @@ def test_parse_ignores_layout_and_rejects_other_text(witness_m4):
     for bad in ["", "(lhs n0)", "(equation (nodes (n0 (gen x1) ) )",
                 text[:len(text) // 2],
                 text.replace("(gen y_0_1)", "(gen)"),
-                text.replace("(gen y_0_1)", "(hen y_0_1)")]:
+                text.replace("(gen y_0_1)", "(hen y_0_1)"),
+                # trailing text, an unknown field, a repeated field, an
+                # extra atom, a missing field, k of the wrong length, and
+                # a token in place of the nodes field's closing parenthesis
+                text + " (lhs n7) junk",
+                text.replace("(n 1)", "(n 1) (bogus 1)"),
+                text.replace("(filler 0)", "(filler 0) (filler 2)"),
+                text.replace("(rhs a 131072)", "(rhs a 3 131072)"),
+                text.replace(" (lhs n1480)", ""),
+                text.replace("(k 0 5", "(k 5"),
+                text.replace(" )\n (lhs", " junk\n (lhs")]:
+        assert bad != text
         with pytest.raises(ValueError):
             parse_equation(bad)
