@@ -231,21 +231,40 @@ class InvolutionModule:
         Returns at the first primitive component in enumeration order.  For
         non-simple q, every character gets its content k (0 for a vanishing
         component) and a lift into Q of the primitive direction.
+
+        q is split one generator at a time: level j applies (I + A_j) and
+        (I - A_j) to each vector of level j - 1 and drops the zero ones.
+        The m-th level holds prod_j (I + chi_j A_j) q = 2^m e_chi q for the
+        characters chi with a nonzero component, in enumeration order.  A
+        level has at most f nonzero vectors (distinct joint eigenspaces), so
+        the split costs at most f * m matrix-vector products, and
+        eigenlattices are built only for the nonzero components.
         """
-        components = []  # (chi, content, primitive part or None)
-        for chi in self.characters:
-            v = self.project_free(q, chi)
-            if is_zero_vector(v):
-                components.append((chi, 0, None))
-                continue
+        fq = self.group.free_coordinates(q)
+        level = [((), fq)] if any(fq) else []
+        for A in self.free_actions:
+            split = []
+            for signs, w in level:
+                Aw = mat_vec(A, w)
+                for s in (1, -1):
+                    child = tuple(x + s * y for x, y in zip(w, Aw))
+                    if any(child):
+                        split.append((signs + (s,), child))
+            level = split
+        scale = Fraction(1, 1 << self.c_rank)
+        components = {}  # chi -> (content, primitive part), nonzero only
+        for signs, w in level:
+            chi = Character(signs)
+            v = tuple(scale * x for x in w)
             k, u = content_and_primitive_part(v, self.eigenlattice_free(chi))
             if k == 1:
                 return SimplicityReport(simple=True, witness_character=chi,
                                         primitive_direction=self.group.lift_free(v))
-            components.append((chi, k, u))
+            components[chi] = k, u
         zero = (0,) * self.group.rank
         table = []
-        for chi, k, u in components:
+        for chi in self.characters:
+            k, u = components.get(chi, (0, None))
             # the eigenlattice's generators are the projections of the unit
             # vectors, so the coefficients lift u back into Q
             lift = membership_solve(self.eigenlattice_free(chi), u) if k else zero

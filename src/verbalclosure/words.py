@@ -4,8 +4,9 @@ Words built here can have flattened length exponential in their node count
 (the nested skew-commutator words do), so only small-word tests flatten them,
 through the recursive oracle `flatten`.  Every other pass starts from one
 iterative walk, `postorder`, listing each distinct node once, children first:
-`evaluate` interprets a GroupOps over that list, `serialize_equation` numbers
-it, and `parse_equation` rebuilds the nodes in the same order.
+`evaluate` interprets a GroupOps over that list, `length` interprets letter
+counts over it, `serialize_equation` numbers it, and `parse_equation` rebuilds
+the nodes in the same order.
 """
 
 from dataclasses import dataclass
@@ -33,25 +34,29 @@ class SLWord:
 
     __slots__ = ()
 
+    @property
+    def length(self):
+        """Flattened letter count, in one pass over the DAG when read: it can
+        be exponential in the node count, and building a word never needs it."""
+        return interpret(postorder(self), _ONE_PER_LETTER, _LENGTH_OPS)
+
 
 class Gen(SLWord):
-    __slots__ = ("name", "length")
+    __slots__ = ("name",)
     children = ()
 
     def __init__(self, name):
         self.name = name
-        self.length = 1
 
     def __repr__(self):
         return f"Gen({self.name!r})"
 
 
 class Inv(SLWord):
-    __slots__ = ("child", "length")
+    __slots__ = ("child",)
 
     def __init__(self, child):
         self.child = child
-        self.length = child.length
 
     @property
     def children(self):
@@ -62,11 +67,10 @@ class Inv(SLWord):
 
 
 class Concat(SLWord):
-    __slots__ = ("parts", "length")
+    __slots__ = ("parts",)
 
     def __init__(self, parts):
         self.parts = tuple(parts)
-        self.length = sum(p.length for p in self.parts)
 
     @property
     def children(self):
@@ -77,12 +81,11 @@ class Concat(SLWord):
 
 
 class Pow(SLWord):
-    __slots__ = ("base", "exp", "length")
+    __slots__ = ("base", "exp")
 
     def __init__(self, base, exp):
         self.base = base
         self.exp = exp
-        self.length = abs(exp) * base.length
 
     @property
     def children(self):
@@ -99,6 +102,16 @@ class GroupOps:
     mul: callable
     inv: callable
     identity: object
+
+
+class _OnePerLetter(dict):
+    def __missing__(self, name):
+        return 1
+
+
+# lengths as a GroupOps: letters add up, and inverting keeps the length
+_ONE_PER_LETTER = _OnePerLetter()
+_LENGTH_OPS = GroupOps(mul=int.__add__, inv=int.__pos__, identity=0)
 
 
 class CountingOps:
@@ -303,22 +316,46 @@ def y_var(char_index, i):
     return f"y_{char_index}_{i}"
 
 
-@dataclass
 class Equation:
     """One-sided equation: lhs(word in x's and y's) = a^rhs_exponent.
 
     Coefficients appear only on the right-hand side, as a power of the
     distinguished infinite-order generator of the dihedral subgroup.
+
+    The left-hand side is either given as `lhs`, or built on its first read
+    by `build_lhs`, a function of no arguments, and then kept.  Deciding
+    needs only the k values and the right-hand side, while the paper's
+    witness DAG has about 4^c-rank nodes.
     """
 
-    lhs: SLWord
-    rhs_generator: str
-    rhs_exponent: int
-    c_rank: int
-    torsion_order: int
-    n_squares: int
-    filler: int
-    k_values: tuple  # raw per-character contents, enumeration order
+    def __init__(self, lhs=None, *, rhs_generator, rhs_exponent, c_rank,
+                 torsion_order, n_squares, filler, k_values, build_lhs=None):
+        if (lhs is None) == (build_lhs is None):
+            raise TypeError("give exactly one of lhs and build_lhs")
+        self._lhs = lhs
+        self._build_lhs = build_lhs
+        self.rhs_generator = rhs_generator
+        self.rhs_exponent = rhs_exponent
+        self.c_rank = c_rank
+        self.torsion_order = torsion_order
+        self.n_squares = n_squares
+        self.filler = filler
+        self.k_values = k_values  # raw per-character contents, enumeration order
+
+    @property
+    def lhs(self):
+        if self._lhs is None:
+            self._lhs, self._build_lhs = self._build_lhs(), None
+        return self._lhs
+
+    def __repr__(self):
+        # an unread left-hand side stays unbuilt
+        lhs = "<built on first read>" if self._lhs is None else repr(self._lhs)
+        return (f"Equation(lhs={lhs}, rhs_generator={self.rhs_generator!r}, "
+                f"rhs_exponent={self.rhs_exponent}, c_rank={self.c_rank}, "
+                f"torsion_order={self.torsion_order}, "
+                f"n_squares={self.n_squares}, filler={self.filler}, "
+                f"k_values={self.k_values})")
 
     @property
     def c_size(self):
@@ -342,7 +379,8 @@ def build_witness_equation(report, n, torsion_order, c_rank, coset_words,
 
     The y-block substituted for each character is (prod_i y_{chi,i}^2)
     raised to the torsion order; characters with vanishing components get
-    the filler exponent (any integer except +-1, 0 by default).
+    the filler exponent (any integer except +-1, 0 by default).  The
+    left-hand side is built when it is first read.
     """
     if report.simple:
         raise NotAWitness("simple elements admit a retraction, not a witness")
@@ -352,30 +390,32 @@ def build_witness_equation(report, n, torsion_order, c_rank, coset_words,
         raise ValueError("need at least one square per character")
     characters = enumerate_characters(c_rank)
     by_char = {w.character: w for w in report.components}
-    k_values = []
-    terms = []
-    for ci, chi in enumerate(characters):
-        k = by_char[chi].content
-        k_values.append(k)
-        exponent = k if k != 0 else filler
-        squares = Concat(tuple(Pow(Gen(y_var(ci, i)), 2)
-                               for i in range(1, n + 1)))
-        block = Pow(squares, torsion_order)
-        v = build_v_chi(chi, coset_words, y_word=block)
-        terms.append(Pow(v, exponent))
-    lhs = Concat(tuple(terms))
+    k_values = tuple(by_char[chi].content for chi in characters)
+
+    def build_lhs():
+        terms = []
+        for ci, chi in enumerate(characters):
+            k = k_values[ci]
+            exponent = k if k != 0 else filler
+            squares = Concat(tuple(Pow(Gen(y_var(ci, i)), 2)
+                                   for i in range(1, n + 1)))
+            block = Pow(squares, torsion_order)
+            v = build_v_chi(chi, coset_words, y_word=block)
+            terms.append(Pow(v, exponent))
+        return Concat(tuple(terms))
+
     c_size = 1 << c_rank
     # right-hand side a^(2 * 2^|C| * |T|): each of the |C| commutator
     # nestings doubles the exponent once
     return Equation(
-        lhs=lhs,
+        build_lhs=build_lhs,
         rhs_generator="a",
         rhs_exponent=2 * (1 << c_size) * torsion_order,
         c_rank=c_rank,
         torsion_order=torsion_order,
         n_squares=n,
         filler=filler,
-        k_values=tuple(k_values),
+        k_values=k_values,
     )
 
 

@@ -269,6 +269,22 @@ def test_retract_at_c_rank_10_decides_quickly():
         assert elapsed < 10.0, (a, elapsed)
 
 
+def test_witness_at_c_rank_10_decides_quickly():
+    # the split of a^2 visits only its 5 nonzero components of 1024, and the
+    # witness DAG (about 4^10 nodes) is built only when the lhs is read
+    t0 = time.perf_counter()
+    spec = validate_spec(GroupSpec([DInf()] * 5, "b1*b2*b3*b4*b5",
+                                   "a1^3*a2^5*a3^7*a4^9*a5^2"))
+    verdict = analyze(spec)
+    elapsed = time.perf_counter() - t0
+    assert verdict.kind == "not-verbally-closed"
+    assert len(verdict.report.components) == 1024
+    assert sorted(w.content for w in verdict.report.components
+                  if w.content) == [2, 3, 5, 7, 9]
+    assert verdict.certificate.is_valid()
+    assert elapsed < 10.0, elapsed
+
+
 def test_g_solution_matches_paper_assignment():
     spec = spec4()
     data = square_data(spec)

@@ -9,16 +9,24 @@ from util import SemidirectGroup, random_decomposable_module, random_module
 
 from verbalclosure.involutions import (
     Character,
+    ComponentWitness,
     InvolutionModule,
     NotEpimorphism,
     NotSimple,
+    SimplicityReport,
     enumerate_characters,
     enumerate_group_elements,
     factor_through,
     project,
     project_via_epimorphism,
 )
-from verbalclosure.lattice import AbelianPresentation, mat_mul, mat_vec
+from verbalclosure.lattice import (
+    AbelianPresentation,
+    content_and_primitive_part,
+    mat_mul,
+    mat_vec,
+    membership_solve,
+)
 
 
 def swap_module():
@@ -124,6 +132,38 @@ def test_projector_algebra_on_random_modules():
                 s = chi.signs[jgen]
                 assert mat_mul(A, N) == [[s * x for x in row] for row in N]
         assert total == idn  # resolution of the identity
+
+
+def _simplicity_by_projection(mod, q):
+    """Reference for is_simple: project q onto every character in turn."""
+    components = []
+    for chi in mod.characters:
+        v = mod.project_free(q, chi)
+        if not any(v):
+            components.append(ComponentWitness(chi, 0, (0,) * mod.group.rank))
+            continue
+        L = mod.eigenlattice_free(chi)
+        k, u = content_and_primitive_part(v, L)
+        if k == 1:
+            return SimplicityReport(simple=True, witness_character=chi,
+                                    primitive_direction=mod.group.lift_free(v))
+        components.append(ComponentWitness(chi, k, membership_solve(L, u)))
+    return SimplicityReport(simple=False, components=components)
+
+
+def test_is_simple_split_matches_per_character_projection():
+    rng = random.Random(2024)
+    verdicts = set()
+    for m in (1, 2, 3, 4):
+        for _ in range(12):
+            mod = random_module(rng, m=m)
+            n = mod.group.rank
+            for q in [(0,) * n] + [tuple(rng.randint(-5, 5) for _ in range(n))
+                                   for _ in range(4)]:
+                rep = mod.is_simple(q)
+                assert rep == _simplicity_by_projection(mod, q), (m, q)
+                verdicts.add(rep.simple)
+    assert verdicts == {True, False}
 
 
 def test_projector_orthogonality():

@@ -17,6 +17,7 @@ from verbalclosure.dihedral import (
 from verbalclosure.involutions import (
     Character,
     InvolutionModule,
+    enumerate_characters,
     enumerate_group_elements,
 )
 from verbalclosure.lattice import AbelianPresentation
@@ -279,6 +280,43 @@ def witness_m4():
     """The verdict of the c_rank-4 witness spec a = a1^3*a2^5 over 2xDInf."""
     spec = validate_spec(GroupSpec([DInf(), DInf()], "b1*b2", "a1^3*a2^5"))
     return spec, analyze(spec)
+
+
+def test_witness_lhs_is_built_once_on_first_read(witness_m4, monkeypatch):
+    import verbalclosure.words as words
+
+    calls = []
+
+    def counting_build_v_chi(*args, **kwargs):
+        calls.append(args[0])
+        return build_v_chi(*args, **kwargs)
+
+    monkeypatch.setattr(words, "build_v_chi", counting_build_v_chi)
+    verdict = analyze(witness_m4[0])
+    eq = verdict.equation
+    assert "<built on first read>" in repr(verdict)
+    assert calls == []
+    # the same equation with its lhs built eagerly through build_v_chi
+    data = verdict.data
+    terms = []
+    for ci, chi in enumerate(enumerate_characters(eq.c_rank)):
+        squares = Concat(tuple(Pow(Gen(y_var(ci, i)), 2)
+                               for i in range(1, eq.n_squares + 1)))
+        v = build_v_chi(chi, data.coset_words,
+                        y_word=Pow(squares, eq.torsion_order))
+        terms.append(Pow(v, eq.used_exponent(ci)))
+    eager = Equation(lhs=Concat(tuple(terms)),
+                     rhs_generator=eq.rhs_generator,
+                     rhs_exponent=eq.rhs_exponent, c_rank=eq.c_rank,
+                     torsion_order=eq.torsion_order, n_squares=eq.n_squares,
+                     filler=eq.filler, k_values=eq.k_values)
+    assert serialize_equation(eq) == serialize_equation(eager)
+    assert eq.lhs is eq.lhs
+    assert len(calls) == 1 << eq.c_rank
+    assert "<built on first read>" not in repr(verdict)
+    with pytest.raises(TypeError):
+        Equation(rhs_generator="a", rhs_exponent=2, c_rank=0, torsion_order=1,
+                 n_squares=1, filler=0, k_values=(0,))
 
 
 @pytest.mark.parametrize("matching", [True, False])
