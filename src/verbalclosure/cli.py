@@ -59,7 +59,7 @@ def build_report(verdict, args):
         lines.append("translation functional: "
                      + _format_vector(rho.functional))
         lines.append("finite normal subgroup invariants: "
-                     + (str(list(rho.torsion_invariants)) or "[]"))
+                     + str(list(rho.torsion_invariants)))
         payload["witness_character"] = rho.sign_character.label()
         payload["functional"] = list(rho.functional)
         payload["torsion_invariants"] = list(rho.torsion_invariants)

@@ -209,6 +209,10 @@ def spot_check_no_solution(eq, bound, trials, seed=0):
     True when no substitution hits the right-hand side.  This is a
     heuristic, not a proof: absence of small solutions proves nothing for
     general equations.
+
+    One live walk of the left-hand side serves every trial, so a trial costs
+    O(live nodes * log max-exponent) group operations: the towers raised to
+    a zero filler exponent are never evaluated.
     """
     import random
 
@@ -217,7 +221,7 @@ def spot_check_no_solution(eq, bound, trials, seed=0):
     deltas = list(product((0, 1), repeat=m))
     rhs = DihedralElement(eq.rhs_exponent, 0)
     n_chars = len(eq.k_values)
-    nodes = postorder(eq.lhs)  # one walk serves every trial
+    nodes = postorder(eq.lhs, live=True)
     for t in range(trials):
         delta = deltas[t % len(deltas)]
         assignment = {}

@@ -6,7 +6,8 @@ through the recursive oracle `flatten`.  Every other pass starts from one
 iterative walk, `postorder`, listing each distinct node once, children first:
 `evaluate` interprets a GroupOps over that list, `length` interprets letter
 counts over it, `serialize_equation` numbers it, and `parse_equation` rebuilds
-the nodes in the same order.
+the nodes in the same order.  Interpreting needs only the live nodes: the base
+of a zero power is never read, since x^0 = 1 in every group.
 """
 
 from dataclasses import dataclass
@@ -38,7 +39,8 @@ class SLWord:
     def length(self):
         """Flattened letter count, in one pass over the DAG when read: it can
         be exponential in the node count, and building a word never needs it."""
-        return interpret(postorder(self), _ONE_PER_LETTER, _LENGTH_OPS)
+        return interpret(postorder(self, live=True), _ONE_PER_LETTER,
+                         _LENGTH_OPS)
 
 
 class Gen(SLWord):
@@ -131,16 +133,22 @@ class CountingOps:
         return self._ops.inv(x)
 
 
-def postorder(word):
+def postorder(word, live=False):
     """Every distinct node of the DAG under word, once, children before
     their parents, in the order a depth-first walk finishes them.
+
+    With live=True the walk does not enter the base of a power with exponent
+    0, so it lists only the live nodes, the ones a value can depend on; that
+    base is listed only if a nonzero path also reaches it.  Serialization
+    needs the full walk, which is the default.
 
     The walk keeps its own stack of (node, unvisited children): a tower over
     |C| group elements nests |C| levels deep, past any recursion limit.
     """
     order = []
     seen = {word}  # words compare by identity
-    stack = [(word, iter(word.children))]
+    dead = live and type(word) is Pow and word.exp == 0
+    stack = [(word, iter(() if dead else word.children))]
     while stack:
         w, pending = stack[-1]
         for c in pending:
@@ -148,11 +156,14 @@ def postorder(word):
                 continue
             seen.add(c)
             kids = c.children
-            if kids:
+            # testing `live` first keeps the default walk's added cost to
+            # one test per inner node
+            if kids and not (live and type(c) is Pow and c.exp == 0):
                 stack.append((c, iter(kids)))
                 break
-            # a leaf is finished in place: pushing each generator too made
-            # the walk about a fifth slower
+            # a leaf, or a zero power in the live walk, is finished in
+            # place: pushing each generator too made the walk about a fifth
+            # slower
             order.append(c)
         else:
             stack.pop()
@@ -165,7 +176,9 @@ def interpret(nodes, assignment, ops):
     homomorphism sending generators to their assigned values.
 
     Each node is computed once from its children's values; Pow nodes use
-    square-and-multiply.
+    square-and-multiply, and a zero power is the identity without its base
+    being read, so `nodes` may be the live walk.  The cost is O(len(nodes) *
+    log max-exponent) group operations.
     """
     mul, inv, identity = ops.mul, ops.inv, ops.identity
     values = {}
@@ -176,11 +189,12 @@ def interpret(nodes, assignment, ops):
             for p in w.parts:
                 val = mul(val, values[p])
         elif kind is Pow:
-            sq = values[w.base]
             e = w.exp
             if e < 0:
-                sq = inv(sq)
+                sq = inv(values[w.base])
                 e = -e
+            elif e:
+                sq = values[w.base]
             val = identity
             while e:
                 if e & 1:
@@ -203,11 +217,12 @@ def evaluate(word, assignment, ops):
     """Image of the word under the homomorphism sending generators to their
     assigned values.
 
-    The word's post-order is interpreted over `ops`, so each distinct DAG
-    node is evaluated once and the cost is O(nodes * log max-exponent) group
-    operations no matter how long the flattened word is.
+    The word's live post-order is interpreted over `ops`, so each distinct
+    live DAG node is evaluated once and the cost is O(live nodes * log
+    max-exponent) group operations no matter how long the flattened word is.
+    Generators that occur only under a zero power need no value.
     """
-    return interpret(postorder(word), assignment, ops)
+    return interpret(postorder(word, live=True), assignment, ops)
 
 
 def flatten(word, cap=REDUCE_CAP):

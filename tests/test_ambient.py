@@ -30,7 +30,7 @@ from verbalclosure.ambient import (
 )
 from verbalclosure.dihedral import DihedralElement
 from verbalclosure.lattice import mat_vec
-from verbalclosure.words import y_var
+from verbalclosure.words import UnboundGenerator, y_var
 
 from util import dag_nodes
 
@@ -314,6 +314,25 @@ def test_verify_solution_rejects_wrong_assignments():
           if k.startswith("y") and v != group.identity]
     perturbed[ys[0]], perturbed[ys[1]] = perturbed[ys[1]], perturbed[ys[0]]
     assert not verify_solution_in_G(eq, perturbed, spec)
+
+
+def test_verify_solution_needs_only_the_live_variables():
+    # the towers of zero-content characters are raised to the filler 0, so
+    # their y-variables are never read; every other variable still is
+    spec = spec4()
+    verdict = analyze(spec)
+    eq = verdict.equation
+    live, dead = [], []
+    for ci, k in enumerate(eq.k_values):
+        (live if k else dead).extend(y_var(ci, i)
+                                     for i in range(1, eq.n_squares + 1))
+    partial = {name: value for name, value in verdict.solution.items()
+               if name not in dead}
+    assert verify_solution_in_G(eq, partial, spec)
+    for name in ["x1", live[0]]:
+        missing = {k: v for k, v in partial.items() if k != name}
+        with pytest.raises(UnboundGenerator):
+            verify_solution_in_G(eq, missing, spec)
 
 
 def test_retraction_projection_case():

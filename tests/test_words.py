@@ -90,6 +90,7 @@ def test_too_large_guard():
     for _ in range(40):
         w = Pow(w, 2)
     assert w.length == 2 ** 40
+    assert Pow(w, 0).length == 0
     with pytest.raises(TooLarge):
         reduce(w)
     # but evaluation is cheap
@@ -99,6 +100,10 @@ def test_too_large_guard():
 def test_unbound_generator():
     with pytest.raises(UnboundGenerator):
         evaluate(Gen("zz"), {}, INT_OPS)
+    # a zero power is the identity whatever its base, which is never read
+    assert evaluate(Pow(Gen("zz"), 0), {}, INT_OPS) == 0
+    with pytest.raises(UnboundGenerator):
+        evaluate(Pow(Gen("zz"), 2), {}, INT_OPS)
 
 
 def test_evaluation_cost_is_dag_sized():
@@ -111,6 +116,11 @@ def test_evaluation_cost_is_dag_sized():
     ops2 = CountingOps(INT_OPS)
     assert evaluate(Pow(Gen("a"), 2 ** 30), {"a": 1}, ops2) == 2 ** 30
     assert ops2.count <= 2 * 31
+    # a base under a zero power and a nonzero one is still evaluated, once:
+    # 2 operations for the base, 3 for its cube, 2 for the outer product
+    ops3 = CountingOps(INT_OPS)
+    assert evaluate(Concat((Pow(base, 0), Pow(base, 3))), {"a": 1}, ops3) == 6
+    assert ops3.count == 7
 
 
 def test_skew_commutator_shape():
@@ -360,15 +370,18 @@ def test_postorder_lists_each_node_once_children_first(witness_m4):
 
 
 def test_operation_count_of_the_m4_witness(witness_m4):
+    # with the default filler 0 only the towers of the two characters with
+    # nonzero content are evaluated; a nonzero filler evaluates all 16
     spec, verdict = witness_m4
-    eq = verdict.equation
-    ops = CountingOps(spec.group.ops)
-    evaluate(eq.lhs, verdict.solution, ops)
-    assert ops.count == 1999
-    dops = CountingOps(DIHEDRAL_OPS)
-    evaluate(eq.lhs, {name: DihedralElement(3, 1) for name in eq.variables()},
-             dops)
-    assert dops.count == 1999
+    for witness, count in [(verdict, 271), (analyze(spec, filler=2), 2027)]:
+        eq = witness.equation
+        ops = CountingOps(spec.group.ops)
+        evaluate(eq.lhs, witness.solution, ops)
+        assert ops.count == count
+        dops = CountingOps(DIHEDRAL_OPS)
+        evaluate(eq.lhs,
+                 {name: DihedralElement(3, 1) for name in eq.variables()}, dops)
+        assert dops.count == count
 
 
 def test_parse_ignores_layout_and_rejects_other_text(witness_m4):
