@@ -385,7 +385,6 @@ class SquareData:
     presentation: AbelianPresentation
     module: InvolutionModule
     q_roots: list  # per Q-coordinate, an ambient element whose square generates it
-    q_root_names: list
     c_names: list  # independent generators of G/Q, in factor order, a before b
     d_elements: list  # coset representatives for c_names
     coset_words: list  # per element of G/Q (lex bits), indices into c_names
@@ -425,12 +424,10 @@ def square_data(spec):
     factors = spec.factors
     n = len(factors)
     q_roots = []
-    q_root_names = []
     relations = []
     c_names = []
     for j, f in enumerate(factors, start=1):
         q_roots.append(group.generator_element(f"{f.q_letter}{j}"))
-        q_root_names.append(f"{f.q_letter}{j}^2")
         c_names.extend(f"{letter}{j}" for letter in f.quotient_letters)
         if f.q_order is not None:
             row = [0] * n
@@ -458,7 +455,6 @@ def square_data(spec):
         presentation=presentation,
         module=module,
         q_roots=q_roots,
-        q_root_names=q_root_names,
         c_names=c_names,
         d_elements=d_elements,
         coset_words=coset_words,

@@ -158,7 +158,7 @@ def _selftest_checks():
         square_data,
         validate_spec,
     )
-    from .dihedral import certify_no_solution
+    from .dihedral import InvalidEquation, certify_no_solution
     from .involutions import Character, InvolutionModule, project
     from .lattice import AbelianPresentation, Lattice, membership_solve
     from .words import Concat, Gen, build_w_chi, evaluate
@@ -241,10 +241,11 @@ def _selftest_checks():
 
     def certificate_rejects_units():
         spec = validate_spec(GroupSpec([DInf(), DInf()], "b1*b2", "a1^3*a2^5"))
-        verdict = analyze(spec)
+        eq = analyze(spec).equation
+        eq.k_values = (1,) + eq.k_values[1:]  # a unit content slipped through
         try:
-            certify_no_solution(verdict.equation, m=verdict.equation.c_rank + 1)
-        except ValueError:
+            certify_no_solution(eq)
+        except InvalidEquation:
             return True
         return False
 

@@ -163,7 +163,7 @@ class NoSolutionCertificate:
         return "\n".join(lines)
 
 
-def certify_no_solution(eq, m=None):
+def certify_no_solution(eq):
     """Build the per-flip-pattern no-solution certificate for a witness
     equation.
 
@@ -174,10 +174,7 @@ def certify_no_solution(eq, m=None):
     |k| != 1.  The free translation parameters never need enumerating --
     this is a proof, not a search.
     """
-    if m is None:
-        m = eq.c_rank
-    if m != eq.c_rank:
-        raise ValueError("rank mismatch with the equation")
+    m = eq.c_rank
     for ci in range(len(eq.k_values)):
         if abs(eq.used_exponent(ci)) == 1:
             raise InvalidEquation(

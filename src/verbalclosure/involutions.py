@@ -5,6 +5,7 @@ group Q through one integer involution matrix per generator.  This module
 computes sign characters of C, the rational eigenprojections of elements of
 Q, the eigencomponent lattices, the simplicity test that drives the whole
 retract-or-witness decision, and invariant complements for simple elements.
+Every eigenprojection is read from one table, `_eigensplit`.
 """
 
 from dataclasses import dataclass
@@ -19,7 +20,6 @@ from .lattice import (
     eye,
     is_zero_vector,
     kernel_basis,
-    mat_inv,
     mat_mul,
     mat_vec,
     membership_solve,
@@ -64,9 +64,6 @@ class Character:
 
     def label(self):
         return "chi(" + "".join("+" if s == 1 else "-" for s in self.signs) + ")"
-
-    def __mul__(self, other):
-        return Character(tuple(a * b for a, b in zip(self.signs, other.signs)))
 
 
 def enumerate_characters(m):
@@ -124,7 +121,7 @@ class InvolutionModule:
         for A in self.actions:
             AG = mat_mul(A, lift) if n else []
             self.free_actions.append(mat_mul(proj, AG) if f else [])
-        self._projectors = {}
+        self._split = _eigensplit(self.free_actions, f)
         self._eigenlattices = {}
 
     # -- validation ---------------------------------------------------------
@@ -172,22 +169,17 @@ class InvolutionModule:
 
     def projector_numerator(self, chi):
         """The integer matrix prod_{c in C} (I + chi(c) A_c) on free coords,
-        2^{|C|} times the projector.  For commuting involutions it equals the
-        m-generator `_sign_product` shifted left by |C| - m bits."""
-        if chi not in self._projectors:
-            M = _sign_product(self.free_actions, chi.signs, self.group.free_rank)
-            shift = self.c_size - self.c_rank
-            self._projectors[chi] = [[x << shift for x in row] for row in M]
-        return self._projectors[chi]
+        2^{|C|} times the projector.  For commuting involutions it equals
+        the `_eigensplit` entry of chi (zero when chi is absent) shifted left
+        by |C| - m bits."""
+        f = self.group.free_rank
+        M = self._split.get(chi.signs, [[0] * f for _ in range(f)])
+        shift = self.c_size - self.c_rank
+        return [[x << shift for x in row] for row in M]
 
     def project_free(self, q, chi):
         """Eigencomponent of an ambient integer vector, in free coordinates."""
-        num = self.projector_numerator(chi)
-        fq = self.group.free_coordinates(q)
-        # the numerator product over all |C| = 2^m elements carries a factor
-        # 2^|C| relative to the averaging projector
-        scale = Fraction(1, 1 << self.c_size)
-        return tuple(scale * x for x in mat_vec(num, fq))
+        return _component(self._split, chi.signs, self.group.free_coordinates(q))
 
     def project(self, q, chi):
         """The chi-component of q as a rational vector in ambient coordinates."""
@@ -232,30 +224,18 @@ class InvolutionModule:
         non-simple q, every character gets its content k (0 for a vanishing
         component) and a lift into Q of the primitive direction.
 
-        q is split one generator at a time: level j applies (I + A_j) and
-        (I - A_j) to each vector of level j - 1 and drops the zero ones.
-        The m-th level holds prod_j (I + chi_j A_j) q = 2^m e_chi q for the
-        characters chi with a nonzero component, in enumeration order.  A
-        level has at most f nonzero vectors (distinct joint eigenspaces), so
-        the split costs at most f * m matrix-vector products, and
-        eigenlattices are built only for the nonzero components.
+        The component of chi is M q / 2^m for the `_eigensplit` entry M of
+        chi, so only the characters with a nonzero eigenspace are visited,
+        in enumeration order, and eigenlattices are built only for the
+        nonzero components.
         """
         fq = self.group.free_coordinates(q)
-        level = [((), fq)] if any(fq) else []
-        for A in self.free_actions:
-            split = []
-            for signs, w in level:
-                Aw = mat_vec(A, w)
-                for s in (1, -1):
-                    child = tuple(x + s * y for x, y in zip(w, Aw))
-                    if any(child):
-                        split.append((signs + (s,), child))
-            level = split
-        scale = Fraction(1, 1 << self.c_rank)
         components = {}  # chi -> (content, primitive part), nonzero only
-        for signs, w in level:
+        for signs in self._split:
+            v = _component(self._split, signs, fq)
+            if not any(v):
+                continue
             chi = Character(signs)
-            v = tuple(scale * x for x in w)
             k, u = content_and_primitive_part(v, self.eigenlattice_free(chi))
             if k == 1:
                 return SimplicityReport(simple=True, witness_character=chi,
@@ -293,20 +273,17 @@ class InvolutionModule:
             g = gcd(g, abs(x))
         if g != 1:
             raise NotSimple("component is not primitive at this character")
-        k = len(coords)
-        # complete the coordinate row to a unimodular matrix W with W[0] = coords
-        _, D, V = smith_normal_form([list(coords)])
+        # the one-row Smith form U [coords] V = [1, 0, ...] gives the Bezout
+        # vector mu = U[0][0] * (column 0 of V) with mu . coords = 1
+        U, D, V = smith_normal_form([list(coords)])
         assert snf_diagonal(D) == [1]
-        W = mat_inv(V)
-        if W[0] != list(coords):
-            W[0] = [-x for x in W[0]]
-        assert W[0] == list(coords)
-        Winv = mat_inv(W)
+        mu = [U[0][0] * row[0] for row in V]
+        assert sum(c * x for c, x in zip(coords, mu)) == 1
         n = self.group.rank
         functional = []
         for g in L.generators:  # the projection of each unit vector
             ci = L.integer_coordinates(g)
-            functional.append(sum(ci[t] * Winv[t][0] for t in range(k)))
+            functional.append(sum(c * x for c, x in zip(ci, mu)))
         lam = tuple(functional)
         basis = kernel_basis([list(lam)], cols=n)
         self._check_complement(q, lam, basis)
@@ -353,15 +330,11 @@ class InvolutionModule:
     def is_decomposable(self):
         """Whether Q modulo torsion is the direct sum of its eigencomponent
         sublattices.  In free coordinates the image of Q is the full integer
-        lattice, so this reduces to integrality of every generator component."""
-        n = self.group.rank
-        for i in range(n):
-            e = tuple(1 if j == i else 0 for j in range(n))
-            for chi in self.characters:
-                v = self.project_free(e, chi)
-                if any(Fraction(x).denominator != 1 for x in v):
-                    return False
-        return True
+        lattice, so this reduces to integrality of every projector, that is
+        to every `_eigensplit` entry being divisible by 2^m."""
+        d = 1 << self.c_rank
+        return all(x % d == 0 for M in self._split.values()
+                   for row in M for x in row)
 
 
 def project(module, q, chi):
@@ -375,32 +348,50 @@ def project_via_epimorphism(target_module, phi, q, chi):
     of the target group as a bit tuple.  The result equals the component of q
     at the unique factoring character when chi factors through phi, and is
     zero otherwise.  Raises NotEpimorphism when the images fail to generate
-    the target group.  The product over all 2^m source elements is
-    2^{2^m - m} times the `_sign_product` over the m generator images, so
-    the latter is divided by 2^m.
+    the target group.  The component is read from the `_eigensplit` of the
+    m generator images: its entry at chi (zero when chi is absent) over 2^m.
     """
-    m = chi.rank
-    if len(phi) != m:
+    if len(phi) != chi.rank:
         raise ValueError("phi must assign an image to every source generator")
     if _gf2_rank([list(bits) for bits in phi]) != target_module.c_rank:
         raise NotEpimorphism("generator images do not span the target group")
-    M = _sign_product([target_module.element_matrix(bits) for bits in phi],
-                      chi.signs, target_module.group.free_rank)
-    fq = target_module.group.free_coordinates(q)
-    return target_module.group.lift_free(
-        tuple(Fraction(x, 1 << m) for x in mat_vec(M, fq)))
+    group = target_module.group
+    split = _eigensplit([target_module.element_matrix(bits) for bits in phi],
+                        group.free_rank)
+    return group.lift_free(_component(split, chi.signs,
+                                      group.free_coordinates(q)))
 
 
-def _sign_product(matrices, signs, f):
-    """The f x f integer matrix prod_j (I + s_j A_j).  For m commuting
-    involutions A_j it is 2^m times the projector onto their common
-    (s_1, ..., s_m)-eigenspace, and the product over all 2^m elements of the
-    group they generate is 2^{2^m - m} times it."""
-    M = eye(f)
-    for A, s in zip(matrices, signs):
-        M = mat_mul(M, [[(1 if i == j else 0) + s * A[i][j] for j in range(f)]
-                        for i in range(f)])
-    return M
+def _eigensplit(matrices, f):
+    """The table {signs: prod_j (I + s_j A_j) = 2^m e_chi} of f x f integer
+    matrices for commuting involutions A_1..A_m, for exactly the characters
+    with a nonzero eigenspace, in `enumerate_characters` order.
+
+    Level j maps each matrix M of level j - 1 to (I + A_j) M and (I - A_j) M
+    and drops the zero ones.  A nonzero entry is 2^j times the projector onto
+    a joint eigenspace of A_1..A_j, so a level has at most f entries and the
+    table costs at most f * m matrix products.
+    """
+    level = {(): eye(f)} if f else {}
+    for A in matrices:
+        split = {}
+        for signs, M in level.items():
+            AM = mat_mul(A, M)
+            for s in (1, -1):
+                child = [[x + s * y for x, y in zip(row, arow)]
+                         for row, arow in zip(M, AM)]
+                if any(map(any, child)):
+                    split[signs + (s,)] = child
+        level = split
+    return level
+
+
+def _component(split, signs, fq):
+    """The eigencomponent of a free-coordinate vector at the character with
+    these signs, from an `_eigensplit` table: its entry applied, over 2^m."""
+    M = split.get(signs)
+    w = mat_vec(M, fq) if M is not None else (0,) * len(fq)
+    return tuple(Fraction(x, 1 << len(signs)) for x in w)
 
 
 def factor_through(chi, phi, m_hat):

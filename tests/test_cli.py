@@ -148,3 +148,22 @@ def test_selftest_names_injected_failure(capsys, monkeypatch):
     assert main(["selftest"]) == 1
     out = capsys.readouterr().out
     assert "selftest failed:" in out
+
+
+def test_selftest_catches_certificate_accepting_units(capsys, monkeypatch):
+    # a certificate builder without its unit-exponent check must fail the
+    # check named for it, not pass on some other error
+    import verbalclosure.dihedral as dih
+
+    original = dih.certify_no_solution
+
+    def accepts_units(eq, *args, **kwargs):
+        try:
+            return original(eq, *args, **kwargs)
+        except dih.InvalidEquation:
+            return None
+
+    monkeypatch.setattr(dih, "certify_no_solution", accepts_units)
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert "selftest failed: certificate rejects unit exponents" in out

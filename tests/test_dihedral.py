@@ -168,8 +168,6 @@ def test_certificate_rejects_unit_exponent():
                       k_values=(1,) + eq.k_values[1:])
     with pytest.raises(InvalidEquation):
         certify_no_solution(hacked)
-    with pytest.raises(ValueError):
-        certify_no_solution(eq, m=3)
 
 
 def test_spot_check_finds_no_solution():

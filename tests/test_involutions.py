@@ -23,6 +23,7 @@ from verbalclosure.involutions import (
 from verbalclosure.lattice import (
     AbelianPresentation,
     content_and_primitive_part,
+    eye,
     mat_mul,
     mat_vec,
     membership_solve,
@@ -39,7 +40,6 @@ def test_character_enumeration_order():
     assert [c.signs for c in chars] == [(1, 1), (1, -1), (-1, 1), (-1, -1)]
     assert chars[0].is_trivial()
     assert chars[3].label() == "chi(--)"
-    assert (chars[1] * chars[2]).signs == (-1, -1)
     assert enumerate_group_elements(2) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
@@ -134,8 +134,21 @@ def test_projector_algebra_on_random_modules():
         assert total == idn  # resolution of the identity
 
 
+def _sign_product(mod, chi):
+    """Reference numerator: prod_j (I + chi_j A_j) by plain matrix products,
+    without the module's eigensplit."""
+    f = mod.group.free_rank
+    M = eye(f)
+    for A, s in zip(mod.free_actions, chi.signs):
+        M = mat_mul(M, [[int(i == j) + s * A[i][j] for j in range(f)]
+                        for i in range(f)])
+    return M
+
+
 def _simplicity_by_projection(mod, q):
-    """Reference for is_simple: project q onto every character in turn."""
+    """Reference for is_simple: project q onto every character in turn.  It
+    reads the same eigensplit as is_simple, which the test pins separately
+    against `_sign_product`."""
     components = []
     for chi in mod.characters:
         v = mod.project_free(q, chi)
@@ -154,9 +167,16 @@ def _simplicity_by_projection(mod, q):
 def test_is_simple_split_matches_per_character_projection():
     rng = random.Random(2024)
     verdicts = set()
+    zero_characters = 0
     for m in (1, 2, 3, 4):
         for _ in range(12):
             mod = random_module(rng, m=m)
+            shift = mod.c_size - m
+            for chi in mod.characters:
+                M = _sign_product(mod, chi)
+                zero_characters += not any(map(any, M))
+                assert mod.projector_numerator(chi) == [
+                    [x << shift for x in row] for row in M], (m, chi)
             n = mod.group.rank
             for q in [(0,) * n] + [tuple(rng.randint(-5, 5) for _ in range(n))
                                    for _ in range(4)]:
@@ -164,6 +184,7 @@ def test_is_simple_split_matches_per_character_projection():
                 assert rep == _simplicity_by_projection(mod, q), (m, q)
                 verdicts.add(rep.simple)
     assert verdicts == {True, False}
+    assert zero_characters  # characters with a zero eigenspace are covered
 
 
 def test_projector_orthogonality():
