@@ -11,7 +11,6 @@ Every eigenprojection is read from one table, `_eigensplit`.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd
 
 from .lattice import (
     AbelianPresentation,
@@ -25,6 +24,7 @@ from .lattice import (
     membership_solve,
     smith_normal_form,
     snf_diagonal,
+    vec_gcd,
     vec_sub,
 )
 
@@ -268,10 +268,7 @@ class InvolutionModule:
         coords = None if is_zero_vector(v) else L.integer_coordinates(v)
         if coords is None or len(coords) == 0:
             raise NotSimple("element has no primitive component at this character")
-        g = 0
-        for x in coords:
-            g = gcd(g, abs(x))
-        if g != 1:
+        if vec_gcd(coords) != 1:
             raise NotSimple("component is not primitive at this character")
         # the one-row Smith form U [coords] V = [1, 0, ...] gives the Bezout
         # vector mu = U[0][0] * (column 0 of V) with mu . coords = 1
@@ -317,9 +314,17 @@ class InvolutionModule:
 
     def verify_component_identity(self, q):
         """Self-check: the characterwise projections of q sum back to q
-        (modulo torsion).  Holds for every valid module; used as an oracle."""
+        (modulo torsion), and each lies in its character's eigenspace,
+        A_j w = chi_j w for every generator j.  Holds for every valid
+        module; used as an oracle.  The sum alone holds for any matrices,
+        so the eigenvector law is what tests the involutions."""
         f = self.group.free_rank
         fq = self.group.free_coordinates(q)
+        for signs, M in self._split.items():
+            w = mat_vec(M, fq)
+            for A, s in zip(self.free_actions, signs):
+                if mat_vec(A, w) != tuple(s * x for x in w):
+                    return False
         total = tuple(Fraction(0) for _ in range(f))
         for chi in self.characters:
             num = self.projector_numerator(chi)
@@ -403,14 +408,6 @@ def factor_through(chi, phi, m_hat):
 
 
 def _gf2_rank(rows):
-    rows = [int("".join(map(str, r)), 2) if r else 0 for r in rows]
-    rank = 0
-    for i in range(len(rows)):
-        if rows[i] == 0:
-            continue
-        pivot = rows[i].bit_length() - 1
-        rank += 1
-        for j in range(len(rows)):
-            if j != i and rows[j] >> pivot & 1:
-                rows[j] ^= rows[i]
-    return rank
+    """Rank over GF(2) of a 0/1 matrix: the number of odd invariant factors
+    of its Smith form, because unimodular U and V stay invertible mod 2."""
+    return sum(d % 2 for d in snf_diagonal(smith_normal_form(rows)[1]))

@@ -3,10 +3,16 @@
 Matrices are lists of lists of Python ints (arbitrary precision), row-major.
 Vectors are tuples of ints or Fractions.  Nothing here ever touches floating
 point: primitivity and content computations are only meaningful exactly.
+
+The Smith normal form is the one elimination routine.  The inverse, lattice
+coordinates and the independence check, kernels, integer membership and the
+presentations of finitely generated abelian groups are all read off it.
+Rational input is scaled once by a common denominator, so the elimination
+itself stays in integers.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class NotInLattice(ValueError):
@@ -49,68 +55,11 @@ def vec_gcd(v):
     return g
 
 
-def _gauss_jordan(rows, ncols):
-    """Reduce rows, in place and exactly, to reduced row echelon form on
-    their first ncols columns; returns the pivot columns.
-
-    Rows are lists of Fractions and may run past ncols (an augmented part,
-    which is reduced along with them).
-    """
-    pivots = []
-    for col in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        p = rows[r][col]
-        rows[r] = [x / p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-    return pivots
-
-
-def mat_inv(A):
-    """Exact inverse of a square matrix via Gauss-Jordan over Fraction.
-
-    Raises ValueError if the matrix is singular.  Entries of the result are
-    ints when they happen to be integral (e.g. for unimodular input).
-    """
-    n = len(A)
-    work = [[Fraction(A[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-            for i in range(n)]
-    if len(_gauss_jordan(work, n)) != n:
-        raise ValueError("matrix is singular")
-    out = []
-    for i in range(n):
-        row = []
-        for x in work[i][n:]:
-            row.append(int(x) if x.denominator == 1 else x)
-        out.append(row)
-    return out
-
-
-def solve_rational(columns, target):
-    """Solve sum_i c_i * columns[i] = target over the rationals.
-
-    Returns a tuple of Fractions, or None if the system is inconsistent.
-    When the solution is underdetermined an arbitrary consistent one is
-    returned (free coefficients set to zero).
-    """
-    k = len(columns)
-    n = len(target)
-    aug = [[Fraction(columns[j][i]) for j in range(k)] + [Fraction(target[i])]
-           for i in range(n)]
-    pivots = _gauss_jordan(aug, k)
-    if any(aug[i][k] != 0 for i in range(len(pivots), n)):
-        return None
-    coeffs = [Fraction(0)] * k
-    for i, col in enumerate(pivots):
-        coeffs[col] = aug[i][k]
-    return tuple(coeffs)
+def _integral(rows):
+    """Rational rows scaled by their least common denominator, as
+    (integer rows, denominator)."""
+    denom = lcm(*(x.denominator for v in rows for x in v))
+    return [[int(x * denom) for x in v] for v in rows], denom
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +163,25 @@ def snf_diagonal(D):
     return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
 
 
+def mat_inv(A):
+    """Exact inverse of a square integer matrix, read off its Smith form:
+    U A V = D gives A^-1 = V D^-1 U.
+
+    Raises ValueError if the matrix is singular.  Entries of the result are
+    ints when they happen to be integral; for unimodular input every
+    invariant factor is 1 and the inverse is the integer product V U.
+    """
+    U, D, V = smith_normal_form(A)
+    diag = snf_diagonal(D)
+    if 0 in diag:
+        raise ValueError("matrix is singular")
+    # l A^-1 = V diag(l / d) U is integral for l the lcm of the factors
+    l = lcm(*diag)
+    VD = [[x * (l // d) for x, d in zip(row, diag)] for row in V]
+    return [[x // l if x % l == 0 else Fraction(x, l) for x in row]
+            for row in mat_mul(VD, U)]
+
+
 def kernel_basis(M, cols=None):
     """Basis of the saturated integer kernel {x : M x = 0} of an integer matrix.
 
@@ -243,13 +211,7 @@ def solve_integer_combination(generators, target):
     if g == 0:
         return () if is_zero_vector(target) else None
     n = len(target)
-    denom = 1
-    for v in list(generators) + [target]:
-        for x in v:
-            if isinstance(x, Fraction):
-                denom = denom * x.denominator // gcd(denom, x.denominator)
-    Mg = [[int(x * denom) for x in v] for v in generators]
-    t = [int(x * denom) for x in target]
+    (*Mg, t), _ = _integral(list(generators) + [target])
 
     U, D, V = smith_normal_form(Mg)
     diag = snf_diagonal(D)
@@ -277,7 +239,10 @@ class Lattice:
     """A finitely generated subgroup of a rational vector space.
 
     The basis vectors are linearly independent over the rationals; they are
-    stored as tuples of Fractions.
+    stored as tuples of Fractions.  The lattice keeps the Smith form
+    U (denom B) V = D of its basis B, scaled to integers by the common
+    denominator denom: the basis is independent iff every invariant factor
+    is nonzero, and coordinates are read off the same form.
     """
 
     def __init__(self, basis, generators=None):
@@ -286,8 +251,12 @@ class Lattice:
             dim = len(basis[0])
             if any(len(v) != dim for v in basis):
                 raise ValueError("basis vectors of unequal length")
-            if len(_gauss_jordan(list(basis), dim)) != len(basis):
+            rows, denom = _integral(basis)
+            U, D, V = smith_normal_form(rows)
+            diag = snf_diagonal(D)
+            if len(diag) < len(basis) or 0 in diag:
                 raise ValueError("basis vectors are linearly dependent")
+            self._smith = U, diag, V, denom
         self.basis = basis
         # original (possibly dependent) generators, kept so membership
         # questions can be answered in the caller's coordinates
@@ -303,32 +272,39 @@ class Lattice:
 
     @classmethod
     def from_generators(cls, generators, dim=None):
-        """Extract a Z-basis of the span of possibly dependent generators."""
+        """Extract a Z-basis of the span of possibly dependent generators.
+
+        With U Mg V = D for the generators Mg scaled to integers, the rows
+        of U Mg = D V^-1 at the nonzero invariant factors are that basis.
+        """
         original = [tuple(Fraction(x) for x in v) for v in generators]
         gens = [v for v in original if not is_zero_vector(v)]
         if not gens:
             return cls([], generators=original)
-        n = len(gens[0])
-        denom = 1
-        for v in gens:
-            for x in v:
-                denom = denom * x.denominator // gcd(denom, x.denominator)
-        Mg = [[int(x * denom) for x in v] for v in gens]
-        _, D, V = smith_normal_form(Mg)
-        diag = snf_diagonal(D)
-        Vinv = mat_inv(V)
-        basis = []
-        for i, d in enumerate(diag):
-            if d != 0:
-                basis.append(tuple(Fraction(d * Vinv[i][j], denom) for j in range(n)))
+        Mg, denom = _integral(gens)
+        U, D, _ = smith_normal_form(Mg)
+        basis = [tuple(Fraction(x, denom) for x in row)
+                 for row, d in zip(mat_mul(U, Mg), snf_diagonal(D)) if d]
         return cls(basis, generators=original)
 
     def coordinates(self, v):
         """Rational coordinates of v in the basis, or None if v is outside
-        the rational span."""
+        the rational span.
+
+        c B = v reads s D = (denom v) V with c = s U, so s_j is
+        (denom v V)_j / d_j, and v is in the span iff (v V)_j = 0 for every
+        j past the rank.
+        """
         if not self.basis:
             return () if is_zero_vector(v) else None
-        return solve_rational(self.basis, v)
+        U, diag, V, denom = self._smith
+        (w,), e = _integral([v])  # w = e v
+        t = mat_mul([w], V)[0]
+        if any(t[len(diag):]):
+            return None
+        l = lcm(*diag)
+        c = mat_mul([[x * (l // d) for x, d in zip(t, diag)]], U)[0]
+        return tuple(Fraction(x * denom, e * l) for x in c)
 
     def integer_coordinates(self, v):
         coords = self.coordinates(v)
@@ -349,9 +325,9 @@ class Lattice:
 
 
 def membership_solve(L, v):
-    """Integer coefficients expressing v over L's original generators, or
-    None if v is not in the lattice.  Falls back to the reduced basis when
-    the lattice was built directly from one."""
+    """Integer coefficients expressing v over L's generators, or None if v
+    is not in the lattice.  The generators are the ones given to
+    `Lattice.from_generators`, or the basis for a lattice built from one."""
     return solve_integer_combination(L.generators, v)
 
 

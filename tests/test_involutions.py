@@ -211,6 +211,15 @@ def test_component_identity_on_random_modules():
             assert mod.verify_component_identity(q)
 
 
+def test_component_identity_rejects_non_involutions():
+    # the projections of any matrices sum back to 2^m q, so only the
+    # eigenvector law can catch these
+    mod = InvolutionModule(AbelianPresentation(2, []),
+                           [[[2, 1], [0, 3]], [[5, -1], [7, 1]]], check=False)
+    for q in [(1, 0), (3, -4), (2, 5)]:
+        assert not mod.verify_component_identity(q)
+
+
 def test_decomposable_family_is_decomposable():
     rng = random.Random(23)
     for _ in range(20):
@@ -232,6 +241,78 @@ def test_complement_properties():
             assert sum(l * x for l, x in zip(lam, img)) == 0
     with pytest.raises(NotSimple):
         mod.complement((2, 5), mod.characters[0])
+
+
+# Frozen outputs of the lattice paths that the benchmark workloads never
+# reach: there every action matrix is diagonal and every nonzero eigenlattice
+# has rank 1.  For each module: the `Lattice.from_generators` basis of every
+# eigenlattice in free coordinates, then for each vector x of PINNED_X cut to
+# the module's rank: is_simple(2x)'s table ("content: lift" per character),
+# and for simple x its witness character and complement functional.
+PINNED_X = [(1, 0, 0, 0), (0, 1, 0, 0), (1, 2, -1, 3), (3, -1, 2, 1),
+            (2, 5, 1, -1)]
+PINNED_LATTICES = {
+    "swap": (
+        {"chi(+)": ["1/2 1/2"], "chi(-)": ["1/2 -1/2"]},
+        [
+            ("2: 1 0; 2: 1 0", "chi(+)", "1 1"),
+            ("2: 1 0; 2: -1 0", "chi(+)", "1 1"),
+            ("6: 1 0; 2: -1 0", "chi(-)", "-1 1"),
+            ("4: 1 0; 8: 1 0", None, None),
+            ("14: 1 0; 6: -1 0", None, None),
+        ]),
+    3: (
+        {"chi(+)": ["1/2 1/2 1", "0 0 1"], "chi(-)": ["1/2 -1/2 -1"]},
+        [
+            ("2: 1 0 0 0; 0: 0 0 0 0", "chi(+)", "1 0 -2 0"),
+            ("2: 0 1 0 0; 2: 0 1 0 0", "chi(+)", "0 1 1 0"),
+            ("2: 3 1 0 0; 6: 0 1 0 0", "chi(+)", "0 1 1 0"),
+            ("2: -1 1 0 0; 6: 0 -1 0 0", "chi(+)", "0 1 1 0"),
+            ("12: 0 1 0 0; 8: 0 1 0 0", None, None),
+        ]),
+    11: (
+        {"chi(++)": ["0 0 1", "1 0 0"], "chi(+-)": ["0 1 -3"],
+         "chi(-+)": [], "chi(--)": []},
+        [
+            ("2: 1 0 0 0; 0: 0 0 0 0; 0: 0 0 0 0; 0: 0 0 0 0", "chi(++)", "1 0 3 0"),
+            ("2: 0 1 0 0; 0: 0 0 0 0; 0: 0 0 0 0; 0: 0 0 0 0", "chi(++)", "0 1 0 0"),
+            ("4: -1 1 0 0; 2: 0 0 -1 0; 0: 0 0 0 0; 0: 0 0 0 0", "chi(+-)", "0 0 -1 0"),
+            ("2: 9 -1 0 0; 4: 0 0 1 0; 0: 0 0 0 0; 0: 0 0 0 0", "chi(++)", "0 -1 0 0"),
+            ("10: 1 1 0 0; 2: 0 0 1 0; 0: 0 0 0 0; 0: 0 0 0 0", "chi(+-)", "0 0 1 0"),
+        ]),
+    19: (
+        {"chi(+)": ["1/2 0 1/2", "0 1 0"], "chi(-)": ["1/2 0 -1/2"]},
+        [
+            ("2: 1 0 0; 2: 1 0 0", "chi(+)", "1 0 1"),
+            ("2: 0 1 0; 0: 0 0 0", "chi(+)", "0 1 0"),
+            ("4: 0 1 0; 4: 1 0 0", None, None),
+            ("2: 5 -1 0; 2: 1 0 0", "chi(+)", "0 -1 0"),
+            ("2: 3 5 0; 2: 1 0 0", "chi(+)", "2 -1 2"),
+        ]),
+}
+
+
+def test_rank_two_lattice_paths_are_pinned():
+    def fmt(v):
+        return " ".join(str(x) for x in v)
+
+    for key, (bases, rows) in PINNED_LATTICES.items():
+        mod = (swap_module() if key == "swap"
+               else random_module(random.Random(key)))
+        n = mod.group.rank
+        assert {chi.label(): [fmt(b) for b in mod.eigenlattice_free(chi).basis]
+                for chi in mod.characters} == bases, key
+        for x, (table, witness, lam) in zip(PINNED_X, rows):
+            x = x[:n]
+            rep = mod.is_simple(tuple(2 * a for a in x))
+            assert "; ".join(f"{w.content}: {fmt(w.lift)}"
+                             for w in rep.components) == table, (key, x)
+            rep = mod.is_simple(x)
+            assert (rep.witness_character.label() if rep.simple
+                    else None) == witness, (key, x)
+            if rep.simple:
+                _, got = mod._complement_data(x, rep.witness_character)
+                assert fmt(got) == lam, (key, x)
 
 
 def test_complement_on_random_simple_elements():

@@ -19,7 +19,6 @@ from verbalclosure.lattice import (
     smith_normal_form,
     snf_diagonal,
     solve_integer_combination,
-    solve_rational,
 )
 
 
@@ -42,6 +41,14 @@ def _det(M):
             if f:
                 work[i] = [x - f * y for x, y in zip(work[i], work[col])]
     return det
+
+
+def _random_nonsingular(rng, n, denominators=(1,)):
+    while True:
+        M = [[Fraction(rng.randint(-6, 6), rng.choice(denominators))
+              for _ in range(n)] for _ in range(n)]
+        if _det(M) != 0:
+            return M
 
 
 def test_smith_normal_form_random():
@@ -120,11 +127,31 @@ def test_solve_integer_combination_rejects_outsiders():
     assert solve_integer_combination([], (1, 0)) is None
 
 
-def test_solve_rational():
-    assert solve_rational([(1, 1), (1, -1)], (2, 5)) == (
+def test_lattice_coordinates():
+    assert Lattice([(1, 1), (1, -1)]).coordinates((2, 5)) == (
         Fraction(7, 2), Fraction(-3, 2))
-    assert solve_rational([(1, 0), (0, 1)], (4, -2)) == (4, -2)
-    assert solve_rational([(1, 0)], (0, 1)) is None
+    assert Lattice([(1, 0), (0, 1)]).coordinates((4, -2)) == (4, -2)
+    assert Lattice([(1, 0)]).coordinates((0, 1)) is None
+
+
+def test_lattice_coordinates_round_trip():
+    rng = random.Random(13)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        k = rng.randint(1, n)
+        # the first k rows of a nonsingular matrix are independent, and
+        # row k (when there is one) is off their rational span
+        M = _random_nonsingular(rng, n, denominators=(1, 1, 2, 3))
+        B = M[:k]
+        L = Lattice(B)
+        c = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                  for _ in range(k))
+        v = tuple(sum(x * b[i] for x, b in zip(c, B)) for i in range(n))
+        assert L.coordinates(v) == c
+        if k < n:
+            assert L.coordinates(M[k]) is None
+        with pytest.raises(ValueError):
+            Lattice(B + [v])
 
 
 def test_lattice_from_generators_spans_same_lattice():
@@ -167,6 +194,21 @@ def test_mat_inv_unimodular_is_integral():
     assert mat_inv(U) == [[1, -2], [0, 1]]
     with pytest.raises(ValueError):
         mat_inv([[1, 2], [2, 4]])
+
+
+def test_mat_inv_random():
+    rng = random.Random(17)
+    fractional = 0
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        A = [[int(x) for x in row] for row in _random_nonsingular(rng, n)]
+        inv = mat_inv(A)
+        assert mat_mul(A, inv) == eye(n)
+        # integral entries come back as ints
+        assert all(type(x) is int or x.denominator > 1
+                   for row in inv for x in row)
+        fractional += any(isinstance(x, Fraction) for row in inv for x in row)
+    assert fractional > 10  # non-unimodular inputs are covered
 
 
 def test_presentation_free_part():
