@@ -18,7 +18,6 @@ from .dihedral import IDENTITY, DihedralElement
 from .involutions import (
     Character,
     InvolutionModule,
-    enumerate_characters,
     enumerate_group_elements,
 )
 from .lattice import AbelianPresentation
@@ -487,10 +486,7 @@ def g_solution(eq, data, report):
     assignment = {}
     for j, d in enumerate(data.d_elements):
         assignment[f"x{j + 1}"] = d
-    characters = enumerate_characters(data.c_rank)
-    by_char = {w.character: w for w in report.components}
-    for ci, chi in enumerate(characters):
-        w = by_char[chi]
+    for ci, w in enumerate(report.components):
         root = group.identity
         if w.content != 0:
             for coeff, g in zip(w.lift, data.q_roots):

@@ -4,6 +4,10 @@
 pipeline and prints a verdict report (exit 0 for a retraction, 10 for a
 not-verbally-closed witness, 2 for spec errors).  `verbalclosure selftest`
 runs a quick named battery of internal invariants.
+
+`main` builds the argparse parser on its first call and reuses it for every
+later call in the same process; each `parse_args` returns a fresh
+namespace, so no option carries over from one call to the next.
 """
 
 import argparse
@@ -307,9 +311,14 @@ def make_parser():
     return parser
 
 
+_parser = None  # built by the first `main` call, shared by the later ones
+
+
 def main(argv=None):
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = make_parser()
+    args = _parser.parse_args(argv)
     return args.func(args)
 
 

@@ -127,6 +127,14 @@ class InvolutionModule:
     # -- validation ---------------------------------------------------------
 
     def _validate(self):
+        """Check the module laws modulo the relations of Q.
+
+        Exact equality first: when A^2 == I, or AB == BA, as integer
+        matrices, the law holds for that matrix or pair.  Only on a mismatch
+        is each nonzero column of the difference tested for membership in
+        the relation lattice.  A zero difference always lies in that lattice,
+        so the check is exactly as strong as testing every column.
+        """
         g = self.group
         n = g.rank
         ident = eye(n)
@@ -137,21 +145,13 @@ class InvolutionModule:
                 img = mat_vec(A, rel)
                 if not g.in_relation_lattice(img):
                     raise ValueError(f"action {idx} does not preserve the relations")
-            A2 = mat_mul(A, A)
-            for col in range(n):
-                d = vec_sub(tuple(A2[i][col] for i in range(n)),
-                            tuple(ident[i][col] for i in range(n)))
-                if not g.in_relation_lattice(d):
-                    raise ValueError(f"action {idx} is not an involution on Q")
+            if not _equal_on(g, mat_mul(A, A), ident):
+                raise ValueError(f"action {idx} is not an involution on Q")
         for i in range(self.c_rank):
             for j in range(i + 1, self.c_rank):
-                AB = mat_mul(self.actions[i], self.actions[j])
-                BA = mat_mul(self.actions[j], self.actions[i])
-                for col in range(n):
-                    d = vec_sub(tuple(AB[r][col] for r in range(n)),
-                                tuple(BA[r][col] for r in range(n)))
-                    if not g.in_relation_lattice(d):
-                        raise ValueError(f"actions {i} and {j} do not commute on Q")
+                A, B = self.actions[i], self.actions[j]
+                if not _equal_on(g, mat_mul(A, B), mat_mul(B, A)):
+                    raise ValueError(f"actions {i} and {j} do not commute on Q")
 
     # -- basic operator algebra --------------------------------------------
 
@@ -202,18 +202,6 @@ class InvolutionModule:
         """Z-basis of the lattice of chi-components of Q, ambient coordinates."""
         L = self.eigenlattice_free(chi)
         return Lattice([self.group.lift_free(v) for v in L.basis])
-
-    def fixed_sublattice(self, chi):
-        """Basis of {q in Q : cq = chi(c) q for all c}, modulo torsion."""
-        f = self.group.free_rank
-        stacked = []
-        for j in range(self.c_rank):
-            A = self.free_actions[j]
-            s = chi.signs[j]
-            for i in range(f):
-                stacked.append([A[i][k] - (s if i == k else 0) for k in range(f)])
-        basis = kernel_basis(stacked, cols=f)
-        return Lattice([self.group.lift_free(v) for v in basis])
 
     # -- simplicity ---------------------------------------------------------
 
@@ -332,15 +320,6 @@ class InvolutionModule:
         target = tuple(Fraction(1 << self.c_size) * x for x in fq)
         return total == target
 
-    def is_decomposable(self):
-        """Whether Q modulo torsion is the direct sum of its eigencomponent
-        sublattices.  In free coordinates the image of Q is the full integer
-        lattice, so this reduces to integrality of every projector, that is
-        to every `_eigensplit` entry being divisible by 2^m."""
-        d = 1 << self.c_rank
-        return all(x % d == 0 for M in self._split.values()
-                   for row in M for x in row)
-
 
 def project(module, q, chi):
     return module.project(q, chi)
@@ -365,6 +344,15 @@ def project_via_epimorphism(target_module, phi, q, chi):
                         group.free_rank)
     return group.lift_free(_component(split, chi.signs,
                                       group.free_coordinates(q)))
+
+
+def _equal_on(group, X, Y):
+    """Whether the integer matrices X and Y induce the same map of Q: equal
+    exactly, or every nonzero column of X - Y in the relation lattice."""
+    if X == Y:
+        return True
+    return all(group.in_relation_lattice(d)
+               for d in map(vec_sub, zip(*X), zip(*Y)) if any(d))
 
 
 def _eigensplit(matrices, f):

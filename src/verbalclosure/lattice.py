@@ -13,6 +13,7 @@ itself stays in integers.
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 
 class NotInLattice(ValueError):
@@ -28,12 +29,8 @@ def eye(n):
 
 
 def mat_mul(A, B):
-    rb = len(B)
-    cb = len(B[0]) if rb else 0
-    return [
-        [sum(row[k] * B[k][j] for k in range(rb)) for j in range(cb)]
-        for row in A
-    ]
+    cols = list(zip(*B))
+    return [[sum(map(mul, row, col)) for col in cols] for row in A]
 
 
 def mat_vec(A, v):
@@ -410,9 +407,6 @@ class AbelianPresentation:
                 return False
         return True
 
-    def elements_equal(self, x, y):
-        return self.in_relation_lattice(vec_sub(x, y))
-
     def canonical(self, vec):
         """Unique representative of the element modulo the relation lattice."""
         y = list(mat_vec(self._u, vec))
@@ -421,9 +415,6 @@ class AbelianPresentation:
             if d != 0:
                 y[i] %= d
         return mat_vec(self._uinv, y)
-
-    def is_torsion(self, vec):
-        return all(x == 0 for x in self.free_coordinates(vec))
 
     def __repr__(self):
         return (f"AbelianPresentation(rank={self.rank}, "

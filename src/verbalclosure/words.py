@@ -12,7 +12,7 @@ of a zero power is never read, since x^0 = 1 in every group.
 
 from dataclasses import dataclass
 
-from .involutions import enumerate_characters, enumerate_group_elements
+from .involutions import enumerate_group_elements
 
 
 class TooLarge(ValueError):
@@ -303,12 +303,6 @@ def _tower(chi, c_exprs, body):
     return body
 
 
-def coset_expr(subset, var_prefix="x"):
-    """Product of variables x_{j+1} over the 1-bits of a subset tuple."""
-    parts = tuple(Gen(f"{var_prefix}{j + 1}") for j, b in enumerate(subset) if b)
-    return Concat(parts)
-
-
 def build_v_chi(chi, coset_words, y_word=None):
     """The word in x_1..x_m and y obtained by spelling each group element as
     a product of the chosen generators.
@@ -403,9 +397,9 @@ def build_witness_equation(report, n, torsion_order, c_rank, coset_words,
         raise ValueError("filler exponent must not be +-1")
     if n < 1:
         raise ValueError("need at least one square per character")
-    characters = enumerate_characters(c_rank)
-    by_char = {w.character: w for w in report.components}
-    k_values = tuple(by_char[chi].content for chi in characters)
+    # `is_simple` lists the components in `enumerate_characters` order
+    characters = [w.character for w in report.components]
+    k_values = tuple(w.content for w in report.components)
 
     def build_lhs():
         terms = []

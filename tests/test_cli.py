@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from verbalclosure.cli import main
+from verbalclosure import cli
+from verbalclosure.cli import main, make_parser
 from verbalclosure.words import parse_equation
 
 WITNESS_SPEC = """groupspec v1
@@ -125,6 +126,34 @@ def test_verify_flag_witness(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "ambient solution verified in G: yes" in out
     assert "no dihedral solution found" in out
+
+
+def test_reused_parser_carries_no_options_over(tmp_path, capsys):
+    # main keeps one parser per process; every call must still read only
+    # its own argv, exactly as a freshly built parser does
+    path = write(tmp_path, "w.spec", WITNESS_SPEC)
+    eq_file = tmp_path / "eq.txt"
+    runs = [["analyze", path, "--verify", "--seed", "1",
+             "--emit-equation", str(eq_file)],
+            ["analyze", path],
+            ["analyze", path, "--format", "structured"]]
+    main(runs[1])
+    capsys.readouterr()
+    parser = cli._parser
+    for argv in runs:
+        code = main(argv)
+        out = capsys.readouterr().out
+        emitted = eq_file.exists()
+        eq_file.unlink(missing_ok=True)
+        args = make_parser().parse_args(argv)
+        assert args.func(args) == code
+        assert capsys.readouterr().out == out
+        assert eq_file.exists() == emitted == ("--emit-equation" in argv)
+        eq_file.unlink(missing_ok=True)
+        assert ("verified" in out) == ("--verify" in argv)
+    assert cli._parser is parser
+    assert main(["selftest"]) == 0
+    assert "selftest passed" in capsys.readouterr().out
 
 
 def test_selftest_passes(capsys):

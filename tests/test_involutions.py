@@ -71,7 +71,6 @@ def test_swap_module_eigenlattices():
     assert (1, 0) not in Lp
     Lm = mod.eigenlattice(minus)
     assert (Fraction(1, 2), Fraction(-1, 2)) in Lm
-    assert not mod.is_decomposable()
 
 
 def test_swap_module_simplicity_characterization():
@@ -220,14 +219,6 @@ def test_component_identity_rejects_non_involutions():
         assert not mod.verify_component_identity(q)
 
 
-def test_decomposable_family_is_decomposable():
-    rng = random.Random(23)
-    for _ in range(20):
-        mod = random_decomposable_module(rng, m=rng.randint(1, 2),
-                                         free_rank=rng.randint(1, 3))
-        assert mod.is_decomposable()
-
-
 def test_complement_properties():
     mod = swap_module()
     rep = mod.is_simple((1, 0))
@@ -335,15 +326,6 @@ def test_complement_on_random_simple_elements():
         assert solve_integer_combination(gens, q) is None
 
 
-def test_fixed_sublattice():
-    mod = swap_module()
-    plus, minus = mod.characters
-    Lp = mod.fixed_sublattice(plus)
-    assert (1, 1) in Lp and (1, 0) not in Lp
-    Lm = mod.fixed_sublattice(minus)
-    assert (1, -1) in Lm and (1, 1) not in Lm
-
-
 def test_validation_rejects_bad_actions():
     pres = AbelianPresentation(2, [])
     with pytest.raises(ValueError):
@@ -355,6 +337,27 @@ def test_validation_rejects_bad_actions():
     with pytest.raises(ValueError):
         # sends the relation (0,3) to (3,0), outside the relation lattice
         InvolutionModule(pres2, [[[0, 1], [1, 0]]])
+
+
+def test_validation_accepts_laws_that_hold_only_modulo_relations():
+    # Q = Z + Z/2: A^2 = diag(1, 9) and AB != BA as integer matrices, but
+    # every column of A^2 - I and of AB - BA is a multiple of (0, 2)
+    pres = AbelianPresentation(2, [(0, 2)])
+    A = [[1, 0], [0, 3]]
+    B = [[1, 0], [1, 1]]
+    assert mat_mul(A, A) != eye(2)
+    assert mat_mul(A, B) != mat_mul(B, A)
+    mod = InvolutionModule(pres, [A, B])
+    assert mod.c_rank == 2
+    assert mod.free_actions == [[[1]], [[1]]]
+
+
+def test_validation_rejects_torsion_only_mismatch():
+    # Q = Z + Z/4: A^2 - I has the column (0, 3), zero in the free
+    # coordinate and outside the relation lattice in the torsion one
+    pres = AbelianPresentation(2, [(0, 4)])
+    with pytest.raises(ValueError, match="not an involution"):
+        InvolutionModule(pres, [[[1, 0], [0, 2]]])
 
 
 def test_project_via_epimorphism_matches_components():

@@ -19,6 +19,7 @@ from verbalclosure.lattice import (
     smith_normal_form,
     snf_diagonal,
     solve_integer_combination,
+    vec_sub,
 )
 
 
@@ -211,6 +212,40 @@ def test_mat_inv_random():
     assert fractional > 10  # non-unimodular inputs are covered
 
 
+def _mat_mul_reference(A, B):
+    """Triple-loop product of an r x k and a k x c matrix."""
+    rows, inner = len(A), len(B)
+    cols = len(B[0]) if inner else 0
+    C = [[0] * cols for _ in range(rows)]
+    for i in range(rows):
+        for j in range(cols):
+            for k in range(inner):
+                C[i][j] += A[i][k] * B[k][j]
+    return C
+
+
+def test_mat_mul_matches_triple_loop():
+    rng = random.Random(17)
+
+    def entry(rational):
+        x = rng.randint(-9, 9)
+        return Fraction(x, rng.randint(1, 6)) if rational else x
+
+    def matrix(r, c, rational):
+        return [[entry(rational) for _ in range(c)] for _ in range(r)]
+
+    # (rows of A, rows of B, columns of B): 0-row A, 0-row B, 0-column B,
+    # then random shapes up to 5 x 5
+    shapes = [(0, 3, 2), (2, 0, 3), (3, 2, 0), (0, 0, 0), (2, 0, 0)]
+    while len(shapes) < 100:
+        shapes.append(tuple(rng.randint(1, 5) for _ in range(3)))
+    for t, (r, k, c) in enumerate(shapes):
+        rational = t % 2 == 1
+        A = matrix(r, k, rational)
+        B = matrix(k, c, rational)
+        assert mat_mul(A, B) == _mat_mul_reference(A, B)
+
+
 def test_presentation_free_part():
     # Z^3 / (0,0,2): free rank 2, torsion Z/2
     P = AbelianPresentation(3, [(0, 0, 2)])
@@ -218,8 +253,9 @@ def test_presentation_free_part():
     assert P.torsion_order == 2
     assert P.invariant_factors == [2]
     assert P.free_coordinates((0, 0, 2)) == (0, 0)
-    assert P.is_torsion((0, 0, 1))
-    assert not P.is_torsion((1, 0, 0))
+    # torsion elements are exactly those with zero free coordinates
+    assert not any(P.free_coordinates((0, 0, 1)))
+    assert any(P.free_coordinates((1, 0, 0)))
     # lift is a section of the projection
     for v in [(1, 0), (0, 1), (3, -4)]:
         assert P.free_coordinates(P.lift_free(v)) == v
@@ -227,8 +263,9 @@ def test_presentation_free_part():
 
 def test_presentation_equality_and_canonical():
     P = AbelianPresentation(2, [(0, 3)])
-    assert P.elements_equal((1, 1), (1, 4))
-    assert not P.elements_equal((1, 1), (1, 3))
+    # elements are equal when their difference lies in the relation lattice
+    assert P.in_relation_lattice(vec_sub((1, 1), (1, 4)))
+    assert not P.in_relation_lattice(vec_sub((1, 1), (1, 3)))
     assert P.canonical((0, 3)) == P.canonical((0, 0))
     rng = random.Random(3)
     for _ in range(30):

@@ -35,7 +35,6 @@ from verbalclosure.words import (
     build_v_chi,
     build_w_chi,
     build_witness_equation,
-    coset_expr,
     evaluate,
     flatten,
     free_reduce,
@@ -164,11 +163,6 @@ def test_w_chi_node_count_small():
 
     count(w)
     assert len(seen) < 200  # DAG stays small
-
-
-def test_coset_expr():
-    assert reduce(coset_expr((1, 0, 1))) == [("x1", 1), ("x3", 1)]
-    assert reduce(coset_expr((0, 0))) == []
 
 
 def _nonsimple_report():
