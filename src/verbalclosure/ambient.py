@@ -386,11 +386,15 @@ class SquareData:
     q_roots: list  # per Q-coordinate, an ambient element whose square generates it
     c_names: list  # independent generators of G/Q, in factor order, a before b
     d_elements: list  # coset representatives for c_names
-    coset_words: list  # per element of G/Q (lex bits), indices into c_names
 
     @property
     def c_rank(self):
         return len(self.c_names)
+
+    @property
+    def coset_words(self):  # per element of G/Q (lex bits), c_names indices
+        return [tuple(j for j, b in enumerate(bits) if b)
+                for bits in enumerate_group_elements(self.c_rank)]
 
     def q_coordinates(self, element):
         """Coordinates of an ambient element of Q, factor by factor.
@@ -446,9 +450,6 @@ def square_data(spec):
                 matrix[i][l] = f.q_coordinate(x)
         actions.append(matrix)
     module = InvolutionModule(presentation, actions)
-    m = len(c_names)
-    coset_words = [tuple(j for j, b in enumerate(bits) if b)
-                   for bits in enumerate_group_elements(m)]
     return SquareData(
         spec=spec,
         presentation=presentation,
@@ -456,7 +457,6 @@ def square_data(spec):
         q_roots=q_roots,
         c_names=c_names,
         d_elements=d_elements,
-        coset_words=coset_words,
     )
 
 

@@ -279,6 +279,14 @@ def cmd_selftest(args):
     return 0
 
 
+def nonnegative_int(text):
+    """The argparse type of counts and bounds: an integer, at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def make_parser():
     parser = argparse.ArgumentParser(
         prog="verbalclosure",
@@ -295,11 +303,11 @@ def make_parser():
                     help="filler exponent for vanishing components (not +-1)")
     pa.add_argument("--verify", action="store_true",
                     help="run sampled verification of the verdict payload")
-    pa.add_argument("--samples", type=int, default=10000,
+    pa.add_argument("--samples", type=nonnegative_int, default=10000,
                     help="sample count for retraction verification")
-    pa.add_argument("--bound", type=int, default=100,
+    pa.add_argument("--bound", type=nonnegative_int, default=100,
                     help="coordinate bound for sampled elements")
-    pa.add_argument("--trials", type=int, default=1000,
+    pa.add_argument("--trials", type=nonnegative_int, default=1000,
                     help="trial count for the no-solution spot check")
     pa.add_argument("--format", choices=("text", "structured"),
                     default="text")

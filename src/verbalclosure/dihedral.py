@@ -10,9 +10,9 @@ together prove that a witness equation has no dihedral solution.
 
 import operator
 from dataclasses import dataclass
-from itertools import product
+from itertools import cycle, product
 
-from .involutions import Character, enumerate_characters
+from .involutions import Character
 from .words import GroupOps, interpret, postorder, y_var
 
 
@@ -172,22 +172,22 @@ def certify_no_solution(eq):
     left-hand side lies in a proper subgroup <a^(target * k)> (or is the
     identity when k = 0); the right-hand side a^target escapes because
     |k| != 1.  The free translation parameters never need enumerating --
-    this is a proof, not a search.
+    this is a proof, not a search.  Row i is flip pattern i and character i
+    of `enumerate_characters`, so it reads the equation's i-th exponent.
     """
     m = eq.c_rank
     for ci in range(len(eq.k_values)):
         if abs(eq.used_exponent(ci)) == 1:
             raise InvalidEquation(
                 "effective exponent +-1: a simple component slipped through")
-    characters = enumerate_characters(m)
-    index = {chi: ci for ci, chi in enumerate(characters)}
     rows = []
-    for delta in product((0, 1), repeat=m):
-        chi = character_of_substitution(delta)
-        k = eq.used_exponent(index[chi])
+    # flip pattern i selects character i: both lists are lexicographic (0
+    # before 1, +1 before -1) and chi_j = (-1)^{delta_j}
+    for i, delta in enumerate(product((0, 1), repeat=m)):
+        k = eq.used_exponent(i)
         rows.append(CertificateRow(
             delta=delta,
-            matched_character=chi,
+            matched_character=character_of_substitution(delta),
             effective_exponent=k,
             subgroup_exponent=eq.rhs_exponent * k,
             target_exponent=eq.rhs_exponent,
@@ -215,12 +215,10 @@ def spot_check_no_solution(eq, bound, trials, seed=0):
 
     rng = random.Random(seed)
     m = eq.c_rank
-    deltas = list(product((0, 1), repeat=m))
     rhs = DihedralElement(eq.rhs_exponent, 0)
     n_chars = len(eq.k_values)
     nodes = postorder(eq.lhs, live=True)
-    for t in range(trials):
-        delta = deltas[t % len(deltas)]
+    for _, delta in zip(range(trials), cycle(product((0, 1), repeat=m))):
         assignment = {}
         for j in range(m):
             assignment[f"x{j + 1}"] = DihedralElement(

@@ -107,8 +107,6 @@ class InvolutionModule:
         self.group = group
         self.actions = [[list(row) for row in A] for A in actions]
         self.c_rank = len(actions)
-        self.elements = enumerate_group_elements(self.c_rank)
-        self.characters = enumerate_characters(self.c_rank)
         if check:
             self._validate()
         # induced action on the free quotient, where the involutions commute
@@ -158,6 +156,14 @@ class InvolutionModule:
     @property
     def c_size(self):
         return 1 << self.c_rank
+
+    @property
+    def characters(self):  # derived from c_rank on every read, never stored
+        return enumerate_characters(self.c_rank)
+
+    @property
+    def elements(self):  # derived from c_rank on every read, never stored
+        return enumerate_group_elements(self.c_rank)
 
     def element_matrix(self, bits):
         """Induced free-coordinate matrix of the element of C given by bits."""
@@ -301,24 +307,20 @@ class InvolutionModule:
     # -- identities ---------------------------------------------------------
 
     def verify_component_identity(self, q):
-        """Self-check: the characterwise projections of q sum back to q
-        (modulo torsion), and each lies in its character's eigenspace,
-        A_j w = chi_j w for every generator j.  Holds for every valid
-        module; used as an oracle.  The sum alone holds for any matrices,
-        so the eigenvector law is what tests the involutions."""
-        f = self.group.free_rank
+        """Self-check on the `_eigensplit` entries M = 2^m e_chi (absent
+        characters add zero): the M q sum to 2^m q (modulo torsion), and
+        each w = M q lies in its character's eigenspace, A_j w = chi_j w for
+        every generator j.  Holds for every valid module; used as an oracle.
+        The sum holds for any matrices; the eigenvector law tests them."""
         fq = self.group.free_coordinates(q)
+        total = [0] * len(fq)
         for signs, M in self._split.items():
             w = mat_vec(M, fq)
             for A, s in zip(self.free_actions, signs):
                 if mat_vec(A, w) != tuple(s * x for x in w):
                     return False
-        total = tuple(Fraction(0) for _ in range(f))
-        for chi in self.characters:
-            num = self.projector_numerator(chi)
-            total = tuple(a + b for a, b in zip(total, mat_vec(num, fq)))
-        target = tuple(Fraction(1 << self.c_size) * x for x in fq)
-        return total == target
+            total = [a + b for a, b in zip(total, w)]
+        return total == [x << self.c_rank for x in fq]
 
 
 def project(module, q, chi):

@@ -269,6 +269,36 @@ def test_retract_at_c_rank_10_decides_quickly():
         assert elapsed < 10.0, (a, elapsed)
 
 
+def test_retract_enumerates_no_listing_of_c(monkeypatch):
+    # a Retract reads the eigensplit table and its witness character only,
+    # so it builds no 2^m listing of C, even at c_rank 24
+    import verbalclosure.ambient
+    import verbalclosure.involutions
+
+    def refuse(m):
+        raise AssertionError(f"listed C at c_rank {m}")
+
+    # ambient imports enumerate_group_elements by name
+    for module, name in [
+            (verbalclosure.involutions, "enumerate_characters"),
+            (verbalclosure.involutions, "enumerate_group_elements"),
+            (verbalclosure.ambient, "enumerate_group_elements")]:
+        monkeypatch.setattr(module, name, refuse)
+    cases = [
+        (5, "a1^3*a2^5*a3^7*a4^9*a5", "chi(+++++++++-)", (0, 0, 0, 0, 1)),
+        (5, "a1*a2^3*a3^5*a4^7*a5^9", "chi(+-++++++++)", (1, 0, 0, 0, 0)),
+        (12, "a1*" + "*".join(f"a{j}^{2 * j + 1}" for j in range(2, 13)),
+         "chi(+-" + "+" * 22 + ")", (1,) + (0,) * 11)]
+    for n, a, label, functional in cases:
+        b = "*".join(f"b{j}" for j in range(1, n + 1))
+        verdict = analyze(validate_spec(GroupSpec([DInf()] * n, b, a)))
+        assert verdict.is_retract, a
+        rho = verdict.retraction
+        assert rho.data.c_rank == 2 * n
+        assert rho.sign_character.label() == label
+        assert rho.functional == functional
+
+
 def test_witness_at_c_rank_10_decides_quickly():
     # the split of a^2 visits only its 5 nonzero components of 1024, and the
     # witness DAG (about 4^10 nodes) is built only when the lhs is read

@@ -85,6 +85,20 @@ def test_filler_unit_rejected(tmp_path, capsys):
     assert main(["analyze", path, "--filler", "2"]) == 10
 
 
+@pytest.mark.parametrize("option", ["--samples", "--trials", "--bound"])
+def test_negative_counts_rejected(tmp_path, capsys, option):
+    # a negative count would run zero samples or trials and report success,
+    # and a negative bound would crash the sampler; 0 stays allowed
+    for spec in (WITNESS_SPEC, RETRACT_SPEC):
+        path = write(tmp_path, "s.spec", spec)
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", path, "--verify", option, "-3"])
+        assert exc.value.code == 2
+        assert "must be at least 0, got -3" in capsys.readouterr().err
+    assert main(["analyze", path, "--verify", option, "0"]) == 0
+    assert "verified" in capsys.readouterr().out
+
+
 def test_emit_equation_round_trips(tmp_path, capsys):
     path = write(tmp_path, "w.spec", WITNESS_SPEC)
     out_path = str(tmp_path / "eq.txt")

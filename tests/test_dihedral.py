@@ -20,6 +20,7 @@ from verbalclosure.dihedral import (
 from verbalclosure.involutions import (
     Character,
     InvolutionModule,
+    enumerate_characters,
     enumerate_group_elements,
 )
 from verbalclosure.lattice import AbelianPresentation
@@ -71,6 +72,10 @@ def test_order():
 def test_character_of_substitution():
     assert character_of_substitution((0, 1, 0)) == Character((1, -1, 1))
     assert character_of_substitution(()) == Character(())
+    # flip pattern i selects character i, which the certificate relies on
+    for m in range(6):
+        assert [character_of_substitution(d)
+                for d in product((0, 1), repeat=m)] == enumerate_characters(m)
 
 
 def test_skew_commutator_dihedral_law():
