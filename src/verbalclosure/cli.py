@@ -70,9 +70,12 @@ def build_report(verdict, args):
         if args.verify:
             ok = verify_retraction(rho, spec, samples=args.samples,
                                    bound=args.bound, seed=args.seed)
+            if ok and not args.samples:
+                ok = None  # H is fixed, but no sample tested the rest
             lines.append(f"retraction verified (samples={args.samples}, "
                          f"bound={args.bound}, seed={args.seed}): "
-                         + ("yes" if ok else "NO"))
+                         + {True: "yes", False: "NO",
+                            None: "nothing sampled"}[ok])
             payload["retraction_verified"] = ok
         return lines, payload, 0
 
@@ -107,11 +110,12 @@ def build_report(verdict, args):
                      + ("yes" if ok else "NO"))
         payload["solution_verified"] = ok
         bound, trials = SPOT_CHECK_BOUND, args.trials
-        no_hit = spot_check_no_solution(eq, bound, trials, seed=args.seed)
+        no_hit = (spot_check_no_solution(eq, bound, trials, seed=args.seed)
+                  if trials else None)
         lines.append(f"spot check (bound={bound}, trials={trials}, "
                      f"seed={args.seed}): "
-                     + ("no dihedral solution found" if no_hit
-                        else "FOUND A SOLUTION"))
+                     + {True: "no dihedral solution found",
+                        False: "FOUND A SOLUTION", None: "nothing tried"}[no_hit])
         payload["spot_check_clean"] = no_hit
     return lines, payload, 10
 

@@ -173,16 +173,6 @@ class InvolutionModule:
                 M = mat_mul(M, A)
         return M
 
-    def projector_numerator(self, chi):
-        """The integer matrix prod_{c in C} (I + chi(c) A_c) on free coords,
-        2^{|C|} times the projector.  For commuting involutions it equals
-        the `_eigensplit` entry of chi (zero when chi is absent) shifted left
-        by |C| - m bits."""
-        f = self.group.free_rank
-        M = self._split.get(chi.signs, [[0] * f for _ in range(f)])
-        shift = self.c_size - self.c_rank
-        return [[x << shift for x in row] for row in M]
-
     def project_free(self, q, chi):
         """Eigencomponent of an ambient integer vector, in free coordinates."""
         return _component(self._split, chi.signs, self.group.free_coordinates(q))

@@ -4,14 +4,16 @@ Matrices are lists of lists of Python ints (arbitrary precision), row-major.
 Vectors are tuples of ints or Fractions.  Nothing here ever touches floating
 point: primitivity and content computations are only meaningful exactly.
 
-The Smith normal form is the one elimination routine.  The inverse, lattice
-coordinates and the independence check, kernels, integer membership and the
-presentations of finitely generated abelian groups are all read off it.
+The Smith normal form is the one elimination routine.  The inverse, kernels
+and the presentations of finitely generated abelian groups are read off it.
+A lattice runs it once, on its generators, and reads its basis, independence
+check, coordinates and integer membership off that one form.
 Rational input is scaled once by a common denominator, so the elimination
 itself stays in integers.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
@@ -202,30 +204,10 @@ def solve_integer_combination(generators, target):
     """Integer coefficients c with sum_i c_i * generators[i] = target.
 
     Generators and target may have rational entries.  Returns a tuple of
-    ints, or None when target is not in the integer span.
+    ints, or None when target is not in the integer span; with no
+    generators, () for a zero target.
     """
-    g = len(generators)
-    if g == 0:
-        return () if is_zero_vector(target) else None
-    n = len(target)
-    (*Mg, t), _ = _integral(list(generators) + [target])
-
-    U, D, V = smith_normal_form(Mg)
-    diag = snf_diagonal(D)
-    # row vector equation c * Mg = t  <=>  s * D = t * V with c = s * U
-    tv = [sum(t[i] * V[i][j] for i in range(n)) for j in range(n)]
-    s = [0] * g
-    for j in range(n):
-        d = diag[j] if j < len(diag) else 0
-        if d == 0:
-            if tv[j] != 0:
-                return None
-        else:
-            if tv[j] % d != 0:
-                return None
-            s[j] = tv[j] // d
-    c = [sum(s[i] * U[i][j] for i in range(g)) for j in range(g)]
-    return tuple(c)
+    return membership_solve(Lattice.from_generators(generators), target)
 
 
 # ---------------------------------------------------------------------------
@@ -235,84 +217,83 @@ def solve_integer_combination(generators, target):
 class Lattice:
     """A finitely generated subgroup of a rational vector space.
 
-    The basis vectors are linearly independent over the rationals; they are
-    stored as tuples of Fractions.  The lattice keeps the Smith form
-    U (denom B) V = D of its basis B, scaled to integers by the common
-    denominator denom: the basis is independent iff every invariant factor
-    is nonzero, and coordinates are read off the same form.
+    A lattice keeps its generators, a Z-basis of their span (tuples of
+    Fractions, linearly independent over the rationals) and the Smith form
+    U (denom Mg) V = D of its generators Mg, scaled to integers by their
+    common denominator.  That form is the only elimination a lattice runs:
+    basis coordinates, content and integer membership over the generators
+    are all read off it by one solve.
     """
 
-    def __init__(self, basis, generators=None):
-        basis = [tuple(Fraction(x) for x in v) for v in basis]
-        if basis:
-            dim = len(basis[0])
-            if any(len(v) != dim for v in basis):
-                raise ValueError("basis vectors of unequal length")
-            rows, denom = _integral(basis)
-            U, D, V = smith_normal_form(rows)
-            diag = snf_diagonal(D)
-            if len(diag) < len(basis) or 0 in diag:
-                raise ValueError("basis vectors are linearly dependent")
-            self._smith = U, diag, V, denom
-        self.basis = basis
-        # original (possibly dependent) generators, kept so membership
-        # questions can be answered in the caller's coordinates
-        if generators is None:
-            self.generators = list(basis)
-        else:
-            self.generators = [tuple(Fraction(x) for x in v)
-                               for v in generators]
-
-    @property
-    def rank(self):
-        return len(self.basis)
+    def __init__(self, basis):
+        """The lattice with this basis, which is also its generators.
+        Raises ValueError when the basis vectors are linearly dependent."""
+        self._eliminate(basis)
+        if self.rank < len(self.generators):
+            raise ValueError("basis vectors are linearly dependent")
+        self.basis = self.generators
+        self._to_basis = self._u  # c B = v reads c = s U
 
     @classmethod
     def from_generators(cls, generators, dim=None):
         """Extract a Z-basis of the span of possibly dependent generators.
 
         With U Mg V = D for the generators Mg scaled to integers, the rows
-        of U Mg = D V^-1 at the nonzero invariant factors are that basis.
+        of U Mg = D V^-1 at the nonzero invariant factors are that basis B.
+        Then I (denom B) V = D over the rank, so the one Smith form of the
+        generators is that of the basis too, and its s are basis
+        coordinates.
         """
-        original = [tuple(Fraction(x) for x in v) for v in generators]
-        gens = [v for v in original if not is_zero_vector(v)]
-        if not gens:
-            return cls([], generators=original)
-        Mg, denom = _integral(gens)
-        U, D, _ = smith_normal_form(Mg)
-        basis = [tuple(Fraction(x, denom) for x in row)
-                 for row, d in zip(mat_mul(U, Mg), snf_diagonal(D)) if d]
-        return cls(basis, generators=original)
+        L = cls.__new__(cls)
+        rows = L._eliminate(generators)
+        L.basis = [tuple(Fraction(x, L._denom) for x in row)
+                   for row in mat_mul(L._u[:L.rank], rows)]
+        L._to_basis = None  # c B = v reads c = s
+        return L
+
+    def _eliminate(self, generators):
+        """Keep the generators and their Smith form U (denom Mg) V = D;
+        returns the integer rows denom Mg."""
+        gens = [tuple(Fraction(x) for x in v) for v in generators]
+        if any(len(v) != len(gens[0]) for v in gens):
+            raise ValueError("vectors of unequal length")
+        rows, self._denom = _integral(gens)
+        self._u, D, self._v = smith_normal_form(rows)
+        self._diag = [d for d in snf_diagonal(D) if d]
+        self.generators = gens
+        return rows
+
+    @property
+    def rank(self):
+        return len(self._diag)
+
+    def _solve(self, v):
+        """The s with s D = (denom v) V over the rank, as Fractions, or None
+        when v is outside the rational span: x Mg = v reads s D = (denom v) V
+        with x = s U, so v is in the span iff (v V)_j = 0 past the rank."""
+        if not self.generators:
+            return [] if is_zero_vector(v) else None
+        (w,), e = _integral([v])  # w = e v
+        t = mat_mul([w], self._v)[0]
+        if any(t[self.rank:]):
+            return None
+        return [Fraction(x * self._denom, e * d) for x, d in zip(t, self._diag)]
 
     def coordinates(self, v):
         """Rational coordinates of v in the basis, or None if v is outside
-        the rational span.
-
-        c B = v reads s D = (denom v) V with c = s U, so s_j is
-        (denom v V)_j / d_j, and v is in the span iff (v V)_j = 0 for every
-        j past the rank.
-        """
-        if not self.basis:
-            return () if is_zero_vector(v) else None
-        U, diag, V, denom = self._smith
-        (w,), e = _integral([v])  # w = e v
-        t = mat_mul([w], V)[0]
-        if any(t[len(diag):]):
+        the rational span."""
+        s = self._solve(v)
+        if s is None:
             return None
-        l = lcm(*diag)
-        c = mat_mul([[x * (l // d) for x, d in zip(t, diag)]], U)[0]
-        return tuple(Fraction(x * denom, e * l) for x in c)
+        if self._to_basis is not None:
+            s = mat_mul([s], self._to_basis)[0]
+        return tuple(s)
 
     def integer_coordinates(self, v):
         coords = self.coordinates(v)
-        if coords is None:
+        if coords is None or any(x.denominator != 1 for x in coords):
             return None
-        out = []
-        for x in coords:
-            if Fraction(x).denominator != 1:
-                return None
-            out.append(int(x))
-        return tuple(out)
+        return tuple(int(x) for x in coords)
 
     def __contains__(self, v):
         return self.integer_coordinates(v) is not None
@@ -324,8 +305,13 @@ class Lattice:
 def membership_solve(L, v):
     """Integer coefficients expressing v over L's generators, or None if v
     is not in the lattice.  The generators are the ones given to
-    `Lattice.from_generators`, or the basis for a lattice built from one."""
-    return solve_integer_combination(L.generators, v)
+    `Lattice.from_generators`, or the basis for a lattice built from one.
+    Read off the lattice's one Smith form as s U over the rank."""
+    s = L._solve(v)
+    if s is None or any(x.denominator != 1 for x in s):
+        return None
+    return tuple(sum(int(x) * row[j] for x, row in zip(s, L._u))
+                 for j in range(len(L.generators)))
 
 
 def content_and_primitive_part(v, L):
@@ -380,11 +366,18 @@ class AbelianPresentation:
                              if i >= len(diag) or diag[i] == 0]
         self.free_rank = len(self.free_indices)
         self._u = U
-        self._uinv = mat_inv(U) if rank else []
-        # projection to / lift from free coordinates
+        # projection to free coordinates; the lift back inverts U when first
+        # read, and a presentation read only for its invariants never does
         self._proj = [U[i] for i in self.free_indices]
-        self._lift = [[self._uinv[i][j] for j in self.free_indices]
-                      for i in range(rank)]
+
+    @cached_property
+    def _uinv(self):
+        return mat_inv(self._u) if self.rank else []
+
+    @cached_property
+    def _lift(self):
+        return [[self._uinv[i][j] for j in self.free_indices]
+                for i in range(self.rank)]
 
     def free_coordinates(self, vec):
         """Image of an element in Z^free_rank, killing torsion exactly."""

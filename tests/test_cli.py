@@ -99,6 +99,35 @@ def test_negative_counts_rejected(tmp_path, capsys, option):
     assert "verified" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_zero_counts_report_nothing_checked(tmp_path, capsys, monkeypatch,
+                                            fmt):
+    # a sampled check that sampled or tried nothing neither passes nor fails
+    cases = [(RETRACT_SPEC, "--samples", 0, "retraction verified (",
+              "nothing sampled", "retraction_verified"),
+             (WITNESS_SPEC, "--trials", 10, "spot check (", "nothing tried",
+              "spot_check_clean")]
+    for spec, option, code, start, said, key in cases:
+        path = write(tmp_path, "s.spec", spec)
+        argv = ["analyze", path, "--verify", option, "0", "--format", fmt]
+        assert main(argv) == code
+        out = capsys.readouterr().out
+        if fmt == "text":
+            line, = [s for s in out.splitlines() if s.startswith(start)]
+            assert f"{option[2:]}=0" in line and line.endswith("): " + said)
+        else:
+            assert json.loads(out)[key] is None
+    # a failure found without sampling still reads as one
+    monkeypatch.setattr(cli, "verify_retraction", lambda *a, **k: False)
+    path = write(tmp_path, "s.spec", RETRACT_SPEC)
+    main(["analyze", path, "--verify", "--samples", "0", "--format", fmt])
+    out = capsys.readouterr().out
+    if fmt == "text":
+        assert "seed=0): NO" in out
+    else:
+        assert json.loads(out)["retraction_verified"] is False
+
+
 def test_emit_equation_round_trips(tmp_path, capsys):
     path = write(tmp_path, "w.spec", WITNESS_SPEC)
     out_path = str(tmp_path / "eq.txt")

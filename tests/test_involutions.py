@@ -115,12 +115,12 @@ def test_projector_algebra_on_random_modules():
     modules += [random_module(rng, m=m) for m in (3, 4) for _ in range(5)]
     for mod in modules:
         f = mod.group.free_rank
-        size = 1 << mod.c_size
+        size = 1 << mod.c_rank
         idn = [[size if i == j else 0 for j in range(f)] for i in range(f)]
         total = [[0] * f for _ in range(f)]
         for chi in mod.characters:
-            N = mod.projector_numerator(chi)
-            # idempotence: (N/2^|C|)^2 = N/2^|C|
+            N = _split_entry(mod, chi)
+            # idempotence: (N/2^m)^2 = N/2^m
             assert mat_mul(N, N) == [[size * x for x in row] for row in N]
             for i in range(f):
                 for j in range(f):
@@ -133,12 +133,23 @@ def test_projector_algebra_on_random_modules():
         assert total == idn  # resolution of the identity
 
 
+def _split_entry(mod, chi):
+    """The `_eigensplit` entry of chi, 2^m e_chi (zero when chi is absent)."""
+    f = mod.group.free_rank
+    return mod._split.get(chi.signs, [[0] * f for _ in range(f)])
+
+
 def _sign_product(mod, chi):
-    """Reference numerator: prod_j (I + chi_j A_j) by plain matrix products,
-    without the module's eigensplit."""
+    """Reference numerator: prod over all c in C of (I + chi(c) A_c), which
+    is 2^|C| e_chi, by plain matrix products without the module's
+    eigensplit."""
     f = mod.group.free_rank
     M = eye(f)
-    for A, s in zip(mod.free_actions, chi.signs):
+    for bits in enumerate_group_elements(mod.c_rank):
+        A, s = eye(f), 1
+        for Aj, sj, b in zip(mod.free_actions, chi.signs, bits):
+            if b:
+                A, s = mat_mul(A, Aj), s * sj
         M = mat_mul(M, [[int(i == j) + s * A[i][j] for j in range(f)]
                         for i in range(f)])
     return M
@@ -174,8 +185,8 @@ def test_is_simple_split_matches_per_character_projection():
             for chi in mod.characters:
                 M = _sign_product(mod, chi)
                 zero_characters += not any(map(any, M))
-                assert mod.projector_numerator(chi) == [
-                    [x << shift for x in row] for row in M], (m, chi)
+                assert [[x << shift for x in row]
+                        for row in _split_entry(mod, chi)] == M, (m, chi)
             n = mod.group.rank
             for q in [(0,) * n] + [tuple(rng.randint(-5, 5) for _ in range(n))
                                    for _ in range(4)]:
@@ -195,8 +206,7 @@ def test_projector_orthogonality():
         zero = [[0] * f for _ in range(f)]
         for i, chi in enumerate(mod.characters):
             for chj in mod.characters[i + 1:]:
-                prod = mat_mul(mod.projector_numerator(chi),
-                               mod.projector_numerator(chj))
+                prod = mat_mul(_split_entry(mod, chi), _split_entry(mod, chj))
                 assert prod == zero
 
 

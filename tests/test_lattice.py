@@ -106,10 +106,16 @@ def test_kernel_basis_saturated():
 
 def test_solve_integer_combination_roundtrip():
     rng = random.Random(9)
-    for _ in range(50):
+    for trial in range(150):
         g = rng.randint(1, 4)
         n = rng.randint(1, 4)
         gens = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(g)]
+        if trial % 3 == 1:  # zero generators among the others
+            for i in rng.sample(range(g), rng.randint(1, g)):
+                gens[i] = (0,) * n
+        elif trial % 3 == 2:  # rational entries
+            gens = [tuple(Fraction(x, rng.choice((1, 2, 3))) for x in v)
+                    for v in gens]
         coeffs = [rng.randint(-5, 5) for _ in range(g)]
         target = tuple(sum(c * v[i] for c, v in zip(coeffs, gens))
                        for i in range(n))
@@ -166,7 +172,35 @@ def test_lattice_from_generators_spans_same_lattice():
         for v in gens:
             assert L.integer_coordinates(v) is not None
         for b in L.basis:
-            assert solve_integer_combination(gens, b) is not None
+            c = solve_integer_combination(gens, b)
+            assert tuple(sum(x * v[i] for x, v in zip(c, gens))
+                         for i in range(n)) == b
+
+
+def test_lattice_runs_one_elimination(monkeypatch):
+    # basis, coordinates, content and membership all read the Smith form
+    # that found the basis
+    import verbalclosure.lattice as lat
+
+    calls = []
+
+    def counted(M, _orig=lat.smith_normal_form):
+        calls.append(M)
+        return _orig(M)
+
+    monkeypatch.setattr(lat, "smith_normal_form", counted)
+    gens = [(Fraction(1, 2), Fraction(1, 2), 0), (0, 0, 0),
+            (Fraction(1, 2), Fraction(-1, 2), 0), (1, 0, 0)]
+    L = Lattice.from_generators(gens, dim=3)
+    assert L.integer_coordinates((2, 5, 0)) is not None
+    assert L.integer_coordinates((Fraction(1, 3), 0, 0)) is None
+    assert content_and_primitive_part((3, 3, 0), L) == (6, (
+        Fraction(1, 2), Fraction(1, 2), 0))
+    c = membership_solve(L, (2, 5, 0))
+    assert tuple(sum(x * v[i] for x, v in zip(c, gens))
+                 for i in range(3)) == (2, 5, 0)
+    assert membership_solve(L, (0, 0, 1)) is None
+    assert len(calls) == 1
 
 
 def test_membership_solve_fixture():
