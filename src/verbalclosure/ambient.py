@@ -500,9 +500,15 @@ def g_solution(eq, data, report):
 
 def verify_solution_in_G(eq, assignment, spec):
     """Evaluate the equation's left-hand side in G and compare with the
-    right-hand side power of a."""
+    right-hand side power of a.
+
+    The live left-hand side is evaluated, so only the towers raised to a
+    nonzero exponent are built.
+    """
+    if eq.rhs_generator != "a":
+        return False
     group = spec.group
-    value = evaluate(eq.lhs, assignment, group.ops)
+    value = evaluate(eq.live_lhs, assignment, group.ops)
     rhs = group.pow(spec.h_a, eq.rhs_exponent)
     return value == rhs
 

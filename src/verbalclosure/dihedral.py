@@ -207,9 +207,9 @@ def spot_check_no_solution(eq, bound, trials, seed=0):
     heuristic, not a proof: absence of small solutions proves nothing for
     general equations.
 
-    One live walk of the left-hand side serves every trial, so a trial costs
+    One walk of the live left-hand side serves every trial, so a trial costs
     O(live nodes * log max-exponent) group operations: the towers raised to
-    a zero filler exponent are never evaluated.
+    a zero filler exponent are neither built nor evaluated.
     """
     import random
 
@@ -217,7 +217,7 @@ def spot_check_no_solution(eq, bound, trials, seed=0):
     m = eq.c_rank
     rhs = DihedralElement(eq.rhs_exponent, 0)
     n_chars = len(eq.k_values)
-    nodes = postorder(eq.lhs, live=True)
+    nodes = postorder(eq.live_lhs, live=True)
     for _, delta in zip(range(trials), cycle(product((0, 1), repeat=m))):
         assignment = {}
         for j in range(m):

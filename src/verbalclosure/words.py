@@ -8,6 +8,12 @@ iterative walk, `postorder`, listing each distinct node once, children first:
 counts over it, `serialize_equation` numbers it, and `parse_equation` rebuilds
 the nodes in the same order.  Interpreting needs only the live nodes: the base
 of a zero power is never read, since x^0 = 1 in every group.
+
+A witness equation keeps the recipe of its left-hand side, not the DAG.  It
+builds a character's tower only when a word needs it: its live left-hand
+side holds only the towers raised to a nonzero exponent, and
+`serialize_equation` writes the full DAG's post-order straight from the
+recipe and the tower layout (`_levels`), numbering nodes it never builds.
 """
 
 from dataclasses import dataclass
@@ -293,13 +299,22 @@ def build_w_chi(chi, c_exprs):
     return _tower(chi, list(c_exprs), Gen("y"))
 
 
+def _levels(chi):
+    """(element index, sign) of each skew commutator of chi's tower,
+    innermost first: the innermost commutator uses the last element of C in
+    the enumeration order, and the sign is chi's value on that element."""
+    elements = enumerate_group_elements(chi.rank)
+    return [(i, chi.on_element(elements[i]))
+            for i in range(len(elements) - 1, -1, -1)]
+
+
 def _tower(chi, c_exprs, body):
     """Nest skew commutators by c_exprs around body, the last innermost."""
-    elements = enumerate_group_elements(chi.rank)
-    if len(c_exprs) != len(elements):
-        raise ValueError(f"need {len(elements)} element words, got {len(c_exprs)}")
-    for bits, ce in zip(reversed(elements), reversed(c_exprs)):
-        body = skew_commutator(ce, chi.on_element(bits), body)
+    levels = _levels(chi)
+    if len(c_exprs) != len(levels):
+        raise ValueError(f"need {len(levels)} element words, got {len(c_exprs)}")
+    for i, sign in levels:
+        body = skew_commutator(c_exprs[i], sign, body)
     return body
 
 
@@ -325,24 +340,35 @@ def y_var(char_index, i):
     return f"y_{char_index}_{i}"
 
 
+# the base of every dead term of a live left-hand side: it is never read
+_NO_WORD = Concat(())
+
+
 class Equation:
     """One-sided equation: lhs(word in x's and y's) = a^rhs_exponent.
 
     Coefficients appear only on the right-hand side, as a power of the
     distinguished infinite-order generator of the dihedral subgroup.
 
-    The left-hand side is either given as `lhs`, or built on its first read
-    by `build_lhs`, a function of no arguments, and then kept.  Deciding
-    needs only the k values and the right-hand side, while the paper's
-    witness DAG has about 4^c-rank nodes.
+    The left-hand side is either given as `lhs`, or by the recipe of the
+    paper's witness: `characters` and `coset_words` (as for `build_v_chi`),
+    with one term v_chi^used_exponent per character whose y-block is
+    (prod_i y_{chi,i}^2)^torsion_order.  A recipe equation builds each
+    character's tower on its first use and keeps it; deciding needs only
+    the k values and the right-hand side, while the paper's witness DAG has
+    about 4^c-rank nodes.  `lhs` is the paper's full DAG, built on its first
+    read.  `live_lhs` has the same value and evaluation cost and builds only
+    the towers with a nonzero exponent: each other term is a zero power of
+    one shared empty word.  An equation given by `lhs` has that as its live
+    form too.
     """
 
     def __init__(self, lhs=None, *, rhs_generator, rhs_exponent, c_rank,
-                 torsion_order, n_squares, filler, k_values, build_lhs=None):
-        if (lhs is None) == (build_lhs is None):
-            raise TypeError("give exactly one of lhs and build_lhs")
+                 torsion_order, n_squares, filler, k_values,
+                 characters=None, coset_words=None):
+        if (lhs is None) == (characters is None):
+            raise TypeError("give exactly one of lhs and characters")
         self._lhs = lhs
-        self._build_lhs = build_lhs
         self.rhs_generator = rhs_generator
         self.rhs_exponent = rhs_exponent
         self.c_rank = c_rank
@@ -350,12 +376,41 @@ class Equation:
         self.n_squares = n_squares
         self.filler = filler
         self.k_values = k_values  # raw per-character contents, enumeration order
+        self._recipe = None
+        if characters is not None:
+            # (characters, coset words, n, T, exponents), fixed here: the
+            # towers and the serialized text read only this
+            self._recipe = (tuple(characters), tuple(coset_words), n_squares,
+                            torsion_order,
+                            tuple(map(self.used_exponent, range(len(k_values)))))
+            self._towers = [None] * len(characters)
+
+    def _v_chi(self, ci):
+        """v_chi of the ci-th character around its y-block, built once."""
+        v = self._towers[ci]
+        if v is None:
+            characters, coset_words, n, torsion, _ = self._recipe
+            squares = Concat(tuple(Pow(Gen(y_var(ci, i)), 2)
+                                   for i in range(1, n + 1)))
+            v = self._towers[ci] = build_v_chi(
+                characters[ci], coset_words, y_word=Pow(squares, torsion))
+        return v
 
     @property
     def lhs(self):
         if self._lhs is None:
-            self._lhs, self._build_lhs = self._build_lhs(), None
+            self._lhs = Concat(tuple(Pow(self._v_chi(ci), e)
+                                     for ci, e in enumerate(self._recipe[4])))
         return self._lhs
+
+    @property
+    def live_lhs(self):
+        """A left-hand side with the value and evaluation cost of `lhs`,
+        holding only the towers raised to a nonzero exponent."""
+        if self._recipe is None:
+            return self._lhs
+        return Concat(tuple(Pow(self._v_chi(ci) if e else _NO_WORD, e)
+                            for ci, e in enumerate(self._recipe[4])))
 
     def __repr__(self):
         # an unread left-hand side stays unbuilt
@@ -388,8 +443,8 @@ def build_witness_equation(report, n, torsion_order, c_rank, coset_words,
 
     The y-block substituted for each character is (prod_i y_{chi,i}^2)
     raised to the torsion order; characters with vanishing components get
-    the filler exponent (any integer except +-1, 0 by default).  The
-    left-hand side is built when it is first read.
+    the filler exponent (any integer except +-1, 0 by default).  No word is
+    built here: the equation keeps the recipe of its left-hand side.
     """
     if report.simple:
         raise NotAWitness("simple elements admit a retraction, not a witness")
@@ -397,34 +452,20 @@ def build_witness_equation(report, n, torsion_order, c_rank, coset_words,
         raise ValueError("filler exponent must not be +-1")
     if n < 1:
         raise ValueError("need at least one square per character")
-    # `is_simple` lists the components in `enumerate_characters` order
-    characters = [w.character for w in report.components]
-    k_values = tuple(w.content for w in report.components)
-
-    def build_lhs():
-        terms = []
-        for ci, chi in enumerate(characters):
-            k = k_values[ci]
-            exponent = k if k != 0 else filler
-            squares = Concat(tuple(Pow(Gen(y_var(ci, i)), 2)
-                                   for i in range(1, n + 1)))
-            block = Pow(squares, torsion_order)
-            v = build_v_chi(chi, coset_words, y_word=block)
-            terms.append(Pow(v, exponent))
-        return Concat(tuple(terms))
-
     c_size = 1 << c_rank
     # right-hand side a^(2 * 2^|C| * |T|): each of the |C| commutator
     # nestings doubles the exponent once
     return Equation(
-        build_lhs=build_lhs,
         rhs_generator="a",
         rhs_exponent=2 * (1 << c_size) * torsion_order,
         c_rank=c_rank,
         torsion_order=torsion_order,
         n_squares=n,
         filler=filler,
-        k_values=k_values,
+        # `is_simple` lists the components in `enumerate_characters` order
+        k_values=tuple(w.content for w in report.components),
+        characters=[w.character for w in report.components],
+        coset_words=coset_words,
     )
 
 
@@ -433,15 +474,32 @@ def build_witness_equation(report, n, torsion_order, c_rank, coset_words,
 
 
 def serialize_equation(eq):
-    """Textual form of an equation, one definition per DAG node.
+    """Textual form of an equation, one definition per DAG node of `lhs`.
 
     Nodes are labelled n0, n1, ... in the order of `postorder(eq.lhs)`, so
     the output is deterministic, every definition refers only to earlier
-    labels, and the parse rebuilds the exact sharing structure.
+    labels, and the parse rebuilds the exact sharing structure.  An equation
+    made by `build_witness_equation` is written from its recipe, the same
+    text with no node built; any other is written by walking its DAG.
     """
+    if eq._recipe is None:
+        lines, root = _walk_lines(eq.lhs)
+    else:
+        lines, root = _recipe_lines(*eq._recipe)
+    header = (f"(equation (c-rank {eq.c_rank}) (torsion {eq.torsion_order}) "
+              f"(n {eq.n_squares}) (filler {eq.filler})\n"
+              f"  (k{''.join(' ' + str(k) for k in eq.k_values)})\n"
+              " (nodes\n")
+    footer = (f" )\n (lhs n{root})\n"
+              f" (rhs {eq.rhs_generator} {eq.rhs_exponent}))\n")
+    return header + "\n".join(lines) + "\n" + footer
+
+
+def _walk_lines(lhs):
+    """Node definitions of the DAG under lhs, and the root's label number."""
     labels = {}  # keyed by node: words compare by identity
     lines = []
-    for w in postorder(eq.lhs):
+    for w in postorder(lhs):
         kind = type(w)
         if kind is Concat:
             body = "(cat" + "".join([" " + labels[p] for p in w.parts]) + ")"
@@ -453,14 +511,59 @@ def serialize_equation(eq):
             body = f"(gen {w.name})"
         labels[w] = label = f"n{len(labels)}"
         lines.append(f"  ({label} {body})")
-    root = labels[eq.lhs]
-    header = (f"(equation (c-rank {eq.c_rank}) (torsion {eq.torsion_order}) "
-              f"(n {eq.n_squares}) (filler {eq.filler})\n"
-              f"  (k{''.join(' ' + str(k) for k in eq.k_values)})\n"
-              " (nodes\n")
-    footer = (f" )\n (lhs {root})\n"
-              f" (rhs {eq.rhs_generator} {eq.rhs_exponent}))\n")
-    return header + "\n".join(lines) + "\n" + footer
+    return lines, len(labels) - 1
+
+
+def _recipe_lines(characters, coset_words, n, torsion, exponents):
+    """`_walk_lines` of a recipe's left-hand side, from the tower layout.
+
+    The walk lists each term Pow(v_chi, e) in turn, then the root Concat.
+    In a term it lists the y-block (each y with its square, their Concat,
+    its power), then one level per `_levels` entry, innermost first, in the
+    post-order of `skew_commutator`'s Concat((body, c, body^sign, c^-1)):
+    c's generators and c, Inv(body) only when the sign is -1, Inv(c), and
+    the level's Concat; then the term's Pow.  No two terms share a node.
+    """
+    lines = []
+    add = lines.append
+    k = 0  # the next label number
+    # an element's generator lines recur in every tower with new labels
+    words = [[f"  (n{{}} (gen x{j + 1}))" for j in indices]
+             for indices in coset_words]
+    terms = ""
+    for ci, (chi, e) in enumerate(zip(characters, exponents)):
+        squares = ""
+        for i in range(1, n + 1):
+            add(f"  (n{k} (gen {y_var(ci, i)}))")
+            add(f"  (n{k + 1} (pow n{k} 2))")
+            squares += f" n{k + 1}"
+            k += 2
+        add(f"  (n{k} (cat{squares}))")
+        add(f"  (n{k + 1} (pow n{k} {torsion}))")
+        body = k + 1
+        k += 2
+        for i, sign in _levels(chi):
+            gens = words[i]
+            c = k + len(gens)
+            for g, line in enumerate(gens, k):
+                add(line.format(g))
+            add(f"  (n{c} (cat{''.join([f' n{g}' for g in range(k, c)])}))")
+            k = c + 1
+            if sign == 1:
+                second = body
+            else:
+                add(f"  (n{k} (inv n{body}))")
+                second = k
+                k += 1
+            add(f"  (n{k} (inv n{c}))")
+            add(f"  (n{k + 1} (cat n{body} n{c} n{second} n{k}))")
+            body = k + 1
+            k += 2
+        add(f"  (n{k} (pow n{body} {e}))")
+        terms += f" n{k}"
+        k += 1
+    add(f"  (n{k} (cat{terms}))")
+    return lines, k
 
 
 # atoms per field; k must hold 2^c-rank, and the nodes are read one by one
@@ -524,6 +627,8 @@ def parse_equation(text):
         # the range test keeps the shift no wider than len(k_values)
         if c_rank not in range(len(k_values).bit_length()) or len(k_values) != 1 << c_rank:
             raise ValueError("k must hold 2^c-rank values")
+        if fields["rhs"][0] != "a":
+            raise ValueError("the right-hand side must be a power of a")
         return Equation(
             lhs=built[fields["lhs"][0]],
             rhs_generator=fields["rhs"][0],

@@ -344,6 +344,9 @@ def test_verify_solution_rejects_wrong_assignments():
           if k.startswith("y") and v != group.identity]
     perturbed[ys[0]], perturbed[ys[1]] = perturbed[ys[1]], perturbed[ys[0]]
     assert not verify_solution_in_G(eq, perturbed, spec)
+    # the right-hand side is a power of a, and of no other generator
+    eq.rhs_generator = "b"
+    assert not verify_solution_in_G(eq, verdict.solution, spec)
 
 
 def test_verify_solution_needs_only_the_live_variables():

@@ -1,6 +1,7 @@
 """Tests for the command-line front end."""
 
 import json
+import time
 
 import pytest
 
@@ -169,6 +170,24 @@ def test_verify_flag_witness(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "ambient solution verified in G: yes" in out
     assert "no dihedral solution found" in out
+
+
+def test_verify_at_c_rank_10_builds_only_the_live_towers(tmp_path, capsys):
+    # 5 of the 1024 towers are live: building all of them (about 4^10
+    # nodes) took over 30 s
+    path = write(tmp_path, "w10.spec", """groupspec v1
+factors = [DInf, DInf, DInf, DInf, DInf]
+b = b1*b2*b3*b4*b5
+a = a1^3*a2^5*a3^7*a4^9*a5^11
+""")
+    t0 = time.perf_counter()
+    code = main(["analyze", path, "--verify", "--trials", "8"])
+    elapsed = time.perf_counter() - t0
+    out = capsys.readouterr().out
+    assert code == 10
+    assert "ambient solution verified in G: yes" in out
+    assert "no dihedral solution found" in out
+    assert elapsed < 10.0, elapsed
 
 
 def test_reused_parser_carries_no_options_over(tmp_path, capsys):

@@ -7,12 +7,21 @@ import pytest
 
 from util import dag_nodes
 
-from verbalclosure import DInf, GroupSpec, analyze, validate_spec
+from verbalclosure import (
+    DInf,
+    GroupSpec,
+    Zed,
+    ZedMod,
+    analyze,
+    validate_spec,
+    verify_solution_in_G,
+)
 from verbalclosure.dihedral import (
     DIHEDRAL_OPS,
     DihedralElement,
     character_of_substitution,
     evaluate_v_closed_form,
+    spot_check_no_solution,
 )
 from verbalclosure.involutions import (
     Character,
@@ -279,14 +288,8 @@ def test_serialization_of_a_deep_tower():
     assert eq2.lhs.length == eq.lhs.length
 
 
-@pytest.fixture(scope="module")
-def witness_m4():
-    """The verdict of the c_rank-4 witness spec a = a1^3*a2^5 over 2xDInf."""
-    spec = validate_spec(GroupSpec([DInf(), DInf()], "b1*b2", "a1^3*a2^5"))
-    return spec, analyze(spec)
-
-
-def test_witness_lhs_is_built_once_on_first_read(witness_m4, monkeypatch):
+def _counting_build_v_chi(monkeypatch):
+    """Patch the tower builder that equations call; returns its call list."""
     import verbalclosure.words as words
 
     calls = []
@@ -296,6 +299,18 @@ def test_witness_lhs_is_built_once_on_first_read(witness_m4, monkeypatch):
         return build_v_chi(*args, **kwargs)
 
     monkeypatch.setattr(words, "build_v_chi", counting_build_v_chi)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def witness_m4():
+    """The verdict of the c_rank-4 witness spec a = a1^3*a2^5 over 2xDInf."""
+    spec = validate_spec(GroupSpec([DInf(), DInf()], "b1*b2", "a1^3*a2^5"))
+    return spec, analyze(spec)
+
+
+def test_witness_lhs_is_built_once_on_first_read(witness_m4, monkeypatch):
+    calls = _counting_build_v_chi(monkeypatch)
     verdict = analyze(witness_m4[0])
     eq = verdict.equation
     assert "<built on first read>" in repr(verdict)
@@ -321,6 +336,57 @@ def test_witness_lhs_is_built_once_on_first_read(witness_m4, monkeypatch):
     with pytest.raises(TypeError):
         Equation(rhs_generator="a", rhs_exponent=2, c_rank=0, torsion_order=1,
                  n_squares=1, filler=0, k_values=(0,))
+
+
+def test_verify_builds_only_the_live_towers(witness_m4, monkeypatch):
+    calls = _counting_build_v_chi(monkeypatch)
+    spec = witness_m4[0]
+    for filler, count, live in [(0, 271, 2), (2, 2027, 16)]:
+        calls.clear()
+        verdict = analyze(spec, filler=filler)
+        eq = verdict.equation
+        assert verify_solution_in_G(eq, verdict.solution, spec)
+        assert spot_check_no_solution(eq, bound=10, trials=8)
+        assert len(calls) == live
+        d_values = {name: DihedralElement(3, 1) for name in eq.variables()}
+        results = []
+        for lhs in (eq.live_lhs, eq.lhs):
+            ops = CountingOps(spec.group.ops)
+            dops = CountingOps(DIHEDRAL_OPS)
+            results.append((evaluate(lhs, verdict.solution, ops), ops.count,
+                            evaluate(lhs, d_values, dops), dops.count))
+        assert results[0] == results[1]
+        assert results[0][1] == results[0][3] == count
+        # the full lhs reuses the towers the live form built
+        assert len(calls) == 1 << eq.c_rank
+
+
+WRITER_SPECS = [
+    ([DInf(), DInf()], "b1*b2", "a1^3*a2^5"),
+    ([DInf(), ZedMod(6)], "b1", "a1^3"),
+    ([DInf(), Zed(), ZedMod(4)], "b1", "a1^3"),
+    ([DInf()] * 3, "b1*b2*b3", "a1^3*a2^5*a3^7"),
+]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("filler", [0, 2, -3])
+@pytest.mark.parametrize("factors, b, a", WRITER_SPECS,
+                         ids=["2xDInf", "DInf-Z6", "DInf-Z-Z4", "3xDInf"])
+def test_witness_writer_matches_the_walk(factors, b, a, filler, n):
+    eq = analyze(validate_spec(GroupSpec(factors, b, a)), filler=filler,
+                 n_squares=n).equation
+    written = serialize_equation(eq)
+    assert "<built on first read>" in repr(eq)
+    # the same left-hand side, written by the generic walk
+    walked = serialize_equation(Equation(
+        lhs=eq.lhs, rhs_generator=eq.rhs_generator,
+        rhs_exponent=eq.rhs_exponent, c_rank=eq.c_rank,
+        torsion_order=eq.torsion_order, n_squares=eq.n_squares,
+        filler=eq.filler, k_values=eq.k_values))
+    assert written == walked
+    assert serialize_equation(eq) == walked
+    assert serialize_equation(parse_equation(walked)) == walked
 
 
 @pytest.mark.parametrize("matching", [True, False])
@@ -396,6 +462,8 @@ def test_parse_ignores_layout_and_rejects_other_text(witness_m4):
                 text.replace("(n 1)", "(n 1) (bogus 1)"),
                 text.replace("(filler 0)", "(filler 0) (filler 2)"),
                 text.replace("(rhs a 131072)", "(rhs a 3 131072)"),
+                # a right-hand side in a generator other than a
+                text.replace("(rhs a 131072)", "(rhs b 131072)"),
                 text.replace(" (lhs n1480)", ""),
                 text.replace("(k 0 5", "(k 5"),
                 text.replace(" )\n (lhs", " junk\n (lhs")]:
