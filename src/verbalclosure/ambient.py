@@ -12,6 +12,7 @@ witness equation solvable in G but certified unsolvable in H is built.
 import operator
 import re
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd
 
 from .dihedral import IDENTITY, DihedralElement
@@ -534,21 +535,34 @@ class RetractionData:
     complement_basis: list
     torsion_invariants: list
 
+    def __post_init__(self):
+        # per factor: the factor, chi's signs on the generators it adds to
+        # G/Q (its quotient letters) and its coefficient in the functional
+        signs = iter(self.sign_character.signs)
+        self._factors = tuple(
+            (f, tuple(islice(signs, len(f.quotient_letters))), l)
+            for f, l in zip(self.spec.factors, self.functional))
+
     def translation_of(self, g):
         """Value of the translation functional on any ambient element,
-        computed through its square (always in Q)."""
-        group = self.spec.group
-        coords = self.data.q_coordinates(group.mul(g, g))
-        return sum(l * x for l, x in zip(self.functional, coords))
+        computed through its square (always in Q), factor by factor."""
+        t = 0
+        for (f, _, l), x in zip(self._factors, g):
+            t += l * f.q_coordinate(f.mul(x, x))
+        return t
 
     def apply(self, g):
-        group = self.spec.group
-        sign = self.data.sign_of(self.sign_character, g)
+        # chi's sign on g's coset, read factor by factor from its coset bits
+        sign = 1
+        for (f, signs, _), x in zip(self._factors, g):
+            for bit, s in zip(f.coset_bits(x), signs):
+                if bit:
+                    sign *= s
+        group, h_a, h_b = self.spec.group, self.spec.h_a, self.spec.h_b
         if sign == 1:
-            return group.pow(self.spec.h_a, self.translation_of(g))
-        shifted = group.mul(g, self.spec.h_b)
-        return group.mul(group.pow(self.spec.h_a, self.translation_of(shifted)),
-                         self.spec.h_b)
+            return group.pow(h_a, self.translation_of(g))
+        shifted = group.mul(g, h_b)
+        return group.mul(group.pow(h_a, self.translation_of(shifted)), h_b)
 
     def __call__(self, g):
         return self.apply(g)

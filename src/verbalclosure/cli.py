@@ -23,7 +23,7 @@ from .ambient import (
     verify_solution_in_G,
 )
 from .dihedral import spot_check_no_solution
-from .words import serialize_equation
+from .words import serialize_chunks
 
 SPOT_CHECK_BOUND = 50
 
@@ -142,8 +142,9 @@ def cmd_analyze(args):
         lines.append(f"elapsed: {elapsed:.3f}s")
         payload["elapsed_seconds"] = elapsed
     if args.emit_equation and verdict.equation is not None:
+        # streamed tower by tower, so memory does not grow with the file
         with open(args.emit_equation, "w") as fh:
-            fh.write(serialize_equation(verdict.equation))
+            fh.writelines(serialize_chunks(verdict.equation))
         lines.append(f"equation written to {args.emit_equation}")
     if args.format == "structured":
         print(json.dumps(payload, indent=2, sort_keys=True))

@@ -37,6 +37,11 @@ class NotEpimorphism(ValueError):
     """The generator images do not generate the target 2-group."""
 
 
+# the values a character may take; as a set, one C-level superset test
+# checks all of a character's signs
+_SIGNS = frozenset((1, -1))
+
+
 @dataclass(frozen=True)
 class Character:
     """A homomorphism from C to {+1, -1}, given by its values on generators."""
@@ -44,7 +49,7 @@ class Character:
     signs: tuple
 
     def __post_init__(self):
-        if any(s not in (1, -1) for s in self.signs):
+        if not _SIGNS.issuperset(self.signs):
             raise ValueError("character signs must be +1 or -1")
 
     @property

@@ -12,13 +12,14 @@ of a zero power is never read, since x^0 = 1 in every group.
 A witness equation keeps the recipe of its left-hand side, not the DAG.  It
 builds a character's tower only when a word needs it: its live left-hand
 side holds only the towers raised to a nonzero exponent, and
-`serialize_equation` writes the full DAG's post-order straight from the
-recipe and the tower layout (`_levels`), numbering nodes it never builds.
+`serialize_chunks` writes the full DAG's post-order straight from the recipe
+and the tower layout (`_levels`), numbering nodes it never builds.  It
+yields the text tower by tower as it is made, each level one fill of a
+template made once per element of C, so a writer streaming it to a file
+holds one tower's text at a time; `serialize_equation` joins the chunks.
 """
 
 from dataclasses import dataclass
-
-from .involutions import enumerate_group_elements
 
 
 class TooLarge(ValueError):
@@ -302,10 +303,14 @@ def build_w_chi(chi, c_exprs):
 def _levels(chi):
     """(element index, sign) of each skew commutator of chi's tower,
     innermost first: the innermost commutator uses the last element of C in
-    the enumeration order, and the sign is chi's value on that element."""
-    elements = enumerate_group_elements(chi.rank)
-    return [(i, chi.on_element(elements[i]))
-            for i in range(len(elements) - 1, -1, -1)]
+    the enumeration order, and the sign is chi's value on that element.
+
+    chi's values on all of C come from one product over its generator
+    signs, in the lexicographic bit-tuple order of the elements: O(|C|)."""
+    values = [1]
+    for s in chi.signs:
+        values = [v * t for v in values for t in (1, s)]
+    return list(zip(range(len(values) - 1, -1, -1), reversed(values)))
 
 
 def _tower(chi, c_exprs, body):
@@ -474,31 +479,40 @@ def build_witness_equation(report, n, torsion_order, c_rank, coset_words,
 
 
 def serialize_equation(eq):
-    """Textual form of an equation, one definition per DAG node of `lhs`.
+    """Textual form of an equation, one definition per DAG node of `lhs`:
+    the chunks of `serialize_chunks`, joined.
 
     Nodes are labelled n0, n1, ... in the order of `postorder(eq.lhs)`, so
     the output is deterministic, every definition refers only to earlier
-    labels, and the parse rebuilds the exact sharing structure.  An equation
-    made by `build_witness_equation` is written from its recipe, the same
-    text with no node built; any other is written by walking its DAG.
+    labels, and the parse rebuilds the exact sharing structure.
     """
+    return "".join(serialize_chunks(eq))
+
+
+def serialize_chunks(eq):
+    """The text of `serialize_equation`, made and yielded a chunk at a time.
+
+    An equation made by `build_witness_equation` is written from its recipe
+    with no node built, one chunk per tower, so a writer holds about
+    1/|C| of the text at once; any other is written by walking its DAG, one
+    chunk per node.
+    """
+    yield (f"(equation (c-rank {eq.c_rank}) (torsion {eq.torsion_order}) "
+           f"(n {eq.n_squares}) (filler {eq.filler})\n"
+           f"  (k{''.join(' ' + str(k) for k in eq.k_values)})\n"
+           " (nodes\n")
     if eq._recipe is None:
-        lines, root = _walk_lines(eq.lhs)
+        root = yield from _walk_lines(eq.lhs)
     else:
-        lines, root = _recipe_lines(*eq._recipe)
-    header = (f"(equation (c-rank {eq.c_rank}) (torsion {eq.torsion_order}) "
-              f"(n {eq.n_squares}) (filler {eq.filler})\n"
-              f"  (k{''.join(' ' + str(k) for k in eq.k_values)})\n"
-              " (nodes\n")
-    footer = (f" )\n (lhs n{root})\n"
-              f" (rhs {eq.rhs_generator} {eq.rhs_exponent}))\n")
-    return header + "\n".join(lines) + "\n" + footer
+        root = yield from _recipe_lines(*eq._recipe)
+    yield (f" )\n (lhs n{root})\n"
+           f" (rhs {eq.rhs_generator} {eq.rhs_exponent}))\n")
 
 
 def _walk_lines(lhs):
-    """Node definitions of the DAG under lhs, and the root's label number."""
+    """Yields the node definitions of the DAG under lhs, one line each;
+    returns the root's label number."""
     labels = {}  # keyed by node: words compare by identity
-    lines = []
     for w in postorder(lhs):
         kind = type(w)
         if kind is Concat:
@@ -510,60 +524,73 @@ def _walk_lines(lhs):
         else:
             body = f"(gen {w.name})"
         labels[w] = label = f"n{len(labels)}"
-        lines.append(f"  ({label} {body})")
-    return lines, len(labels) - 1
+        yield f"  ({label} {body})\n"
+    return len(labels) - 1
+
+
+def _level_templates(coset_words):
+    """Per element of C, the text of one tower level with sign +1 and with
+    sign -1, as `str.format` templates, with the count of labels each adds.
+
+    A level's labels are consecutive and follow its body's label, so field
+    {0} is the body and field {t} the t-th label the level defines.  A level
+    is the post-order of `skew_commutator`'s Concat((body, c, body^sign,
+    c^-1)): c's generators and c, Inv(body) only when the sign is -1,
+    Inv(c), and the level's Concat.
+    """
+    plus, minus = [], []
+    for indices in coset_words:
+        # c's field; fields 1 .. c - 1 are its generators.  `%` writes the
+        # field numbers here, and `format` each level's labels into them
+        c = len(indices) + 1
+        word = "".join(f"  (n{{{t}}} (gen x{j + 1}))\n"
+                       for t, j in enumerate(indices, 1))
+        word += ("  (n{%d} (cat" % c
+                 + "".join(f" n{{{t}}}" for t in range(1, c)) + "))\n")
+        plus.append((word + "  (n{%d} (inv n{%d}))\n"
+                     "  (n{%d} (cat n{0} n{%d} n{0} n{%d}))\n"
+                     % (c + 1, c, c + 2, c, c + 1), c + 2))
+        minus.append((word + "  (n{%d} (inv n{0}))\n"
+                      "  (n{%d} (inv n{%d}))\n"
+                      "  (n{%d} (cat n{0} n{%d} n{%d} n{%d}))\n"
+                      % (c + 1, c + 2, c, c + 3, c, c + 1, c + 2), c + 3))
+    return plus, minus
 
 
 def _recipe_lines(characters, coset_words, n, torsion, exponents):
-    """`_walk_lines` of a recipe's left-hand side, from the tower layout.
+    """`_walk_lines` of a recipe's left-hand side, from the tower layout:
+    yields one chunk per term, then the root's line; returns the root's
+    label number.
 
     The walk lists each term Pow(v_chi, e) in turn, then the root Concat.
     In a term it lists the y-block (each y with its square, their Concat,
-    its power), then one level per `_levels` entry, innermost first, in the
-    post-order of `skew_commutator`'s Concat((body, c, body^sign, c^-1)):
-    c's generators and c, Inv(body) only when the sign is -1, Inv(c), and
-    the level's Concat; then the term's Pow.  No two terms share a node.
+    its power), then one level per `_levels` entry, innermost first, then
+    the term's Pow.  No two terms share a node.
     """
-    lines = []
-    add = lines.append
+    plus, minus = _level_templates(coset_words)
     k = 0  # the next label number
-    # an element's generator lines recur in every tower with new labels
-    words = [[f"  (n{{}} (gen x{j + 1}))" for j in indices]
-             for indices in coset_words]
     terms = ""
     for ci, (chi, e) in enumerate(zip(characters, exponents)):
+        parts = []
         squares = ""
         for i in range(1, n + 1):
-            add(f"  (n{k} (gen {y_var(ci, i)}))")
-            add(f"  (n{k + 1} (pow n{k} 2))")
+            parts.append(f"  (n{k} (gen {y_var(ci, i)}))\n"
+                         f"  (n{k + 1} (pow n{k} 2))\n")
             squares += f" n{k + 1}"
             k += 2
-        add(f"  (n{k} (cat{squares}))")
-        add(f"  (n{k + 1} (pow n{k} {torsion}))")
+        parts.append(f"  (n{k} (cat{squares}))\n"
+                     f"  (n{k + 1} (pow n{k} {torsion}))\n")
         body = k + 1
-        k += 2
         for i, sign in _levels(chi):
-            gens = words[i]
-            c = k + len(gens)
-            for g, line in enumerate(gens, k):
-                add(line.format(g))
-            add(f"  (n{c} (cat{''.join([f' n{g}' for g in range(k, c)])}))")
-            k = c + 1
-            if sign == 1:
-                second = body
-            else:
-                add(f"  (n{k} (inv n{body}))")
-                second = k
-                k += 1
-            add(f"  (n{k} (inv n{c}))")
-            add(f"  (n{k + 1} (cat n{body} n{c} n{second} n{k}))")
-            body = k + 1
-            k += 2
-        add(f"  (n{k} (pow n{body} {e}))")
-        terms += f" n{k}"
-        k += 1
-    add(f"  (n{k} (cat{terms}))")
-    return lines, k
+            template, size = plus[i] if sign == 1 else minus[i]
+            parts.append(template.format(*range(body, body + size + 1)))
+            body += size
+        parts.append(f"  (n{body + 1} (pow n{body} {e}))\n")
+        terms += f" n{body + 1}"
+        k = body + 2
+        yield "".join(parts)
+    yield f"  (n{k} (cat{terms}))\n"
+    return k
 
 
 # atoms per field; k must hold 2^c-rank, and the nodes are read one by one

@@ -418,6 +418,58 @@ def test_verify_retraction_rejects_broken_map():
                                  seed=0)
 
 
+# Retract specs shaped like the benchmark's generated family: a reflection
+# shift a_i^s * b_i in b, and the involution c_j^(k/2) of an even ZedMod
+# factor in a or b
+APPLY_SPECS = [
+    ([DInf(), DInf()], "a1^2*b1*b2", "a1^3*a2^-1"),
+    ([DInf(), Zed()], "a1^-3*b1", "a1^-1"),
+    ([DInf(), ZedMod(5)], "b1", "a1"),
+    ([DInf(), ZedMod(6)], "a1^2*b1*c2^3", "a1*c2^3"),
+    ([DInf(), DInf(), ZedMod(4)], "a1*b1*a2^-3*b2*c3^2", "a1^5*a2^-1"),
+    ([DInf(), Zed(), ZedMod(3), ZedMod(8)], "a1^4*b1*c4^4", "a1^-1*c4^4"),
+    ([DInf(), DInf(), DInf()], "b1*a2*b2*b3", "a1^3*a2*a3^-7"),
+    ([Zed(), DInf(), ZedMod(2), DInf()], "b2*c3*a4^-2*b4", "a2^7*a4"),
+]
+
+
+def reference_translation(rho, x):
+    """The functional on the Q-coordinates of x^2, read as a whole element."""
+    group = rho.spec.group
+    coords = rho.data.q_coordinates(group.mul(x, x))
+    return sum(l * c for l, c in zip(rho.functional, coords))
+
+
+def reference_apply(rho, g):
+    """rho(g) composed from whole-element maps: the sign of g's coset under
+    the witness character, and `reference_translation`."""
+    spec, data = rho.spec, rho.data
+    group = spec.group
+    if data.sign_of(rho.sign_character, g) == 1:
+        return group.pow(spec.h_a, reference_translation(rho, g))
+    shifted = group.mul(g, spec.h_b)
+    return group.mul(group.pow(spec.h_a, reference_translation(rho, shifted)),
+                     spec.h_b)
+
+
+@pytest.mark.parametrize("factors, b, a", APPLY_SPECS,
+                         ids=["-".join(map(str, f)) for f, _, _ in APPLY_SPECS])
+def test_retraction_apply_matches_the_composed_reference(factors, b, a):
+    spec = validate_spec(GroupSpec(factors, b, a))
+    verdict = analyze(spec)
+    assert verdict.is_retract
+    rho = verdict.retraction
+    group = spec.group
+    rng = random.Random(f"{b}:{a}")
+    signs = set()
+    for _ in range(500):
+        g = group.random_element(rng, 40)
+        assert rho.apply(g) == reference_apply(rho, g)
+        assert rho.translation_of(g) == reference_translation(rho, g)
+        signs.add(verdict.data.sign_of(rho.sign_character, g))
+    assert signs == {1, -1}  # both branches of apply were compared
+
+
 def test_verdict_invariance_under_factor_reorder_and_inverse():
     cases = [
         ("b1*b2", "a1^3*a2^5"),

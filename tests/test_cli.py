@@ -1,13 +1,17 @@
 """Tests for the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from verbalclosure import cli
+from verbalclosure import GroupSpec, analyze, cli
 from verbalclosure.cli import main, make_parser
-from verbalclosure.words import parse_equation
+from verbalclosure.words import parse_equation, serialize_equation
 
 WITNESS_SPEC = """groupspec v1
 factors = [DInf, DInf]
@@ -140,6 +144,31 @@ def test_emit_equation_round_trips(tmp_path, capsys):
     assert sorted(k for k in eq.k_values if k) == [3, 5]
 
 
+EMIT_SPECS = {
+    "2xDInf": ("[DInf, DInf]", "b1*b2", "a1^3*a2^5"),
+    "DInf-DInf-Z6": ("[DInf, DInf, ZedMod(6)]", "b1*b2*c3^3", "a1^3*a2^5"),
+    "DInf-DInf-Z": ("[DInf, DInf, Zed]", "a1*b1*b2", "a1^3*a2^-5"),
+    "3xDInf": ("[DInf, DInf, DInf]", "b1*b2*b3", "a1^3*a2^5*a3^7"),
+}
+
+
+@pytest.mark.parametrize("filler", ["0", "2", "-3"])
+@pytest.mark.parametrize("name", EMIT_SPECS)
+def test_emitted_file_is_the_serialized_equation(tmp_path, capsys, name,
+                                                 filler):
+    factors, b, a = EMIT_SPECS[name]
+    text = f"groupspec v1\nfactors = {factors}\nb = {b}\na = {a}\n"
+    path = write(tmp_path, "w.spec", text)
+    out_path = tmp_path / "eq.txt"
+    assert main(["analyze", path, "--filler", filler,
+                 "--emit-equation", str(out_path)]) == 10
+    capsys.readouterr()
+    eq = analyze(GroupSpec.from_text(text), filler=int(filler)).equation
+    emitted = out_path.read_text()
+    assert emitted == serialize_equation(eq)
+    assert ("(torsion 3)" in emitted) == (name == "DInf-DInf-Z6")
+
+
 def test_report_is_byte_deterministic(tmp_path, capsys):
     path = write(tmp_path, "w.spec", WITNESS_SPEC)
     main(["analyze", path, "--verify", "--seed", "1"])
@@ -223,6 +252,16 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert "selftest passed" in out
     assert "selftest ok: swap-module fixture" in out
+
+
+def test_python_dash_m_runs_the_cli():
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, "-m", "verbalclosure", "selftest"],
+                          env=env, cwd=root, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "selftest passed" in done.stdout
 
 
 def test_selftest_names_injected_failure(capsys, monkeypatch):

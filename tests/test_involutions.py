@@ -52,6 +52,20 @@ def test_character_values():
         Character((1, 0))
 
 
+@pytest.mark.parametrize("signs", [(1, 0), (1, 2), (0,), (-1, -2), (2, 1),
+                                   (1, -1, 0.5), ("+", -1), (None,)])
+def test_character_rejects_bad_signs(signs):
+    with pytest.raises(ValueError):
+        Character(signs)
+
+
+def test_character_accepts_what_equals_a_sign():
+    # signs are tested by equality, as `s in (1, -1)` tests them: True and
+    # 1.0 equal 1; the empty tuple is the one character of the trivial C
+    for signs in [(True, -1), (1.0, -1.0), (), (1, -1) * 8]:
+        assert Character(signs).signs == signs
+
+
 def test_swap_module_projection_values():
     mod = swap_module()
     plus, minus = mod.characters

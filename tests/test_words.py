@@ -50,6 +50,7 @@ from verbalclosure.words import (
     parse_equation,
     postorder,
     reduce,
+    serialize_chunks,
     serialize_equation,
     skew_commutator,
     y_var,
@@ -387,6 +388,25 @@ def test_witness_writer_matches_the_walk(factors, b, a, filler, n):
     assert written == walked
     assert serialize_equation(eq) == walked
     assert serialize_equation(parse_equation(walked)) == walked
+
+
+def test_witness_text_streams_tower_by_tower():
+    # c_rank 8: 256 towers, a 14,396,844-byte file.  Each chunk holds at
+    # most a tower's text, so a writer never holds more than about
+    # 1/2^m of the file at once
+    spec = validate_spec(GroupSpec([DInf()] * 4, "b1*b2*b3*b4",
+                                   "a1^3*a2^5*a3^7*a4^9"))
+    eq = analyze(spec).equation
+    m = eq.c_rank
+    total = longest = chunks = 0
+    for chunk in serialize_chunks(eq):
+        total += len(chunk)
+        longest = max(longest, len(chunk))
+        chunks += 1
+    assert total == 14_396_844
+    assert chunks > 1 << m
+    assert longest <= 2 * total / (1 << m)
+    assert "<built on first read>" in repr(eq)
 
 
 @pytest.mark.parametrize("matching", [True, False])
