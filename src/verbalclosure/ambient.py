@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import islice
 from math import gcd
 
-from .dihedral import IDENTITY, DihedralElement
+from .dihedral import IDENTITY, DihedralElement, certify_no_solution
 from .involutions import (
     Character,
     InvolutionModule,
@@ -488,11 +488,10 @@ def g_solution(eq, data, report):
     for j, d in enumerate(data.d_elements):
         assignment[f"x{j + 1}"] = d
     for ci, w in enumerate(report.components):
-        root = group.identity
-        if w.content != 0:
-            for coeff, g in zip(w.lift, data.q_roots):
-                if coeff:
-                    root = group.mul(root, group.pow(g, coeff))
+        root = group.identity  # a vanishing component's lift is zero
+        for coeff, g in zip(w.lift, data.q_roots):
+            if coeff:
+                root = group.mul(root, group.pow(g, coeff))
         assignment[y_var(ci, 1)] = root
         for i in range(2, eq.n_squares + 1):
             assignment[y_var(ci, i)] = group.identity
@@ -506,12 +505,10 @@ def verify_solution_in_G(eq, assignment, spec):
     The live left-hand side is evaluated, so only the towers raised to a
     nonzero exponent are built.
     """
-    if eq.rhs_generator != "a":
-        return False
     group = spec.group
-    value = evaluate(eq.live_lhs, assignment, group.ops)
-    rhs = group.pow(spec.h_a, eq.rhs_exponent)
-    return value == rhs
+    return (eq.rhs_generator == "a"
+            and evaluate(eq.live_lhs, assignment, group.ops)
+            == group.pow(spec.h_a, eq.rhs_exponent))
 
 
 # ---------------------------------------------------------------------------
@@ -563,9 +560,6 @@ class RetractionData:
             return group.pow(h_a, self.translation_of(g))
         shifted = group.mul(g, h_b)
         return group.mul(group.pow(h_a, self.translation_of(shifted)), h_b)
-
-    def __call__(self, g):
-        return self.apply(g)
 
 
 def build_retraction(spec, data, q_vec, chi):
@@ -689,10 +683,8 @@ class Verdict:
         return self.kind == "retract"
 
 
-def analyze(spec, filler=0, n_squares=None):
+def analyze(spec, filler=0):
     """Run the full decision pipeline on a validated spec."""
-    from .dihedral import certify_no_solution
-
     validate_spec(spec)
     data = square_data(spec)
     a_sq = image_of_a_squared(spec, data)
@@ -702,8 +694,7 @@ def analyze(spec, filler=0, n_squares=None):
                                       report.witness_character)
         return Verdict(kind="retract", spec=spec, data=data, report=report,
                        a_squared=a_sq, retraction=retraction)
-    n = n_squares if n_squares is not None else 1
-    eq = build_witness_equation(report, n, data.presentation.torsion_order,
+    eq = build_witness_equation(report, 1, data.presentation.torsion_order,
                                 data.c_rank, data.coset_words, filler=filler)
     solution = g_solution(eq, data, report)
     certificate = certify_no_solution(eq)

@@ -9,11 +9,11 @@ together prove that a witness equation has no dihedral solution.
 """
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import cycle, product
 
 from .involutions import Character
-from .words import GroupOps, interpret, postorder, y_var
+from .words import GroupOps, interpret, postorder, short_repr, y_var
 
 
 class InvalidEquation(ValueError):
@@ -104,10 +104,17 @@ def evaluate_v_closed_form(chi, delta, y_value_exponent):
     collapses to a^{y_value_exponent * 2^{|C|}} when chi matches the
     character determined by the flip bits, and to the identity otherwise.
     """
-    m = len(delta)
     if chi != character_of_substitution(delta):
         return IDENTITY
-    return DihedralElement(y_value_exponent << (1 << m), 0)
+    return DihedralElement(y_value_exponent << (1 << len(delta)), 0)
+
+
+def _repr(obj):
+    """The dataclass repr, each field through `short_repr`: a witness's
+    exponents pass Python's limit on str(int) from c-rank 14."""
+    return type(obj).__name__ + "(" + ", ".join(
+        f"{f.name}={short_repr(getattr(obj, f.name))}"
+        for f in fields(obj)) + ")"
 
 
 @dataclass
@@ -122,12 +129,16 @@ class CertificateRow:
     target_exponent: int
     obstruction: str  # "nonunit-multiplier" or "identity-vs-nontrivial"
 
+    __repr__ = _repr
+
 
 @dataclass
 class NoSolutionCertificate:
     rows: list
     c_rank: int
     rhs_exponent: int
+
+    __repr__ = _repr
 
     def is_valid(self):
         """Re-verify every integer obstruction independently of how the
@@ -176,15 +187,14 @@ def certify_no_solution(eq):
     of `enumerate_characters`, so it reads the equation's i-th exponent.
     """
     m = eq.c_rank
-    for ci in range(len(eq.k_values)):
-        if abs(eq.used_exponent(ci)) == 1:
-            raise InvalidEquation(
-                "effective exponent +-1: a simple component slipped through")
     rows = []
     # flip pattern i selects character i: both lists are lexicographic (0
     # before 1, +1 before -1) and chi_j = (-1)^{delta_j}
     for i, delta in enumerate(product((0, 1), repeat=m)):
         k = eq.used_exponent(i)
+        if abs(k) == 1:
+            raise InvalidEquation(
+                "effective exponent +-1: a simple component slipped through")
         rows.append(CertificateRow(
             delta=delta,
             matched_character=character_of_substitution(delta),

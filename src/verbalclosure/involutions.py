@@ -15,7 +15,7 @@ from itertools import product
 from .lattice import (
     AbelianPresentation,
     Lattice,
-    content_and_primitive_part,
+    NotInLattice,
     eye,
     is_zero_vector,
     kernel_basis,
@@ -95,7 +95,6 @@ class ComponentWitness:
 class SimplicityReport:
     simple: bool
     witness_character: Character = None
-    primitive_direction: tuple = None  # rational vector, ambient coordinates
     components: list = None  # list of ComponentWitness, non-simple only
 
 
@@ -191,12 +190,9 @@ class InvolutionModule:
     def eigenlattice_free(self, chi):
         if chi not in self._eigenlattices:
             n = self.group.rank
-            gens = []
-            for i in range(n):
-                e = tuple(1 if j == i else 0 for j in range(n))
-                gens.append(self.project_free(e, chi))
+            units = (tuple(int(j == i) for j in range(n)) for i in range(n))
             self._eigenlattices[chi] = Lattice.from_generators(
-                gens, dim=self.group.free_rank)
+                [self.project_free(e, chi) for e in units])
         return self._eigenlattices[chi]
 
     def eigenlattice(self, chi):
@@ -209,37 +205,31 @@ class InvolutionModule:
     def is_simple(self, q):
         """Decide whether some chi-component of q is primitive in its lattice.
 
-        Returns at the first primitive component in enumeration order.  For
+        Returns at the first primitive component in enumeration order; for
         non-simple q, every character gets its content k (0 for a vanishing
-        component) and a lift into Q of the primitive direction.
-
-        The component of chi is M q / 2^m for the `_eigensplit` entry M of
-        chi, so only the characters with a nonzero eigenspace are visited,
-        in enumeration order, and eigenlattices are built only for the
-        nonzero components.
+        component) and a lift into Q of the primitive direction.  Only the
+        characters in `_eigensplit` are visited, each nonzero component with
+        one solve: the eigenlattice is generated by the projections of the
+        unit vectors, so its membership solve x = s U[:r] lifts the
+        component into Q, and gcd(x) = gcd(s) = k as U is unimodular.
         """
         fq = self.group.free_coordinates(q)
-        components = {}  # chi -> (content, primitive part), nonzero only
+        components = {}  # chi -> (content, lift), nonzero only
         for signs in self._split:
             v = _component(self._split, signs, fq)
             if not any(v):
                 continue
             chi = Character(signs)
-            k, u = content_and_primitive_part(v, self.eigenlattice_free(chi))
+            x = membership_solve(self.eigenlattice_free(chi), v)
+            if x is None:
+                raise NotInLattice(f"{v} is not in the lattice")
+            k = vec_gcd(x)
             if k == 1:
-                return SimplicityReport(simple=True, witness_character=chi,
-                                        primitive_direction=self.group.lift_free(v))
-            components[chi] = k, u
-        zero = (0,) * self.group.rank
-        table = []
-        for chi in self.characters:
-            k, u = components.get(chi, (0, None))
-            # the eigenlattice's generators are the projections of the unit
-            # vectors, so the coefficients lift u back into Q
-            lift = membership_solve(self.eigenlattice_free(chi), u) if k else zero
-            if lift is None:
-                raise AssertionError("primitive part escaped its own lattice")
-            table.append(ComponentWitness(chi, k, lift))
+                return SimplicityReport(simple=True, witness_character=chi)
+            components[chi] = k, tuple(c // k for c in x)
+        vanishing = 0, (0,) * self.group.rank
+        table = [ComponentWitness(chi, *components.get(chi, vanishing))
+                 for chi in self.characters]
         return SimplicityReport(simple=False, components=table)
 
     # -- complements --------------------------------------------------------

@@ -324,11 +324,8 @@ def content_and_primitive_part(v, L):
     coords = L.integer_coordinates(v)
     if coords is None:
         raise NotInLattice(f"{v} is not in the lattice")
-    if is_zero_vector(v):
-        return 0, tuple(Fraction(0) for _ in v)
     k = vec_gcd(coords)
-    u = tuple(x / k for x in v)
-    return k, u
+    return k, tuple(x / k for x in v) if k else v
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,13 @@ counts over it, `serialize_equation` numbers it, and `parse_equation` rebuilds
 the nodes in the same order.  Interpreting needs only the live nodes: the base
 of a zero power is never read, since x^0 = 1 in every group.
 
-A witness equation keeps the recipe of its left-hand side, not the DAG.  It
-builds a character's tower only when a word needs it: its live left-hand
-side holds only the towers raised to a nonzero exponent, and
-`serialize_chunks` writes the full DAG's post-order straight from the recipe
-and the tower layout (`_levels`), numbering nodes it never builds.  It
-yields the text tower by tower as it is made, each level one fill of a
+A witness equation keeps the recipe of its left-hand side, not the DAG:
+the characters and coset words, with n, |T| and the exponents read from
+its own fields.  It builds a character's tower only when a word needs
+it: its live left-hand side holds only the towers raised to a nonzero
+exponent, and `serialize_chunks` writes the full DAG's post-order straight
+from the recipe and the tower layout (`_levels`), numbering nodes it never
+builds.  It yields the text tower by tower, each level one fill of a
 template made once per element of C, so a writer streaming it to a file
 holds one tower's text at a time; `serialize_equation` joins the chunks.
 """
@@ -35,6 +36,15 @@ class NotAWitness(ValueError):
 
 
 REDUCE_CAP = 10 ** 6
+
+
+def short_repr(x):
+    """repr(x), but an int past 64 bits as its bit length: a tower's length
+    or a witness's right-hand side passes Python's limit on str(int) from
+    c-rank 14."""
+    if type(x) is not int or x.bit_length() <= 64:
+        return repr(x)
+    return f"<{'-' * (x < 0)}{x.bit_length()}-bit int>"
 
 
 class SLWord:
@@ -72,7 +82,7 @@ class Inv(SLWord):
         return (self.child,)
 
     def __repr__(self):
-        return f"Inv(length={self.length})"
+        return f"Inv(length={short_repr(self.length)})"
 
 
 class Concat(SLWord):
@@ -86,7 +96,8 @@ class Concat(SLWord):
         return self.parts
 
     def __repr__(self):
-        return f"Concat({len(self.parts)} parts, length={self.length})"
+        return (f"Concat({len(self.parts)} parts, "
+                f"length={short_repr(self.length)})")
 
 
 class Pow(SLWord):
@@ -101,7 +112,8 @@ class Pow(SLWord):
         return (self.base,)
 
     def __repr__(self):
-        return f"Pow(exp={self.exp}, length={self.length})"
+        return (f"Pow(exp={short_repr(self.exp)}, "
+                f"length={short_repr(self.length)})")
 
 
 @dataclass
@@ -356,16 +368,16 @@ class Equation:
     distinguished infinite-order generator of the dihedral subgroup.
 
     The left-hand side is either given as `lhs`, or by the recipe of the
-    paper's witness: `characters` and `coset_words` (as for `build_v_chi`),
+    paper's witness: the characters and coset words (as for `build_v_chi`),
     with one term v_chi^used_exponent per character whose y-block is
-    (prod_i y_{chi,i}^2)^torsion_order.  A recipe equation builds each
-    character's tower on its first use and keeps it; deciding needs only
-    the k values and the right-hand side, while the paper's witness DAG has
-    about 4^c-rank nodes.  `lhs` is the paper's full DAG, built on its first
-    read.  `live_lhs` has the same value and evaluation cost and builds only
-    the towers with a nonzero exponent: each other term is a zero power of
-    one shared empty word.  An equation given by `lhs` has that as its live
-    form too.
+    (prod_i y_{chi,i}^2)^torsion_order, the other facts read from the
+    fields.  A recipe equation builds each character's tower on its first
+    use and keeps it; deciding needs only the k values and the right-hand
+    side, while the paper's witness DAG has about 4^c-rank nodes.  `lhs` is
+    that full DAG, built on its first read.  `live_lhs` has the same value
+    and evaluation cost and builds only the towers with a nonzero exponent:
+    each other term is a zero power of one shared empty word.  An equation
+    given by `lhs` has that as its live form too.
     """
 
     def __init__(self, lhs=None, *, rhs_generator, rhs_exponent, c_rank,
@@ -381,31 +393,31 @@ class Equation:
         self.n_squares = n_squares
         self.filler = filler
         self.k_values = k_values  # raw per-character contents, enumeration order
-        self._recipe = None
-        if characters is not None:
-            # (characters, coset words, n, T, exponents), fixed here: the
-            # towers and the serialized text read only this
-            self._recipe = (tuple(characters), tuple(coset_words), n_squares,
-                            torsion_order,
-                            tuple(map(self.used_exponent, range(len(k_values)))))
-            self._towers = [None] * len(characters)
+        self._recipe = None if characters is None else (
+            tuple(characters), tuple(coset_words))
+        self._towers = {}  # character index -> its v_chi, built once
 
     def _v_chi(self, ci):
         """v_chi of the ci-th character around its y-block, built once."""
-        v = self._towers[ci]
+        v = self._towers.get(ci)
         if v is None:
-            characters, coset_words, n, torsion, _ = self._recipe
+            characters, coset_words = self._recipe
             squares = Concat(tuple(Pow(Gen(y_var(ci, i)), 2)
-                                   for i in range(1, n + 1)))
+                                   for i in range(1, self.n_squares + 1)))
             v = self._towers[ci] = build_v_chi(
-                characters[ci], coset_words, y_word=Pow(squares, torsion))
+                characters[ci], coset_words,
+                y_word=Pow(squares, self.torsion_order))
         return v
+
+    def _exponents(self):
+        return map(self.used_exponent, range(len(self.k_values)))
 
     @property
     def lhs(self):
         if self._lhs is None:
-            self._lhs = Concat(tuple(Pow(self._v_chi(ci), e)
-                                     for ci, e in enumerate(self._recipe[4])))
+            self._lhs = Concat(tuple(
+                Pow(self._v_chi(ci), e)
+                for ci, e in enumerate(self._exponents())))
         return self._lhs
 
     @property
@@ -415,14 +427,14 @@ class Equation:
         if self._recipe is None:
             return self._lhs
         return Concat(tuple(Pow(self._v_chi(ci) if e else _NO_WORD, e)
-                            for ci, e in enumerate(self._recipe[4])))
+                            for ci, e in enumerate(self._exponents())))
 
     def __repr__(self):
         # an unread left-hand side stays unbuilt
         lhs = "<built on first read>" if self._lhs is None else repr(self._lhs)
         return (f"Equation(lhs={lhs}, rhs_generator={self.rhs_generator!r}, "
-                f"rhs_exponent={self.rhs_exponent}, c_rank={self.c_rank}, "
-                f"torsion_order={self.torsion_order}, "
+                f"rhs_exponent={short_repr(self.rhs_exponent)}, "
+                f"c_rank={self.c_rank}, torsion_order={self.torsion_order}, "
                 f"n_squares={self.n_squares}, filler={self.filler}, "
                 f"k_values={self.k_values})")
 
@@ -435,11 +447,9 @@ class Equation:
         return k if k != 0 else self.filler
 
     def variables(self):
-        names = [f"x{j + 1}" for j in range(self.c_rank)]
-        for ci in range(len(self.k_values)):
-            for i in range(1, self.n_squares + 1):
-                names.append(y_var(ci, i))
-        return names
+        return [f"x{j + 1}" for j in range(self.c_rank)] + [
+            y_var(ci, i) for ci in range(len(self.k_values))
+            for i in range(1, self.n_squares + 1)]
 
 
 def build_witness_equation(report, n, torsion_order, c_rank, coset_words,
@@ -504,7 +514,8 @@ def serialize_chunks(eq):
     if eq._recipe is None:
         root = yield from _walk_lines(eq.lhs)
     else:
-        root = yield from _recipe_lines(*eq._recipe)
+        root = yield from _recipe_lines(*eq._recipe, eq.n_squares,
+                                        eq.torsion_order, eq._exponents())
     yield (f" )\n (lhs n{root})\n"
            f" (rhs {eq.rhs_generator} {eq.rhs_exponent}))\n")
 

@@ -28,11 +28,11 @@ from verbalclosure.ambient import (
     verify_solution_in_G,
     word_to_text,
 )
-from verbalclosure.dihedral import DihedralElement
+from verbalclosure.dihedral import DihedralElement, certify_no_solution
 from verbalclosure.lattice import mat_vec
 from verbalclosure.words import UnboundGenerator, y_var
 
-from util import dag_nodes
+from util import dag_nodes, witness_equation
 
 
 def spec4():
@@ -513,13 +513,15 @@ def test_simple_iff_retraction_builds():
 
 
 def test_analyze_filler_and_n_squares():
+    # analyze always uses one square per character; the equation with two
+    # is built by the same steps
     spec = spec4()
-    verdict = analyze(spec, filler=2, n_squares=2)
-    eq = verdict.equation
+    data, report, eq = witness_equation(spec, 2, filler=2)
+    solution = g_solution(eq, data, report)
     assert eq.filler == 2 and eq.n_squares == 2
-    assert verdict.certificate.is_valid()
-    assert verify_solution_in_G(eq, verdict.solution, spec)
+    assert certify_no_solution(eq).is_valid()
+    assert verify_solution_in_G(eq, solution, spec)
     # unused second square slots are identity
     group = spec.group
     for ci in range(len(eq.k_values)):
-        assert verdict.solution[y_var(ci, 2)] == group.identity
+        assert solution[y_var(ci, 2)] == group.identity

@@ -9,9 +9,11 @@ from verbalclosure.dihedral import (
     A,
     B,
     DIHEDRAL_OPS,
+    CertificateRow,
     DihedralElement,
     IDENTITY,
     InvalidEquation,
+    NoSolutionCertificate,
     certify_no_solution,
     character_of_substitution,
     evaluate_v_closed_form,
@@ -173,6 +175,31 @@ def test_certificate_rejects_unit_exponent():
                       k_values=(1,) + eq.k_values[1:])
     with pytest.raises(InvalidEquation):
         certify_no_solution(hacked)
+
+
+def test_certificate_reprs_print_long_exponents_by_bit_length():
+    # a c_rank-14 witness's exponents pass Python's 4,300-digit limit on
+    # str(int); small ones print as the dataclass repr always did
+    row = CertificateRow(delta=(1,), matched_character=Character((-1,)),
+                         effective_exponent=3,
+                         subgroup_exponent=3 * 2 ** 20000,
+                         target_exponent=2 ** 20000,
+                         obstruction="nonunit-multiplier")
+    assert repr(row) == (
+        "CertificateRow(delta=(1,), matched_character=Character(signs=(-1,)), "
+        "effective_exponent=3, subgroup_exponent=<20002-bit int>, "
+        "target_exponent=<20001-bit int>, obstruction='nonunit-multiplier')")
+    cert = NoSolutionCertificate(rows=[row], c_rank=1,
+                                 rhs_exponent=2 ** 20000)
+    assert repr(cert) == (f"NoSolutionCertificate(rows=[{row!r}], c_rank=1, "
+                          "rhs_exponent=<20001-bit int>)")
+    small = certify_no_solution(_witness_equation())
+    assert repr(small.rows[1]) == (
+        "CertificateRow(delta=(0, 1), matched_character=Character(signs="
+        "(1, -1)), effective_exponent=%d, subgroup_exponent=%d, "
+        "target_exponent=%d, obstruction='%s')" % (
+            small.rows[1].effective_exponent, small.rows[1].subgroup_exponent,
+            small.rhs_exponent, small.rows[1].obstruction))
 
 
 def test_spot_check_finds_no_solution():

@@ -5,8 +5,20 @@ from fractions import Fraction
 
 import pytest
 
-from util import SemidirectGroup, random_decomposable_module, random_module
+from util import (
+    SemidirectGroup,
+    count_calls,
+    random_decomposable_module,
+    random_module,
+)
 
+from verbalclosure.ambient import (
+    DInf,
+    GroupSpec,
+    image_of_a_squared,
+    square_data,
+    validate_spec,
+)
 from verbalclosure.involutions import (
     Character,
     ComponentWitness,
@@ -22,6 +34,7 @@ from verbalclosure.involutions import (
 )
 from verbalclosure.lattice import (
     AbelianPresentation,
+    Lattice,
     content_and_primitive_part,
     eye,
     mat_mul,
@@ -182,8 +195,7 @@ def _simplicity_by_projection(mod, q):
         L = mod.eigenlattice_free(chi)
         k, u = content_and_primitive_part(v, L)
         if k == 1:
-            return SimplicityReport(simple=True, witness_character=chi,
-                                    primitive_direction=mod.group.lift_free(v))
+            return SimplicityReport(simple=True, witness_character=chi)
         components.append(ComponentWitness(chi, k, membership_solve(L, u)))
     return SimplicityReport(simple=False, components=components)
 
@@ -209,6 +221,19 @@ def test_is_simple_split_matches_per_character_projection():
                 verdicts.add(rep.simple)
     assert verdicts == {True, False}
     assert zero_characters  # characters with a zero eigenspace are covered
+
+
+def test_is_simple_solves_once_per_nonzero_component(monkeypatch):
+    # one membership solve gives both the content and the lift of a
+    # component: 2 solves for the 2 nonzero components of a1^3*a2^5
+    spec = validate_spec(GroupSpec([DInf(), DInf()], "b1*b2", "a1^3*a2^5"))
+    data = square_data(spec)
+    a_sq = image_of_a_squared(spec, data)
+    solves = count_calls(monkeypatch, Lattice, "_solve")
+    report = data.module.is_simple(a_sq)
+    assert [(w.character.label(), w.content) for w in report.components
+            if w.content] == [("chi(+++-)", 5), ("chi(+-++)", 3)]
+    assert len(solves) == 2
 
 
 def test_projector_orthogonality():

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from util import count_calls
+
 from verbalclosure.lattice import (
     AbelianPresentation,
     Lattice,
@@ -182,13 +184,7 @@ def test_lattice_runs_one_elimination(monkeypatch):
     # that found the basis
     import verbalclosure.lattice as lat
 
-    calls = []
-
-    def counted(M, _orig=lat.smith_normal_form):
-        calls.append(M)
-        return _orig(M)
-
-    monkeypatch.setattr(lat, "smith_normal_form", counted)
+    calls = count_calls(monkeypatch, lat, "smith_normal_form")
     gens = [(Fraction(1, 2), Fraction(1, 2), 0), (0, 0, 0),
             (Fraction(1, 2), Fraction(-1, 2), 0), (1, 0, 0)]
     L = Lattice.from_generators(gens, dim=3)

@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from util import dag_nodes
+from util import count_calls, dag_nodes, witness_equation
 
+import verbalclosure.words as words
 from verbalclosure import (
     DInf,
     GroupSpec,
@@ -289,20 +290,6 @@ def test_serialization_of_a_deep_tower():
     assert eq2.lhs.length == eq.lhs.length
 
 
-def _counting_build_v_chi(monkeypatch):
-    """Patch the tower builder that equations call; returns its call list."""
-    import verbalclosure.words as words
-
-    calls = []
-
-    def counting_build_v_chi(*args, **kwargs):
-        calls.append(args[0])
-        return build_v_chi(*args, **kwargs)
-
-    monkeypatch.setattr(words, "build_v_chi", counting_build_v_chi)
-    return calls
-
-
 @pytest.fixture(scope="module")
 def witness_m4():
     """The verdict of the c_rank-4 witness spec a = a1^3*a2^5 over 2xDInf."""
@@ -311,7 +298,7 @@ def witness_m4():
 
 
 def test_witness_lhs_is_built_once_on_first_read(witness_m4, monkeypatch):
-    calls = _counting_build_v_chi(monkeypatch)
+    calls = count_calls(monkeypatch, words, "build_v_chi")
     verdict = analyze(witness_m4[0])
     eq = verdict.equation
     assert "<built on first read>" in repr(verdict)
@@ -340,7 +327,7 @@ def test_witness_lhs_is_built_once_on_first_read(witness_m4, monkeypatch):
 
 
 def test_verify_builds_only_the_live_towers(witness_m4, monkeypatch):
-    calls = _counting_build_v_chi(monkeypatch)
+    calls = count_calls(monkeypatch, words, "build_v_chi")
     spec = witness_m4[0]
     for filler, count, live in [(0, 271, 2), (2, 2027, 16)]:
         calls.clear()
@@ -375,8 +362,8 @@ WRITER_SPECS = [
 @pytest.mark.parametrize("factors, b, a", WRITER_SPECS,
                          ids=["2xDInf", "DInf-Z6", "DInf-Z-Z4", "3xDInf"])
 def test_witness_writer_matches_the_walk(factors, b, a, filler, n):
-    eq = analyze(validate_spec(GroupSpec(factors, b, a)), filler=filler,
-                 n_squares=n).equation
+    _, _, eq = witness_equation(validate_spec(GroupSpec(factors, b, a)), n,
+                                filler=filler)
     written = serialize_equation(eq)
     assert "<built on first read>" in repr(eq)
     # the same left-hand side, written by the generic walk
@@ -388,6 +375,41 @@ def test_witness_writer_matches_the_walk(factors, b, a, filler, n):
     assert written == walked
     assert serialize_equation(eq) == walked
     assert serialize_equation(parse_equation(walked)) == walked
+
+
+def test_written_exponents_follow_k_values(witness_m4):
+    # the recipe keeps no exponents of its own: after k_values changes, the
+    # written (k ...) header and the term exponents still agree
+    eq = analyze(witness_m4[0]).equation
+    eq.k_values = (7,) + eq.k_values[1:]
+    parsed = parse_equation(serialize_equation(eq))
+    assert parsed.k_values == eq.k_values
+    assert [term.exp for term in parsed.lhs.parts] == [
+        eq.used_exponent(ci) for ci in range(1 << eq.c_rank)]
+    assert parsed.lhs.parts[0].exp == 7
+
+
+def test_reprs_print_long_integers_by_bit_length():
+    # in decimal these pass Python's 4,300-digit limit on str(int)
+    big = Pow(Gen("y"), 2 ** 20000)
+    assert repr(big) == "Pow(exp=<20001-bit int>, length=<20001-bit int>)"
+    assert repr(Inv(big)) == "Inv(length=<20001-bit int>)"
+    assert repr(Concat((big, big))) == (
+        "Concat(2 parts, length=<20002-bit int>)")
+    assert repr(Pow(Gen("y"), -2 ** 20000)) == (
+        "Pow(exp=<-20001-bit int>, length=<20001-bit int>)")
+    assert repr(Pow(Gen("y"), -3)) == "Pow(exp=-3, length=3)"
+    eq = Equation(lhs=big, rhs_generator="a", rhs_exponent=2 ** 20000,
+                  c_rank=0, torsion_order=1, n_squares=1, filler=0,
+                  k_values=(0,))
+    assert repr(eq) == (
+        "Equation(lhs=Pow(exp=<20001-bit int>, length=<20001-bit int>), "
+        "rhs_generator='a', rhs_exponent=<20001-bit int>, c_rank=0, "
+        "torsion_order=1, n_squares=1, filler=0, k_values=(0,))")
+    # a c_rank-14 tower: its length 3 * 2^(2^14) - 2 has 4,933 digits
+    tower = build_w_chi(Character((-1,) * 14), [Gen("c")] * (1 << 14))
+    assert tower.length == 3 * 2 ** (1 << 14) - 2
+    assert repr(tower) == "Concat(4 parts, length=<16386-bit int>)"
 
 
 def test_witness_text_streams_tower_by_tower():

@@ -1,10 +1,11 @@
 """Shared test helpers: random module generators, a semidirect product
-group for evaluating words against direct module arithmetic, and a DAG node
-counter."""
+group for evaluating words against direct module arithmetic, a DAG node
+counter, a call counter and the witness pipeline with n squares."""
 
+from verbalclosure.ambient import image_of_a_squared, square_data
 from verbalclosure.involutions import InvolutionModule
 from verbalclosure.lattice import AbelianPresentation, eye, mat_inv, mat_mul, mat_vec
-from verbalclosure.words import Concat, Inv, Pow
+from verbalclosure.words import Concat, Inv, Pow, build_witness_equation
 
 
 def random_unimodular(rng, n, steps=8):
@@ -160,3 +161,28 @@ def dag_nodes(root):
                 seen.add(id(c))
                 stack.append(c)
     return len(seen)
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap owner.name for the rest of the test; returns the list that each
+    call appends its positional arguments to.  A method patched on its
+    class records self first."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def witness_equation(spec, n, filler=0):
+    """The witness steps of `analyze` with n squares per character:
+    (square data, simplicity report, equation)."""
+    data = square_data(spec)
+    report = data.module.is_simple(image_of_a_squared(spec, data))
+    eq = build_witness_equation(report, n, data.presentation.torsion_order,
+                                data.c_rank, data.coset_words, filler=filler)
+    return data, report, eq
