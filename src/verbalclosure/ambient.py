@@ -26,7 +26,6 @@ from .words import (
     Equation,
     GroupOps,
     build_witness_equation,
-    evaluate,
     y_var,
 )
 
@@ -502,12 +501,12 @@ def verify_solution_in_G(eq, assignment, spec):
     """Evaluate the equation's left-hand side in G and compare with the
     right-hand side power of a.
 
-    The live left-hand side is evaluated, so only the towers raised to a
-    nonzero exponent are built.
+    A witness is evaluated from its recipe, level by level, with no word
+    built; the towers raised to a zero exponent are not evaluated.
     """
     group = spec.group
     return (eq.rhs_generator == "a"
-            and evaluate(eq.live_lhs, assignment, group.ops)
+            and eq.lhs_value(assignment, group.ops)
             == group.pow(spec.h_a, eq.rhs_exponent))
 
 

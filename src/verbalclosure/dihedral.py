@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 from itertools import cycle, product
 
 from .involutions import Character
-from .words import GroupOps, interpret, postorder, short_repr, y_var
+from .words import GroupOps, short_repr, y_var
 
 
 class InvalidEquation(ValueError):
@@ -209,7 +209,7 @@ def certify_no_solution(eq):
 
 
 def spot_check_no_solution(eq, bound, trials, seed=0):
-    """Randomised corroboration of a certificate by direct DAG evaluation.
+    """Randomised corroboration of a certificate by direct evaluation.
 
     Substitutes x_j = a^{k_j} b^{delta_j} (cycling through every delta
     pattern) and random dihedral values for the y-variables, and reports
@@ -217,9 +217,10 @@ def spot_check_no_solution(eq, bound, trials, seed=0):
     heuristic, not a proof: absence of small solutions proves nothing for
     general equations.
 
-    One walk of the live left-hand side serves every trial, so a trial costs
-    O(live nodes * log max-exponent) group operations: the towers raised to
-    a zero filler exponent are neither built nor evaluated.
+    A witness is evaluated from its recipe with no word built, so a trial
+    costs O(|C|) group operations per tower with a nonzero exponent: the
+    towers raised to a zero filler exponent are not evaluated.  An equation given by its
+    left-hand side is walked once, and that walk serves every trial.
     """
     import random
 
@@ -227,7 +228,6 @@ def spot_check_no_solution(eq, bound, trials, seed=0):
     m = eq.c_rank
     rhs = DihedralElement(eq.rhs_exponent, 0)
     n_chars = len(eq.k_values)
-    nodes = postorder(eq.live_lhs, live=True)
     for _, delta in zip(range(trials), cycle(product((0, 1), repeat=m))):
         assignment = {}
         for j in range(m):
@@ -237,6 +237,6 @@ def spot_check_no_solution(eq, bound, trials, seed=0):
             for i in range(1, eq.n_squares + 1):
                 assignment[y_var(ci, i)] = DihedralElement(
                     rng.randint(-bound, bound), rng.randint(0, 1))
-        if interpret(nodes, assignment, DIHEDRAL_OPS) == rhs:
+        if eq.lhs_value(assignment, DIHEDRAL_OPS) == rhs:
             return False
     return True

@@ -11,13 +11,14 @@ of a zero power is never read, since x^0 = 1 in every group.
 
 A witness equation keeps the recipe of its left-hand side, not the DAG:
 the characters and coset words, with n, |T| and the exponents read from
-its own fields.  It builds a character's tower only when a word needs
-it: its live left-hand side holds only the towers raised to a nonzero
-exponent, and `serialize_chunks` writes the full DAG's post-order straight
-from the recipe and the tower layout (`_levels`), numbering nodes it never
-builds.  It yields the text tower by tower, each level one fill of a
-template made once per element of C, so a writer streaming it to a file
-holds one tower's text at a time; `serialize_equation` joins the chunks.
+its own fields.  It builds a character's tower only when `lhs` is read:
+`Equation.lhs_value` evaluates the terms with a nonzero exponent level by
+level, one product per `_levels` entry, and `serialize_chunks` writes the
+full DAG's post-order straight from the recipe and the tower layout,
+numbering nodes it never builds.  It yields the text tower by tower,
+each level one fill of a template made once per element of C, so a writer
+streaming it to a file holds one tower's text at a time;
+`serialize_equation` joins the chunks.
 """
 
 from dataclasses import dataclass
@@ -208,27 +209,37 @@ def interpret(nodes, assignment, ops):
             for p in w.parts:
                 val = mul(val, values[p])
         elif kind is Pow:
-            e = w.exp
-            if e < 0:
-                sq = inv(values[w.base])
-                e = -e
-            elif e:
-                sq = values[w.base]
-            val = identity
-            while e:
-                if e & 1:
-                    val = mul(val, sq)
-                e >>= 1
-                if e:
-                    sq = mul(sq, sq)
+            val = _power(values[w.base], w.exp, ops) if w.exp else identity
         elif kind is Inv:
             val = inv(values[w.child])
         else:
-            try:
-                val = assignment[w.name]
-            except KeyError:
-                raise UnboundGenerator(w.name) from None
+            val = _read(assignment, w.name)
         values[w] = val
+    return val
+
+
+def _read(assignment, name):
+    """The value assigned to a generator, or UnboundGenerator."""
+    try:
+        return assignment[name]
+    except KeyError:
+        raise UnboundGenerator(name) from None
+
+
+def _power(x, e, ops):
+    """x^e over `ops` by square-and-multiply: at most 2 log2|e| + 1 group
+    operations, one of them an inverse when e < 0; x^0 is the identity."""
+    mul = ops.mul
+    if e < 0:
+        x = ops.inv(x)
+        e = -e
+    val = ops.identity
+    while e:
+        if e & 1:
+            val = mul(val, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
     return val
 
 
@@ -357,10 +368,6 @@ def y_var(char_index, i):
     return f"y_{char_index}_{i}"
 
 
-# the base of every dead term of a live left-hand side: it is never read
-_NO_WORD = Concat(())
-
-
 class Equation:
     """One-sided equation: lhs(word in x's and y's) = a^rhs_exponent.
 
@@ -371,13 +378,12 @@ class Equation:
     paper's witness: the characters and coset words (as for `build_v_chi`),
     with one term v_chi^used_exponent per character whose y-block is
     (prod_i y_{chi,i}^2)^torsion_order, the other facts read from the
-    fields.  A recipe equation builds each character's tower on its first
-    use and keeps it; deciding needs only the k values and the right-hand
-    side, while the paper's witness DAG has about 4^c-rank nodes.  `lhs` is
-    that full DAG, built on its first read.  `live_lhs` has the same value
-    and evaluation cost and builds only the towers with a nonzero exponent:
-    each other term is a zero power of one shared empty word.  An equation
-    given by `lhs` has that as its live form too.
+    fields.  Deciding needs only the k values and the right-hand side, and
+    `lhs_value` evaluates a recipe level by level with no word built, while
+    the paper's witness DAG has about 4^c-rank nodes.  `lhs` is that full
+    DAG, built on its first read and kept while n_squares, torsion_order
+    and the used exponents stay those it was built from; the next read
+    after a change to any of them builds it again, towers and all.
     """
 
     def __init__(self, lhs=None, *, rhs_generator, rhs_exponent, c_rank,
@@ -395,43 +401,78 @@ class Equation:
         self.k_values = k_values  # raw per-character contents, enumeration order
         self._recipe = None if characters is None else (
             tuple(characters), tuple(coset_words))
-        self._towers = {}  # character index -> its v_chi, built once
+        self._lhs_key = None  # the fields a recipe's kept lhs was built from
+        self._live_order = None  # a given lhs's live post-order, walked once
 
     def _v_chi(self, ci):
-        """v_chi of the ci-th character around its y-block, built once."""
-        v = self._towers.get(ci)
-        if v is None:
-            characters, coset_words = self._recipe
-            squares = Concat(tuple(Pow(Gen(y_var(ci, i)), 2)
-                                   for i in range(1, self.n_squares + 1)))
-            v = self._towers[ci] = build_v_chi(
-                characters[ci], coset_words,
-                y_word=Pow(squares, self.torsion_order))
-        return v
+        """v_chi of the ci-th character around its y-block."""
+        characters, coset_words = self._recipe
+        squares = Concat(tuple(Pow(Gen(y_var(ci, i)), 2)
+                               for i in range(1, self.n_squares + 1)))
+        return build_v_chi(characters[ci], coset_words,
+                           y_word=Pow(squares, self.torsion_order))
 
     def _exponents(self):
         return map(self.used_exponent, range(len(self.k_values)))
 
     @property
     def lhs(self):
-        if self._lhs is None:
-            self._lhs = Concat(tuple(
-                Pow(self._v_chi(ci), e)
-                for ci, e in enumerate(self._exponents())))
-        return self._lhs
-
-    @property
-    def live_lhs(self):
-        """A left-hand side with the value and evaluation cost of `lhs`,
-        holding only the towers raised to a nonzero exponent."""
         if self._recipe is None:
             return self._lhs
-        return Concat(tuple(Pow(self._v_chi(ci) if e else _NO_WORD, e)
-                            for ci, e in enumerate(self._exponents())))
+        exponents = tuple(self._exponents())
+        key = (self.n_squares, self.torsion_order, exponents)
+        if key != self._lhs_key:
+            self._lhs = Concat(tuple(Pow(self._v_chi(ci), e)
+                                     for ci, e in enumerate(exponents)))
+            self._lhs_key = key
+        return self._lhs
+
+    def lhs_value(self, assignment, ops):
+        """Value of the left-hand side under `assignment` over `ops`, equal
+        to `evaluate(self.lhs, assignment, ops)`.
+
+        A recipe is evaluated level by level with no word built: each coset
+        word's value and its inverse are formed once, and each term with a
+        nonzero exponent forms its y-block, then body * c * body^sign * c^-1
+        per `_levels` entry, then its power; a term with exponent 0 is the
+        identity, so its variables need no value.  A given lhs is
+        interpreted over its live post-order, walked on the first call and
+        kept for the next.
+        """
+        if self._recipe is None:
+            if self._live_order is None:
+                self._live_order = postorder(self._lhs, live=True)
+            return interpret(self._live_order, assignment, ops)
+        mul, inv = ops.mul, ops.inv
+        characters, coset_words = self._recipe
+        n, torsion = self.n_squares, self.torsion_order
+        value = ops.identity
+        cosets = None
+        for ci, e in enumerate(self._exponents()):
+            if not e:
+                continue
+            if cosets is None:
+                cosets = []
+                for indices in coset_words:
+                    c = ops.identity
+                    for j in indices:
+                        c = mul(c, _read(assignment, f"x{j + 1}"))
+                    cosets.append((c, inv(c)))
+            body = ops.identity
+            for i in range(1, n + 1):
+                y = _read(assignment, y_var(ci, i))
+                body = mul(body, mul(y, y))
+            body = _power(body, torsion, ops)
+            for i, sign in _levels(characters[ci]):
+                c, c_inv = cosets[i]
+                body = mul(mul(mul(body, c), body if sign == 1 else inv(body)),
+                           c_inv)
+            value = mul(value, _power(body, e, ops))
+        return value
 
     def __repr__(self):
         # an unread left-hand side stays unbuilt
-        lhs = "<built on first read>" if self._lhs is None else repr(self._lhs)
+        lhs = "<built on first read>" if self._lhs is None else repr(self.lhs)
         return (f"Equation(lhs={lhs}, rhs_generator={self.rhs_generator!r}, "
                 f"rhs_exponent={short_repr(self.rhs_exponent)}, "
                 f"c_rank={self.c_rank}, torsion_order={self.torsion_order}, "

@@ -9,6 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from util import count_calls
+
+import verbalclosure.words as words
 from verbalclosure import GroupSpec, analyze, cli
 from verbalclosure.cli import main, make_parser
 from verbalclosure.words import parse_equation, serialize_equation
@@ -201,9 +204,12 @@ def test_verify_flag_witness(tmp_path, capsys):
     assert "no dihedral solution found" in out
 
 
-def test_verify_at_c_rank_10_builds_only_the_live_towers(tmp_path, capsys):
-    # 5 of the 1024 towers are live: building all of them (about 4^10
-    # nodes) took over 30 s
+def test_verify_at_c_rank_10_builds_no_tower(tmp_path, capsys, monkeypatch):
+    # 5 of the 1024 towers are live, and they are evaluated from the recipe
+    # with no word built: building all of them (about 4^10 nodes) took over
+    # 30 s
+    calls = count_calls(monkeypatch, words, "build_v_chi")
+    walks = count_calls(monkeypatch, words, "postorder")
     path = write(tmp_path, "w10.spec", """groupspec v1
 factors = [DInf, DInf, DInf, DInf, DInf]
 b = b1*b2*b3*b4*b5
@@ -216,6 +222,7 @@ a = a1^3*a2^5*a3^7*a4^9*a5^11
     assert code == 10
     assert "ambient solution verified in G: yes" in out
     assert "no dihedral solution found" in out
+    assert calls == [] and walks == []
     assert elapsed < 10.0, elapsed
 
 

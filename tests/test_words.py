@@ -17,8 +17,10 @@ from verbalclosure import (
     validate_spec,
     verify_solution_in_G,
 )
+from verbalclosure.ambient import g_solution
 from verbalclosure.dihedral import (
     DIHEDRAL_OPS,
+    IDENTITY,
     DihedralElement,
     character_of_substitution,
     evaluate_v_closed_form,
@@ -58,6 +60,10 @@ from verbalclosure.words import (
 )
 
 INT_OPS = GroupOps(mul=lambda a, b: a + b, inv=lambda a: -a, identity=0)
+# permutations of 7 points, composed right to left
+PERM_OPS = GroupOps(mul=lambda p, q: tuple(p[i] for i in q),
+                    inv=lambda p: tuple(sorted(range(7), key=p.__getitem__)),
+                    identity=tuple(range(7)))
 
 
 def random_word(rng, names, depth):
@@ -326,27 +332,40 @@ def test_witness_lhs_is_built_once_on_first_read(witness_m4, monkeypatch):
                  n_squares=1, filler=0, k_values=(0,))
 
 
-def test_verify_builds_only_the_live_towers(witness_m4, monkeypatch):
+def test_verify_builds_no_tower(witness_m4, monkeypatch):
     calls = count_calls(monkeypatch, words, "build_v_chi")
+    walks = count_calls(monkeypatch, words, "postorder")
     spec = witness_m4[0]
-    for filler, count, live in [(0, 271, 2), (2, 2027, 16)]:
+    for filler, count in [(0, 271), (2, 2027)]:
         calls.clear()
+        walks.clear()
         verdict = analyze(spec, filler=filler)
         eq = verdict.equation
         assert verify_solution_in_G(eq, verdict.solution, spec)
         assert spot_check_no_solution(eq, bound=10, trials=8)
-        assert len(calls) == live
+        assert calls == [] and walks == []
         d_values = {name: DihedralElement(3, 1) for name in eq.variables()}
         results = []
-        for lhs in (eq.live_lhs, eq.lhs):
+        for value in (eq.lhs_value, lambda *args: evaluate(eq.lhs, *args)):
             ops = CountingOps(spec.group.ops)
             dops = CountingOps(DIHEDRAL_OPS)
-            results.append((evaluate(lhs, verdict.solution, ops), ops.count,
-                            evaluate(lhs, d_values, dops), dops.count))
-        assert results[0] == results[1]
-        assert results[0][1] == results[0][3] == count
-        # the full lhs reuses the towers the live form built
+            results.append((value(verdict.solution, ops), ops.count,
+                            value(d_values, dops), dops.count))
+        recipe, dag = results
+        assert recipe[0::2] == dag[0::2]
+        assert dag[1] == dag[3] == count
+        # one product per coset word and three per level, against the DAG's
+        # Concat of c and four products per level
+        assert recipe[1] == recipe[3] < count
+        # the full lhs builds every tower
         assert len(calls) == 1 << eq.c_rank
+
+
+def test_spot_check_walks_a_given_lhs_once(witness_m4, monkeypatch):
+    parsed = parse_equation(serialize_equation(witness_m4[1].equation))
+    walks = count_calls(monkeypatch, words, "postorder")
+    assert spot_check_no_solution(parsed, bound=10, trials=8)
+    assert len(walks) == 1
 
 
 WRITER_SPECS = [
@@ -387,6 +406,72 @@ def test_written_exponents_follow_k_values(witness_m4):
     assert [term.exp for term in parsed.lhs.parts] == [
         eq.used_exponent(ci) for ci in range(1 << eq.c_rank)]
     assert parsed.lhs.parts[0].exp == 7
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("filler", [0, 2])
+@pytest.mark.parametrize("factors, b, a", WRITER_SPECS,
+                         ids=["2xDInf", "DInf-Z6", "DInf-Z-Z4", "3xDInf"])
+def test_lhs_value_matches_the_dag_and_the_written_file(factors, b, a,
+                                                       filler, n):
+    spec = validate_spec(GroupSpec(factors, b, a))
+    data, report, eq = witness_equation(spec, n, filler=filler)
+    parsed = parse_equation(serialize_equation(eq))
+    group = spec.group
+    rng = random.Random(11)
+    solution = g_solution(eq, data, report)
+    perturbed = {name: group.mul(value, group.random_element(rng, 3))
+                 for name, value in solution.items()}
+    in_g = [eq.lhs_value(solution, group.ops)]
+    assert in_g[0] == group.pow(spec.h_a, eq.rhs_exponent)
+    in_g.append(eq.lhs_value(perturbed, group.ops))
+    for lhs in (eq.lhs, parsed.lhs):
+        assert in_g == [evaluate(lhs, solution, group.ops),
+                        evaluate(lhs, perturbed, group.ops)]
+    m = eq.c_rank
+    for delta in [(0,) * m, (1,) * m, (1,) + (0,) * (m - 1),
+                  tuple(rng.randint(0, 1) for _ in range(m))]:
+        assignment = {f"x{j + 1}": DihedralElement(rng.randint(-5, 5), d)
+                      for j, d in enumerate(delta)}
+        assignment.update(
+            (name, DihedralElement(rng.randint(-5, 5), rng.randint(0, 1)))
+            for name in eq.variables() if name not in assignment)
+        value = eq.lhs_value(assignment, DIHEDRAL_OPS)
+        assert value == evaluate(eq.lhs, assignment, DIHEDRAL_OPS)
+        assert value == evaluate(parsed.lhs, assignment, DIHEDRAL_OPS)
+    # G and D-infinity act on an abelian normal subgroup, where the order of
+    # a tower's outer levels cannot show; in S_7 it can
+    perms = {name: tuple(rng.sample(range(7), 7)) for name in eq.variables()}
+    value = eq.lhs_value(perms, PERM_OPS)
+    assert value != PERM_OPS.identity
+    assert value == evaluate(eq.lhs, perms, PERM_OPS)
+    assert value == evaluate(parsed.lhs, perms, PERM_OPS)
+
+
+def test_lhs_follows_the_fields_it_was_built_from(witness_m4):
+    # the kept lhs is rebuilt when a field it was built from changes, so it
+    # agrees with the written file; unchanged fields keep the same DAG
+    eq = analyze(witness_m4[0]).equation
+    lhs = eq.lhs
+    assert eq.lhs is lhs
+    eq.filler = 0
+    assert eq.lhs is lhs
+    rng = random.Random(5)
+    for change in [{"k_values": (7,) + eq.k_values[1:]}, {"n_squares": 2},
+                   {"torsion_order": 3}, {"filler": 2}]:
+        for field, value in change.items():
+            setattr(eq, field, value)
+        parsed = parse_equation(serialize_equation(eq))
+        # in the translations only the trivial character's tower, the
+        # first term, survives
+        assignment = {name: DihedralElement(rng.randint(1, 5), 0)
+                      for name in eq.variables()}
+        value = evaluate(eq.lhs, assignment, DIHEDRAL_OPS)
+        assert value == evaluate(parsed.lhs, assignment, DIHEDRAL_OPS)
+        assert value == eq.lhs_value(assignment, DIHEDRAL_OPS)
+        assert value != IDENTITY
+        assert eq.lhs is eq.lhs
+    assert eq.lhs.parts[0].exp == 7
 
 
 def test_reprs_print_long_integers_by_bit_length():
