@@ -26,6 +26,7 @@ from .words import (
     Equation,
     GroupOps,
     build_witness_equation,
+    x_var,
     y_var,
 )
 
@@ -485,7 +486,7 @@ def g_solution(eq, data, report):
     group = data.spec.group
     assignment = {}
     for j, d in enumerate(data.d_elements):
-        assignment[f"x{j + 1}"] = d
+        assignment[x_var(j)] = d
     for ci, w in enumerate(report.components):
         root = group.identity  # a vanishing component's lift is zero
         for coeff, g in zip(w.lift, data.q_roots):
@@ -498,15 +499,14 @@ def g_solution(eq, data, report):
 
 
 def verify_solution_in_G(eq, assignment, spec):
-    """Evaluate the equation's left-hand side in G and compare with the
-    right-hand side power of a.
+    """Evaluate the equation's left-hand side in G and compare with its
+    right-hand side, a power of a.
 
     A witness is evaluated from its recipe, level by level, with no word
     built; the towers raised to a zero exponent are not evaluated.
     """
     group = spec.group
-    return (eq.rhs_generator == "a"
-            and eq.lhs_value(assignment, group.ops)
+    return (eq.lhs_value(assignment, group.ops)
             == group.pow(spec.h_a, eq.rhs_exponent))
 
 

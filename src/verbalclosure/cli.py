@@ -170,7 +170,7 @@ def _selftest_checks():
     from .dihedral import InvalidEquation, certify_no_solution
     from .involutions import Character, InvolutionModule, project
     from .lattice import AbelianPresentation, Lattice, membership_solve
-    from .words import Concat, Gen, build_w_chi, evaluate
+    from .words import build_v_chi, evaluate, x_var
 
     def swap_module():
         pres = AbelianPresentation(2, [])
@@ -207,21 +207,18 @@ def _selftest_checks():
                    for v in ((1, 0, 0), (3, 5, 1), (-2, 7, 0)))
 
     def nested_word_collapse():
-        # evaluate w_chi through the ambient group and compare with the
-        # eigenprojection collapse on the two-dihedral-factor example
+        # evaluate v_chi at the coset representatives, that is w_chi,
+        # through the ambient group and compare with the eigenprojection
+        # collapse on the two-dihedral-factor example
         spec = validate_spec(GroupSpec([DInf(), DInf()], "b1*b2", "a1^3*a2^5"))
         data = square_data(spec)
         group = spec.group
         q = group.evaluate_word((("a1", 2), ("a2", 4)))  # a1^2 a2^4 in Q
-        assignment = {name: group.generator_element(name)
-                      for name in data.c_names}
+        assignment = {x_var(j): d for j, d in enumerate(data.d_elements)}
         assignment["y"] = q
-        c_exprs = [Concat(tuple(Gen(name)
-                                for name, b in zip(data.c_names, bits) if b))
-                   for bits in data.module.elements]
         total = group.identity
         for chi in data.module.characters:
-            w = build_w_chi(chi, c_exprs)
+            w = build_v_chi(chi, data.coset_words)
             total = group.mul(total, evaluate(w, assignment, group.ops))
         # product over all characters of q^(2^|C|) components reassembles
         # q^(2^|C|) with |C| = 2^c_rank

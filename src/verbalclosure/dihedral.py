@@ -10,10 +10,10 @@ together prove that a witness equation has no dihedral solution.
 
 import operator
 from dataclasses import dataclass, fields
-from itertools import cycle, product
+from itertools import cycle
 
-from .involutions import Character
-from .words import GroupOps, short_repr, y_var
+from .involutions import Character, enumerate_group_elements
+from .words import GroupOps, short_repr, x_var
 
 
 class InvalidEquation(ValueError):
@@ -190,7 +190,7 @@ def certify_no_solution(eq):
     rows = []
     # flip pattern i selects character i: both lists are lexicographic (0
     # before 1, +1 before -1) and chi_j = (-1)^{delta_j}
-    for i, delta in enumerate(product((0, 1), repeat=m)):
+    for i, delta in enumerate(enumerate_group_elements(m)):
         k = eq.used_exponent(i)
         if abs(k) == 1:
             raise InvalidEquation(
@@ -219,24 +219,28 @@ def spot_check_no_solution(eq, bound, trials, seed=0):
 
     A witness is evaluated from its recipe with no word built, so a trial
     costs O(|C|) group operations per tower with a nonzero exponent: the
-    towers raised to a zero filler exponent are not evaluated.  An equation given by its
-    left-hand side is walked once, and that walk serves every trial.
+    towers raised to a zero filler exponent are not evaluated.  An equation
+    given by its left-hand side is walked once, and that walk serves every
+    trial.  A y's value is drawn on its first read, so unread y's cost no
+    draws.
     """
     import random
 
     rng = random.Random(seed)
     m = eq.c_rank
     rhs = DihedralElement(eq.rhs_exponent, 0)
-    n_chars = len(eq.k_values)
-    for _, delta in zip(range(trials), cycle(product((0, 1), repeat=m))):
-        assignment = {}
+
+    class Draws(dict):  # an assignment drawing each y on its first read
+        def __missing__(self, name):
+            value = self[name] = DihedralElement(rng.randint(-bound, bound),
+                                                 rng.randint(0, 1))
+            return value
+
+    for _, delta in zip(range(trials), cycle(enumerate_group_elements(m))):
+        assignment = Draws()
         for j in range(m):
-            assignment[f"x{j + 1}"] = DihedralElement(
+            assignment[x_var(j)] = DihedralElement(
                 rng.randint(-bound, bound), 0) * (B if delta[j] else IDENTITY)
-        for ci in range(n_chars):
-            for i in range(1, eq.n_squares + 1):
-                assignment[y_var(ci, i)] = DihedralElement(
-                    rng.randint(-bound, bound), rng.randint(0, 1))
         if eq.lhs_value(assignment, DIHEDRAL_OPS) == rhs:
             return False
     return True

@@ -10,15 +10,13 @@ the nodes in the same order.  Interpreting needs only the live nodes: the base
 of a zero power is never read, since x^0 = 1 in every group.
 
 A witness equation keeps the recipe of its left-hand side, not the DAG:
-the characters and coset words, with n, |T| and the exponents read from
-its own fields.  It builds a character's tower only when `lhs` is read:
-`Equation.lhs_value` evaluates the terms with a nonzero exponent level by
-level, one product per `_levels` entry, and `serialize_chunks` writes the
-full DAG's post-order straight from the recipe and the tower layout,
-numbering nodes it never builds.  It yields the text tower by tower,
-each level one fill of a template made once per element of C, so a writer
-streaming it to a file holds one tower's text at a time;
-`serialize_equation` joins the chunks.
+its coset words, term i being the tower of the i-th character of C, with n,
+|T| and the exponents read from its fields.  `Equation.lhs` builds the DAG
+on each read; `Equation.lhs_value` evaluates the terms with a nonzero
+exponent level by level, one product per `_levels` entry, and
+`serialize_chunks` writes the DAG's post-order from the recipe, tower by
+tower, each level one fill of a template made once per element of C, so a
+writer streaming it to a file holds one tower's text at a time.
 """
 
 from dataclasses import dataclass
@@ -320,25 +318,30 @@ def build_w_chi(chi, c_exprs):
     bit-tuple order used everywhere; the innermost commutator uses the last
     entry.  The result is a DAG of depth |C| in the single variable y.
     """
-    return _tower(chi, list(c_exprs), Gen("y"))
+    return _tower(_index(chi), chi.rank, list(c_exprs), Gen("y"))
 
 
-def _levels(chi):
-    """(element index, sign) of each skew commutator of chi's tower,
-    innermost first: the innermost commutator uses the last element of C in
-    the enumeration order, and the sign is chi's value on that element.
-
-    chi's values on all of C come from one product over its generator
-    signs, in the lexicographic bit-tuple order of the elements: O(|C|)."""
-    values = [1]
-    for s in chi.signs:
-        values = [v * t for v in values for t in (1, s)]
-    return list(zip(range(len(values) - 1, -1, -1), reversed(values)))
+def _index(chi):
+    """chi's position in `enumerate_characters` order: its signs read as
+    binary digits, -1 as 1, the first generator's the highest."""
+    return sum(1 << j for j, s in enumerate(reversed(chi.signs)) if s == -1)
 
 
-def _tower(chi, c_exprs, body):
-    """Nest skew commutators by c_exprs around body, the last innermost."""
-    levels = _levels(chi)
+def _levels(index, m):
+    """(element index, sign) of each skew commutator of the tower of the
+    index-th character of C, innermost first: the innermost commutator uses
+    the last element of C in the enumeration order, and the sign is the
+    character's value on that element, (-1)^popcount(index & e), as the two
+    indices pair their bits generator by generator (as do the flip patterns
+    and characters of `certify_no_solution`)."""
+    return [(e, -1 if (index & e).bit_count() & 1 else 1)
+            for e in range((1 << m) - 1, -1, -1)]
+
+
+def _tower(index, m, c_exprs, body):
+    """Nest skew commutators by c_exprs around body, the last innermost,
+    with the signs of the index-th character of C."""
+    levels = _levels(index, m)
     if len(c_exprs) != len(levels):
         raise ValueError(f"need {len(levels)} element words, got {len(c_exprs)}")
     for i, sign in levels:
@@ -354,14 +357,23 @@ def build_v_chi(chi, coset_words, y_word=None):
     of the generators whose product represents it.  Substituting the actual
     cosets for the x-variables recovers the nested commutator word exactly.
     """
-    c_exprs = []
-    for indices in coset_words:
-        c_exprs.append(Concat(tuple(Gen(f"x{j + 1}") for j in indices)))
-    return _tower(chi, c_exprs, y_word if y_word is not None else Gen("y"))
+    return _v_tower(_index(chi), chi.rank, coset_words,
+                    y_word if y_word is not None else Gen("y"))
+
+
+def _v_tower(index, m, coset_words, body):
+    """`build_v_chi` of the index-th character of C around body."""
+    c_exprs = [Concat(tuple(Gen(x_var(j)) for j in indices))
+               for indices in coset_words]
+    return _tower(index, m, c_exprs, body)
 
 
 # ---------------------------------------------------------------------------
 # witness equations
+
+
+def x_var(j):
+    return f"x{j + 1}"
 
 
 def y_var(char_index, i):
@@ -372,60 +384,47 @@ class Equation:
     """One-sided equation: lhs(word in x's and y's) = a^rhs_exponent.
 
     Coefficients appear only on the right-hand side, as a power of the
-    distinguished infinite-order generator of the dihedral subgroup.
+    distinguished infinite-order generator a of the dihedral subgroup.
 
     The left-hand side is either given as `lhs`, or by the recipe of the
-    paper's witness: the characters and coset words (as for `build_v_chi`),
-    with one term v_chi^used_exponent per character whose y-block is
-    (prod_i y_{chi,i}^2)^torsion_order, the other facts read from the
-    fields.  Deciding needs only the k values and the right-hand side, and
-    `lhs_value` evaluates a recipe level by level with no word built, while
-    the paper's witness DAG has about 4^c-rank nodes.  `lhs` is that full
-    DAG, built on its first read and kept while n_squares, torsion_order
-    and the used exponents stay those it was built from; the next read
-    after a change to any of them builds it again, towers and all.
+    paper's witness: the coset words (as for `build_v_chi`), with one term
+    v_chi^used_exponent per character of C in `enumerate_characters` order,
+    whose y-block is (prod_i y_{chi,i}^2)^torsion_order, the other facts
+    read from the fields.  Deciding needs only the k values and the
+    right-hand side, and `lhs_value` evaluates a recipe level by level with
+    no word built, while the paper's witness DAG has about 4^c-rank nodes.
+    For a recipe, `lhs` is that full DAG, built from the current fields,
+    towers and all, each time it is read.
     """
 
-    def __init__(self, lhs=None, *, rhs_generator, rhs_exponent, c_rank,
-                 torsion_order, n_squares, filler, k_values,
-                 characters=None, coset_words=None):
-        if (lhs is None) == (characters is None):
-            raise TypeError("give exactly one of lhs and characters")
+    def __init__(self, lhs=None, *, rhs_exponent, c_rank, torsion_order,
+                 n_squares, filler, k_values, coset_words=None):
+        if (lhs is None) == (coset_words is None):
+            raise TypeError("give exactly one of lhs and coset_words")
         self._lhs = lhs
-        self.rhs_generator = rhs_generator
         self.rhs_exponent = rhs_exponent
         self.c_rank = c_rank
         self.torsion_order = torsion_order
         self.n_squares = n_squares
         self.filler = filler
         self.k_values = k_values  # raw per-character contents, enumeration order
-        self._recipe = None if characters is None else (
-            tuple(characters), tuple(coset_words))
-        self._lhs_key = None  # the fields a recipe's kept lhs was built from
+        self._coset_words = None if coset_words is None else tuple(coset_words)
         self._live_order = None  # a given lhs's live post-order, walked once
-
-    def _v_chi(self, ci):
-        """v_chi of the ci-th character around its y-block."""
-        characters, coset_words = self._recipe
-        squares = Concat(tuple(Pow(Gen(y_var(ci, i)), 2)
-                               for i in range(1, self.n_squares + 1)))
-        return build_v_chi(characters[ci], coset_words,
-                           y_word=Pow(squares, self.torsion_order))
 
     def _exponents(self):
         return map(self.used_exponent, range(len(self.k_values)))
 
     @property
     def lhs(self):
-        if self._recipe is None:
+        if self._coset_words is None:
             return self._lhs
-        exponents = tuple(self._exponents())
-        key = (self.n_squares, self.torsion_order, exponents)
-        if key != self._lhs_key:
-            self._lhs = Concat(tuple(Pow(self._v_chi(ci), e)
-                                     for ci, e in enumerate(exponents)))
-            self._lhs_key = key
-        return self._lhs
+        terms = []
+        for ci, e in enumerate(self._exponents()):
+            squares = Concat(tuple(Pow(Gen(y_var(ci, i)), 2)
+                                   for i in range(1, self.n_squares + 1)))
+            terms.append(Pow(_v_tower(ci, self.c_rank, self._coset_words,
+                                      Pow(squares, self.torsion_order)), e))
+        return Concat(tuple(terms))
 
     def lhs_value(self, assignment, ops):
         """Value of the left-hand side under `assignment` over `ops`, equal
@@ -439,12 +438,11 @@ class Equation:
         interpreted over its live post-order, walked on the first call and
         kept for the next.
         """
-        if self._recipe is None:
+        if self._coset_words is None:
             if self._live_order is None:
                 self._live_order = postorder(self._lhs, live=True)
             return interpret(self._live_order, assignment, ops)
         mul, inv = ops.mul, ops.inv
-        characters, coset_words = self._recipe
         n, torsion = self.n_squares, self.torsion_order
         value = ops.identity
         cosets = None
@@ -453,17 +451,17 @@ class Equation:
                 continue
             if cosets is None:
                 cosets = []
-                for indices in coset_words:
+                for indices in self._coset_words:
                     c = ops.identity
                     for j in indices:
-                        c = mul(c, _read(assignment, f"x{j + 1}"))
+                        c = mul(c, _read(assignment, x_var(j)))
                     cosets.append((c, inv(c)))
             body = ops.identity
             for i in range(1, n + 1):
                 y = _read(assignment, y_var(ci, i))
                 body = mul(body, mul(y, y))
             body = _power(body, torsion, ops)
-            for i, sign in _levels(characters[ci]):
+            for i, sign in _levels(ci, self.c_rank):
                 c, c_inv = cosets[i]
                 body = mul(mul(mul(body, c), body if sign == 1 else inv(body)),
                            c_inv)
@@ -471,9 +469,9 @@ class Equation:
         return value
 
     def __repr__(self):
-        # an unread left-hand side stays unbuilt
-        lhs = "<built on first read>" if self._lhs is None else repr(self.lhs)
-        return (f"Equation(lhs={lhs}, rhs_generator={self.rhs_generator!r}, "
+        # a recipe's left-hand side stays unbuilt
+        lhs = "<built when read>" if self._lhs is None else repr(self._lhs)
+        return (f"Equation(lhs={lhs}, "
                 f"rhs_exponent={short_repr(self.rhs_exponent)}, "
                 f"c_rank={self.c_rank}, torsion_order={self.torsion_order}, "
                 f"n_squares={self.n_squares}, filler={self.filler}, "
@@ -488,7 +486,7 @@ class Equation:
         return k if k != 0 else self.filler
 
     def variables(self):
-        return [f"x{j + 1}" for j in range(self.c_rank)] + [
+        return [x_var(j) for j in range(self.c_rank)] + [
             y_var(ci, i) for ci in range(len(self.k_values))
             for i in range(1, self.n_squares + 1)]
 
@@ -512,15 +510,14 @@ def build_witness_equation(report, n, torsion_order, c_rank, coset_words,
     # right-hand side a^(2 * 2^|C| * |T|): each of the |C| commutator
     # nestings doubles the exponent once
     return Equation(
-        rhs_generator="a",
         rhs_exponent=2 * (1 << c_size) * torsion_order,
         c_rank=c_rank,
         torsion_order=torsion_order,
         n_squares=n,
         filler=filler,
-        # `is_simple` lists the components in `enumerate_characters` order
+        # `is_simple` lists the components in `enumerate_characters` order,
+        # the order of the recipe's terms
         k_values=tuple(w.content for w in report.components),
-        characters=[w.character for w in report.components],
         coset_words=coset_words,
     )
 
@@ -552,13 +549,13 @@ def serialize_chunks(eq):
            f"(n {eq.n_squares}) (filler {eq.filler})\n"
            f"  (k{''.join(' ' + str(k) for k in eq.k_values)})\n"
            " (nodes\n")
-    if eq._recipe is None:
+    if eq._coset_words is None:
         root = yield from _walk_lines(eq.lhs)
     else:
-        root = yield from _recipe_lines(*eq._recipe, eq.n_squares,
-                                        eq.torsion_order, eq._exponents())
-    yield (f" )\n (lhs n{root})\n"
-           f" (rhs {eq.rhs_generator} {eq.rhs_exponent}))\n")
+        root = yield from _recipe_lines(eq._coset_words, eq.c_rank,
+                                        eq.n_squares, eq.torsion_order,
+                                        eq._exponents())
+    yield f" )\n (lhs n{root})\n (rhs a {eq.rhs_exponent}))\n"
 
 
 def _walk_lines(lhs):
@@ -595,7 +592,7 @@ def _level_templates(coset_words):
         # c's field; fields 1 .. c - 1 are its generators.  `%` writes the
         # field numbers here, and `format` each level's labels into them
         c = len(indices) + 1
-        word = "".join(f"  (n{{{t}}} (gen x{j + 1}))\n"
+        word = "".join(f"  (n{{{t}}} (gen {x_var(j)}))\n"
                        for t, j in enumerate(indices, 1))
         word += ("  (n{%d} (cat" % c
                  + "".join(f" n{{{t}}}" for t in range(1, c)) + "))\n")
@@ -609,7 +606,7 @@ def _level_templates(coset_words):
     return plus, minus
 
 
-def _recipe_lines(characters, coset_words, n, torsion, exponents):
+def _recipe_lines(coset_words, m, n, torsion, exponents):
     """`_walk_lines` of a recipe's left-hand side, from the tower layout:
     yields one chunk per term, then the root's line; returns the root's
     label number.
@@ -622,7 +619,7 @@ def _recipe_lines(characters, coset_words, n, torsion, exponents):
     plus, minus = _level_templates(coset_words)
     k = 0  # the next label number
     terms = ""
-    for ci, (chi, e) in enumerate(zip(characters, exponents)):
+    for ci, e in enumerate(exponents):
         parts = []
         squares = ""
         for i in range(1, n + 1):
@@ -633,7 +630,7 @@ def _recipe_lines(characters, coset_words, n, torsion, exponents):
         parts.append(f"  (n{k} (cat{squares}))\n"
                      f"  (n{k + 1} (pow n{k} {torsion}))\n")
         body = k + 1
-        for i, sign in _levels(chi):
+        for i, sign in _levels(ci, m):
             template, size = plus[i] if sign == 1 else minus[i]
             parts.append(template.format(*range(body, body + size + 1)))
             body += size
@@ -710,7 +707,6 @@ def parse_equation(text):
             raise ValueError("the right-hand side must be a power of a")
         return Equation(
             lhs=built[fields["lhs"][0]],
-            rhs_generator=fields["rhs"][0],
             rhs_exponent=int(fields["rhs"][1]),
             c_rank=c_rank,
             torsion_order=int(fields["torsion"][0]),

@@ -15,7 +15,12 @@ from itertools import product
 
 import pytest
 
-from util import SemidirectGroup, random_decomposable_module, random_module
+from util import (
+    SemidirectGroup,
+    canonical_coset_words,
+    random_decomposable_module,
+    random_module,
+)
 
 import verbalclosure as vc
 from verbalclosure.dihedral import DIHEDRAL_OPS, DihedralElement, IDENTITY
@@ -114,9 +119,7 @@ def test_criterion_3_two_factor_end_to_end():
 def test_criterion_4_closed_form_law():
     t0 = time.perf_counter()
     m = 4
-    elements = vc.enumerate_group_elements(m)
-    coset_words = [tuple(j for j, b in enumerate(bits) if b)
-                   for bits in elements]
+    coset_words = canonical_coset_words(m)
     alpha = vc.Character((1, -1, 1, 1))
     alphabeta = vc.Character((1, -1, 1, -1))
     rng = random.Random(2024)

@@ -5,6 +5,9 @@ from itertools import product
 
 import pytest
 
+from util import canonical_coset_words, count_calls
+
+from verbalclosure.ambient import DInf, GroupSpec, analyze, validate_spec
 from verbalclosure.dihedral import (
     A,
     B,
@@ -23,10 +26,17 @@ from verbalclosure.involutions import (
     Character,
     InvolutionModule,
     enumerate_characters,
-    enumerate_group_elements,
 )
 from verbalclosure.lattice import AbelianPresentation
-from verbalclosure.words import build_v_chi, build_witness_equation, evaluate, skew_commutator, Gen
+from verbalclosure.words import (
+    Gen,
+    build_v_chi,
+    build_witness_equation,
+    evaluate,
+    parse_equation,
+    serialize_equation,
+    skew_commutator,
+)
 
 
 def rand_elt(rng, bound=20):
@@ -99,9 +109,7 @@ def test_skew_commutator_dihedral_law():
 
 def test_closed_form_matches_dag_m2():
     m = 2
-    elements = enumerate_group_elements(m)
-    coset_words = [tuple(j for j, b in enumerate(bits) if b)
-                   for bits in elements]
+    coset_words = canonical_coset_words(m)
     rng = random.Random(12)
     for signs in product((1, -1), repeat=m):
         chi = Character(signs)
@@ -128,8 +136,7 @@ def _witness_equation(filler=0, n=1, torsion=1):
     pres = AbelianPresentation(2, [])
     mod = InvolutionModule(pres, [[[-1, 0], [0, 1]], [[1, 0], [0, -1]]])
     rep = mod.is_simple((2, 3))
-    coset_words = [tuple(j for j, b in enumerate(bits) if b)
-                   for bits in enumerate_group_elements(2)]
+    coset_words = canonical_coset_words(2)
     return build_witness_equation(rep, n, torsion, 2, coset_words,
                                   filler=filler)
 
@@ -168,10 +175,9 @@ def test_certificate_detects_tampering():
 
 def test_certificate_rejects_unit_exponent():
     eq = _witness_equation()
-    hacked = type(eq)(lhs=eq.lhs, rhs_generator=eq.rhs_generator,
-                      rhs_exponent=eq.rhs_exponent, c_rank=eq.c_rank,
-                      torsion_order=eq.torsion_order, n_squares=eq.n_squares,
-                      filler=eq.filler,
+    hacked = type(eq)(lhs=eq.lhs, rhs_exponent=eq.rhs_exponent,
+                      c_rank=eq.c_rank, torsion_order=eq.torsion_order,
+                      n_squares=eq.n_squares, filler=eq.filler,
                       k_values=(1,) + eq.k_values[1:])
     with pytest.raises(InvalidEquation):
         certify_no_solution(hacked)
@@ -216,14 +222,29 @@ def test_spot_check_detects_solvable_equation():
     from verbalclosure.words import Equation, Pow, Gen as G, Concat
 
     m = 1
-    elements = enumerate_group_elements(m)
-    coset_words = [tuple(j for j, b in enumerate(bits) if b)
-                   for bits in elements]
+    coset_words = canonical_coset_words(m)
     chi = Character((-1,))
     block = Pow(Concat((Pow(G("y_1_1"), 2),)), 1)
     v = build_v_chi(chi, coset_words, y_word=block)
-    eq = Equation(lhs=Concat((Pow(v, 1),)), rhs_generator="a",
-                  rhs_exponent=2 * (1 << 2), c_rank=1, torsion_order=1,
-                  n_squares=1, filler=0, k_values=(0, 1))
+    eq = Equation(lhs=Concat((Pow(v, 1),)), rhs_exponent=2 * (1 << 2),
+                  c_rank=1, torsion_order=1, n_squares=1, filler=0,
+                  k_values=(0, 1))
     # delta = (1,) with y = a gives a^(2*4) = rhs; the sampler must find it
     assert not spot_check_no_solution(eq, bound=3, trials=2000, seed=0)
+
+
+@pytest.mark.parametrize("filler, live", [(0, 2), (2, 16)])
+def test_spot_check_draws_only_the_variables_it_reads(monkeypatch, filler,
+                                                      live):
+    # a trial draws each x's translation, then a y's translation and flip
+    # on its first read: with filler 0 only the 2 y's of the m = 4
+    # witness's nonzero components are read, with filler 2 all 16; a parsed
+    # equation reads the same ones
+    spec = validate_spec(GroupSpec([DInf(), DInf()], "b1*b2", "a1^3*a2^5"))
+    eq = analyze(spec, filler=filler).equation
+    parsed = parse_equation(serialize_equation(eq))
+    draws = count_calls(monkeypatch, random.Random, "randint")
+    for equation in (eq, parsed):
+        draws.clear()
+        assert spot_check_no_solution(equation, bound=10, trials=8)
+        assert len(draws) == 8 * (eq.c_rank + 2 * live)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from util import count_calls, dag_nodes, witness_equation
+from util import canonical_coset_words, count_calls, dag_nodes, witness_equation
 
 import verbalclosure.words as words
 from verbalclosure import (
@@ -193,8 +193,7 @@ def _nonsimple_report():
 
 def test_build_witness_equation_shape():
     mod, rep = _nonsimple_report()
-    coset_words = [tuple(j for j, b in enumerate(bits) if b)
-                   for bits in enumerate_group_elements(2)]
+    coset_words = canonical_coset_words(2)
     eq = build_witness_equation(rep, 1, 1, 2, coset_words)
     assert eq.rhs_exponent == 2 * (1 << 4) * 1
     assert eq.c_rank == 2 and eq.c_size == 4
@@ -207,8 +206,7 @@ def test_build_witness_equation_shape():
 
 def test_build_witness_equation_preconditions():
     mod, rep = _nonsimple_report()
-    coset_words = [tuple(j for j, b in enumerate(bits) if b)
-                   for bits in enumerate_group_elements(2)]
+    coset_words = canonical_coset_words(2)
     with pytest.raises(ValueError):
         build_witness_equation(rep, 1, 1, 2, coset_words, filler=1)
     with pytest.raises(ValueError):
@@ -222,8 +220,7 @@ def test_build_witness_equation_preconditions():
 
 def test_used_exponent_and_filler():
     mod, rep = _nonsimple_report()
-    coset_words = [tuple(j for j, b in enumerate(bits) if b)
-                   for bits in enumerate_group_elements(2)]
+    coset_words = canonical_coset_words(2)
     eq = build_witness_equation(rep, 1, 1, 2, coset_words, filler=2)
     for ci, k in enumerate(eq.k_values):
         assert eq.used_exponent(ci) == (k if k else 2)
@@ -235,8 +232,7 @@ def test_v_chi_substitution_recovers_w_chi():
     rng = random.Random(8)
     m = 2
     elements = enumerate_group_elements(m)
-    coset_words = [tuple(j for j, b in enumerate(bits) if b)
-                   for bits in elements]
+    coset_words = canonical_coset_words(m)
     for signs in [(1, 1), (1, -1), (-1, -1)]:
         chi = Character(signs)
         v = build_v_chi(chi, coset_words)
@@ -263,8 +259,7 @@ def test_v_chi_substitution_recovers_w_chi():
 
 def test_serialization_round_trip_preserves_sharing():
     mod, rep = _nonsimple_report()
-    coset_words = [tuple(j for j, b in enumerate(bits) if b)
-                   for bits in enumerate_group_elements(2)]
+    coset_words = canonical_coset_words(2)
     eq = build_witness_equation(rep, 2, 3, 2, coset_words, filler=0)
     text = serialize_equation(eq)
     eq2 = parse_equation(text)
@@ -284,12 +279,10 @@ def test_serialization_of_a_deep_tower():
     # a tower over 2^9 group elements nests 512 levels deep, past the
     # default recursion limit of a recursive walk
     m = 9
-    coset_words = [tuple(j for j, b in enumerate(bits) if b)
-                   for bits in enumerate_group_elements(m)]
+    coset_words = canonical_coset_words(m)
     eq = Equation(lhs=build_v_chi(Character((-1,) * m), coset_words),
-                  rhs_generator="a", rhs_exponent=2, c_rank=m,
-                  torsion_order=1, n_squares=1, filler=0,
-                  k_values=(0,) * (1 << m))
+                  rhs_exponent=2, c_rank=m, torsion_order=1, n_squares=1,
+                  filler=0, k_values=(0,) * (1 << m))
     text = serialize_equation(eq)
     eq2 = parse_equation(text)
     assert serialize_equation(eq2) == text
@@ -303,12 +296,30 @@ def witness_m4():
     return spec, analyze(spec)
 
 
-def test_witness_lhs_is_built_once_on_first_read(witness_m4, monkeypatch):
-    calls = count_calls(monkeypatch, words, "build_v_chi")
+def _given(eq, lhs):
+    """eq's fields with `lhs` given in place of its recipe."""
+    return Equation(lhs=lhs, rhs_exponent=eq.rhs_exponent, c_rank=eq.c_rank,
+                    torsion_order=eq.torsion_order, n_squares=eq.n_squares,
+                    filler=eq.filler, k_values=eq.k_values)
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_levels_read_the_character_by_index(m):
+    # index i is the i-th character of enumerate_characters, and each
+    # level's sign is its value on that level's element, innermost last
+    elements = list(enumerate(enumerate_group_elements(m)))
+    for i, chi in enumerate(enumerate_characters(m)):
+        assert words._index(chi) == i
+        assert words._levels(i, m) == [(e, chi.on_element(bits))
+                                       for e, bits in reversed(elements)]
+
+
+def test_witness_lhs_is_built_on_each_read(witness_m4, monkeypatch):
+    towers = count_calls(monkeypatch, words, "_tower")
     verdict = analyze(witness_m4[0])
     eq = verdict.equation
-    assert "<built on first read>" in repr(verdict)
-    assert calls == []
+    assert "<built when read>" in repr(verdict)
+    assert towers == []
     # the same equation with its lhs built eagerly through build_v_chi
     data = verdict.data
     terms = []
@@ -318,35 +329,40 @@ def test_witness_lhs_is_built_once_on_first_read(witness_m4, monkeypatch):
         v = build_v_chi(chi, data.coset_words,
                         y_word=Pow(squares, eq.torsion_order))
         terms.append(Pow(v, eq.used_exponent(ci)))
-    eager = Equation(lhs=Concat(tuple(terms)),
-                     rhs_generator=eq.rhs_generator,
-                     rhs_exponent=eq.rhs_exponent, c_rank=eq.c_rank,
-                     torsion_order=eq.torsion_order, n_squares=eq.n_squares,
-                     filler=eq.filler, k_values=eq.k_values)
-    assert serialize_equation(eq) == serialize_equation(eager)
-    assert eq.lhs is eq.lhs
-    assert len(calls) == 1 << eq.c_rank
-    assert "<built on first read>" not in repr(verdict)
+    eager = serialize_equation(_given(eq, Concat(tuple(terms))))
+    towers.clear()
+    assert serialize_equation(eq) == eager
+    assert towers == []
+    # every read builds every tower again, and keeps none of them
+    lhs = eq.lhs
+    assert len(towers) == 1 << eq.c_rank
+    assert eq.lhs is not lhs
+    assert len(towers) == 2 << eq.c_rank
+    assert serialize_equation(_given(eq, lhs)) == eager
+    assert "<built when read>" in repr(verdict)
     with pytest.raises(TypeError):
-        Equation(rhs_generator="a", rhs_exponent=2, c_rank=0, torsion_order=1,
-                 n_squares=1, filler=0, k_values=(0,))
+        Equation(rhs_exponent=2, c_rank=0, torsion_order=1, n_squares=1,
+                 filler=0, k_values=(0,))
 
 
 def test_verify_builds_no_tower(witness_m4, monkeypatch):
-    calls = count_calls(monkeypatch, words, "build_v_chi")
+    towers = count_calls(monkeypatch, words, "_tower")
     walks = count_calls(monkeypatch, words, "postorder")
     spec = witness_m4[0]
     for filler, count in [(0, 271), (2, 2027)]:
-        calls.clear()
+        towers.clear()
         walks.clear()
         verdict = analyze(spec, filler=filler)
         eq = verdict.equation
         assert verify_solution_in_G(eq, verdict.solution, spec)
         assert spot_check_no_solution(eq, bound=10, trials=8)
-        assert calls == [] and walks == []
+        assert towers == [] and walks == []
+        # the full lhs builds every tower
+        lhs = eq.lhs
+        assert len(towers) == 1 << eq.c_rank
         d_values = {name: DihedralElement(3, 1) for name in eq.variables()}
         results = []
-        for value in (eq.lhs_value, lambda *args: evaluate(eq.lhs, *args)):
+        for value in (eq.lhs_value, lambda *args: evaluate(lhs, *args)):
             ops = CountingOps(spec.group.ops)
             dops = CountingOps(DIHEDRAL_OPS)
             results.append((value(verdict.solution, ops), ops.count,
@@ -357,8 +373,6 @@ def test_verify_builds_no_tower(witness_m4, monkeypatch):
         # one product per coset word and three per level, against the DAG's
         # Concat of c and four products per level
         assert recipe[1] == recipe[3] < count
-        # the full lhs builds every tower
-        assert len(calls) == 1 << eq.c_rank
 
 
 def test_spot_check_walks_a_given_lhs_once(witness_m4, monkeypatch):
@@ -384,13 +398,9 @@ def test_witness_writer_matches_the_walk(factors, b, a, filler, n):
     _, _, eq = witness_equation(validate_spec(GroupSpec(factors, b, a)), n,
                                 filler=filler)
     written = serialize_equation(eq)
-    assert "<built on first read>" in repr(eq)
+    assert "<built when read>" in repr(eq)
     # the same left-hand side, written by the generic walk
-    walked = serialize_equation(Equation(
-        lhs=eq.lhs, rhs_generator=eq.rhs_generator,
-        rhs_exponent=eq.rhs_exponent, c_rank=eq.c_rank,
-        torsion_order=eq.torsion_order, n_squares=eq.n_squares,
-        filler=eq.filler, k_values=eq.k_values))
+    walked = serialize_equation(_given(eq, eq.lhs))
     assert written == walked
     assert serialize_equation(eq) == walked
     assert serialize_equation(parse_equation(walked)) == walked
@@ -449,13 +459,9 @@ def test_lhs_value_matches_the_dag_and_the_written_file(factors, b, a,
 
 
 def test_lhs_follows_the_fields_it_was_built_from(witness_m4):
-    # the kept lhs is rebuilt when a field it was built from changes, so it
-    # agrees with the written file; unchanged fields keep the same DAG
+    # lhs is built from the current fields on each read, so after any of
+    # them changes it agrees with the written file and with lhs_value
     eq = analyze(witness_m4[0]).equation
-    lhs = eq.lhs
-    assert eq.lhs is lhs
-    eq.filler = 0
-    assert eq.lhs is lhs
     rng = random.Random(5)
     for change in [{"k_values": (7,) + eq.k_values[1:]}, {"n_squares": 2},
                    {"torsion_order": 3}, {"filler": 2}]:
@@ -470,7 +476,6 @@ def test_lhs_follows_the_fields_it_was_built_from(witness_m4):
         assert value == evaluate(parsed.lhs, assignment, DIHEDRAL_OPS)
         assert value == eq.lhs_value(assignment, DIHEDRAL_OPS)
         assert value != IDENTITY
-        assert eq.lhs is eq.lhs
     assert eq.lhs.parts[0].exp == 7
 
 
@@ -484,12 +489,11 @@ def test_reprs_print_long_integers_by_bit_length():
     assert repr(Pow(Gen("y"), -2 ** 20000)) == (
         "Pow(exp=<-20001-bit int>, length=<20001-bit int>)")
     assert repr(Pow(Gen("y"), -3)) == "Pow(exp=-3, length=3)"
-    eq = Equation(lhs=big, rhs_generator="a", rhs_exponent=2 ** 20000,
-                  c_rank=0, torsion_order=1, n_squares=1, filler=0,
-                  k_values=(0,))
+    eq = Equation(lhs=big, rhs_exponent=2 ** 20000, c_rank=0,
+                  torsion_order=1, n_squares=1, filler=0, k_values=(0,))
     assert repr(eq) == (
         "Equation(lhs=Pow(exp=<20001-bit int>, length=<20001-bit int>), "
-        "rhs_generator='a', rhs_exponent=<20001-bit int>, c_rank=0, "
+        "rhs_exponent=<20001-bit int>, c_rank=0, "
         "torsion_order=1, n_squares=1, filler=0, k_values=(0,))")
     # a c_rank-14 tower: its length 3 * 2^(2^14) - 2 has 4,933 digits
     tower = build_w_chi(Character((-1,) * 14), [Gen("c")] * (1 << 14))
@@ -513,15 +517,14 @@ def test_witness_text_streams_tower_by_tower():
     assert total == 14_396_844
     assert chunks > 1 << m
     assert longest <= 2 * total / (1 << m)
-    assert "<built on first read>" in repr(eq)
+    assert "<built when read>" in repr(eq)
 
 
 @pytest.mark.parametrize("matching", [True, False])
 def test_evaluate_a_deep_tower(matching):
     # 2^10 nested commutators: a recursive walk exceeds the recursion limit
     m = 10
-    coset_words = [tuple(j for j, b in enumerate(bits) if b)
-                   for bits in enumerate_group_elements(m)]
+    coset_words = canonical_coset_words(m)
     delta = (1, 0) * (m // 2)
     chi = character_of_substitution(delta)
     if not matching:

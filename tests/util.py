@@ -1,9 +1,10 @@
 """Shared test helpers: random module generators, a semidirect product
 group for evaluating words against direct module arithmetic, a DAG node
-counter, a call counter and the witness pipeline with n squares."""
+counter, a call counter, the canonical coset words and the witness
+pipeline with n squares."""
 
 from verbalclosure.ambient import image_of_a_squared, square_data
-from verbalclosure.involutions import InvolutionModule
+from verbalclosure.involutions import InvolutionModule, enumerate_group_elements
 from verbalclosure.lattice import AbelianPresentation, eye, mat_inv, mat_mul, mat_vec
 from verbalclosure.words import Concat, Inv, Pow, build_witness_equation
 
@@ -186,3 +187,10 @@ def witness_equation(spec, n, filler=0):
     eq = build_witness_equation(report, n, data.presentation.torsion_order,
                                 data.c_rank, data.coset_words, filler=filler)
     return data, report, eq
+
+
+def canonical_coset_words(m):
+    """Per element of C in enumeration order, the indices of the generators
+    whose product spells it, as `SquareData.coset_words` lists them."""
+    return [tuple(j for j, b in enumerate(bits) if b)
+            for bits in enumerate_group_elements(m)]
