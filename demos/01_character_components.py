@@ -39,8 +39,7 @@ def main():
         print(f"  {chi.label()}: basis {L.basis}")
 
     closure = Lattice.from_generators(
-        [(Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(-1, 2))],
-        dim=2)
+        [(Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(-1, 2))])
     coeffs = membership_solve(closure, q)
     print(f"\n{q} over the eigenbasis (1/2,1/2), (1/2,-1/2): "
           f"coefficients {coeffs}")

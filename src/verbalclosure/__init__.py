@@ -65,7 +65,6 @@ from .lattice import (
     kernel_basis,
     membership_solve,
     smith_normal_form,
-    solve_integer_combination,
 )
 from .words import (
     Concat,

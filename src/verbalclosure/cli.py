@@ -143,8 +143,13 @@ def cmd_analyze(args):
         payload["elapsed_seconds"] = elapsed
     if args.emit_equation and verdict.equation is not None:
         # streamed tower by tower, so memory does not grow with the file
-        with open(args.emit_equation, "w") as fh:
-            fh.writelines(serialize_chunks(verdict.equation))
+        try:
+            with open(args.emit_equation, "w") as fh:
+                fh.writelines(serialize_chunks(verdict.equation))
+        except OSError as exc:
+            print(f"error: cannot write {args.emit_equation}: {exc}",
+                  file=sys.stderr)
+            return 2
         lines.append(f"equation written to {args.emit_equation}")
     if args.format == "structured":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -180,7 +185,7 @@ def _selftest_checks():
             return False
         closure = Lattice.from_generators(
             [(Fraction(1, 2), Fraction(1, 2)),
-             (Fraction(1, 2), Fraction(-1, 2))], dim=2)
+             (Fraction(1, 2), Fraction(-1, 2))])
         if membership_solve(closure, (2, 5)) != (7, -3):
             return False
         return not mod.is_simple((2, 5)).simple

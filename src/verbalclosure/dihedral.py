@@ -29,11 +29,6 @@ class DihedralElement:
         self.translation = translation
         self.flip = flip & 1
 
-    @classmethod
-    def from_flip_first(cls, flip, translation):
-        """Convert b^e * a^k to canonical form (b a^k = a^-k b)."""
-        return cls(-translation if flip & 1 else translation, flip)
-
     def __mul__(self, other):
         if self.flip:
             return DihedralElement(self.translation - other.translation,
@@ -58,12 +53,6 @@ class DihedralElement:
 
     def __hash__(self):
         return hash((self.translation, self.flip))
-
-    @property
-    def order(self):
-        if self.flip:
-            return 2
-        return 1 if self.translation == 0 else 0  # 0 marks infinite order
 
     def is_identity(self):
         return self.flip == 0 and self.translation == 0
@@ -219,10 +208,8 @@ def spot_check_no_solution(eq, bound, trials, seed=0):
 
     A witness is evaluated from its recipe with no word built, so a trial
     costs O(|C|) group operations per tower with a nonzero exponent: the
-    towers raised to a zero filler exponent are not evaluated.  An equation
-    given by its left-hand side is walked once, and that walk serves every
-    trial.  A y's value is drawn on its first read, so unread y's cost no
-    draws.
+    towers raised to a zero filler exponent are not evaluated.  A y's value
+    is drawn on its first read, so unread y's cost no draws.
     """
     import random
 

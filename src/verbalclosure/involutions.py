@@ -11,20 +11,19 @@ Every eigenprojection is read from one table, `_eigensplit`.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 from .lattice import (
     AbelianPresentation,
     Lattice,
     NotInLattice,
     eye,
-    is_zero_vector,
     kernel_basis,
     mat_mul,
     mat_vec,
     membership_solve,
     smith_normal_form,
     snf_diagonal,
-    vec_gcd,
     vec_sub,
 )
 
@@ -63,9 +62,6 @@ class Character:
             if b:
                 value *= s
         return value
-
-    def is_trivial(self):
-        return all(s == 1 for s in self.signs)
 
     def label(self):
         return "chi(" + "".join("+" if s == 1 else "-" for s in self.signs) + ")"
@@ -223,7 +219,7 @@ class InvolutionModule:
             x = membership_solve(self.eigenlattice_free(chi), v)
             if x is None:
                 raise NotInLattice(f"{v} is not in the lattice")
-            k = vec_gcd(x)
+            k = gcd(*x)
             if k == 1:
                 return SimplicityReport(simple=True, witness_character=chi)
             components[chi] = k, tuple(c // k for c in x)
@@ -244,10 +240,10 @@ class InvolutionModule:
         """
         v = self.project_free(q, chi)
         L = self.eigenlattice_free(chi)
-        coords = None if is_zero_vector(v) else L.integer_coordinates(v)
+        coords = L.integer_coordinates(v) if any(v) else None
         if coords is None or len(coords) == 0:
             raise NotSimple("element has no primitive component at this character")
-        if vec_gcd(coords) != 1:
+        if gcd(*coords) != 1:
             raise NotSimple("component is not primitive at this character")
         # the one-row Smith form U [coords] V = [1, 0, ...] gives the Bezout
         # vector mu = U[0][0] * (column 0 of V) with mu . coords = 1

@@ -43,17 +43,6 @@ def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
-def is_zero_vector(v):
-    return all(a == 0 for a in v)
-
-
-def vec_gcd(v):
-    g = 0
-    for a in v:
-        g = gcd(g, abs(a))
-    return g
-
-
 def _integral(rows):
     """Rational rows scaled by their least common denominator, as
     (integer rows, denominator)."""
@@ -200,16 +189,6 @@ def kernel_basis(M, cols=None):
     return [tuple(V[i][j] for i in range(c)) for j in free]
 
 
-def solve_integer_combination(generators, target):
-    """Integer coefficients c with sum_i c_i * generators[i] = target.
-
-    Generators and target may have rational entries.  Returns a tuple of
-    ints, or None when target is not in the integer span; with no
-    generators, () for a zero target.
-    """
-    return membership_solve(Lattice.from_generators(generators), target)
-
-
 # ---------------------------------------------------------------------------
 # lattices
 
@@ -242,7 +221,7 @@ class Lattice:
         of U Mg = D V^-1 at the nonzero invariant factors are that basis B.
         Then I (denom B) V = D over the rank, so the one Smith form of the
         generators is that of the basis too, and its s are basis
-        coordinates.
+        coordinates.  `dim` is not read; the benchmark's tracer passes it.
         """
         L = cls.__new__(cls)
         rows = L._eliminate(generators)
@@ -272,7 +251,7 @@ class Lattice:
         when v is outside the rational span: x Mg = v reads s D = (denom v) V
         with x = s U, so v is in the span iff (v V)_j = 0 past the rank."""
         if not self.generators:
-            return [] if is_zero_vector(v) else None
+            return None if any(v) else []
         (w,), e = _integral([v])  # w = e v
         t = mat_mul([w], self._v)[0]
         if any(t[self.rank:]):
@@ -324,7 +303,7 @@ def content_and_primitive_part(v, L):
     coords = L.integer_coordinates(v)
     if coords is None:
         raise NotInLattice(f"{v} is not in the lattice")
-    k = vec_gcd(coords)
+    k = gcd(*coords)
     return k, tuple(x / k for x in v) if k else v
 
 
@@ -378,13 +357,11 @@ class AbelianPresentation:
 
     def free_coordinates(self, vec):
         """Image of an element in Z^free_rank, killing torsion exactly."""
-        return tuple(sum(row[i] * vec[i] for i in range(self.rank))
-                     for row in self._proj)
+        return mat_vec(self._proj, vec)
 
     def lift_free(self, fvec):
         """A preferred ambient representative of a free-coordinate vector."""
-        return tuple(sum(row[j] * fvec[j] for j in range(self.free_rank))
-                     for row in self._lift)
+        return mat_vec(self._lift, fvec)
 
     def in_relation_lattice(self, vec):
         y = mat_vec(self._u, vec)

@@ -253,10 +253,11 @@ def evaluate(word, assignment, ops):
     return interpret(postorder(word, live=True), assignment, ops)
 
 
-def flatten(word, cap=REDUCE_CAP):
+def flatten(word):
     """Letter sequence [(name, +-1), ...] of the word, unreduced."""
-    if word.length > cap:
-        raise TooLarge(f"flattened length {word.length} exceeds cap {cap}")
+    if word.length > REDUCE_CAP:
+        raise TooLarge(f"flattened length {word.length} exceeds cap "
+                       f"{REDUCE_CAP}")
     out = []
 
     def go(w, sign):
@@ -290,13 +291,13 @@ def free_reduce(letters):
     return stack
 
 
-def reduce(word, cap=REDUCE_CAP):
+def reduce(word):
     """Freely reduced letter sequence of a small word.
 
-    Raises TooLarge beyond the cap: long words must be evaluated through a
-    group, never flattened.
+    Raises TooLarge beyond REDUCE_CAP: long words must be evaluated through
+    a group, never flattened.
     """
-    return free_reduce(flatten(word, cap))
+    return free_reduce(flatten(word))
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +410,6 @@ class Equation:
         self.filler = filler
         self.k_values = k_values  # raw per-character contents, enumeration order
         self._coset_words = None if coset_words is None else tuple(coset_words)
-        self._live_order = None  # a given lhs's live post-order, walked once
 
     def _exponents(self):
         return map(self.used_exponent, range(len(self.k_values)))
@@ -434,14 +434,11 @@ class Equation:
         word's value and its inverse are formed once, and each term with a
         nonzero exponent forms its y-block, then body * c * body^sign * c^-1
         per `_levels` entry, then its power; a term with exponent 0 is the
-        identity, so its variables need no value.  A given lhs is
-        interpreted over its live post-order, walked on the first call and
-        kept for the next.
+        identity, so its variables need no value.  A given lhs is walked
+        by `evaluate` on each call.
         """
         if self._coset_words is None:
-            if self._live_order is None:
-                self._live_order = postorder(self._lhs, live=True)
-            return interpret(self._live_order, assignment, ops)
+            return evaluate(self._lhs, assignment, ops)
         mul, inv = ops.mul, ops.inv
         n, torsion = self.n_squares, self.torsion_order
         value = ops.identity

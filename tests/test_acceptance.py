@@ -47,8 +47,7 @@ def test_criterion_1_swap_example_reproduction():
     mod = swap_module()
     plus = vc.Character((1,))
     closure = vc.Lattice.from_generators(
-        [(Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(-1, 2))],
-        dim=2)
+        [(Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(-1, 2))])
     mod.is_simple((2, 5))  # warm the projector caches before timing
     best = float("inf")
     for _ in range(5):

@@ -84,6 +84,19 @@ def test_analyze_missing_file(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target", ["missing_dir/eq.txt", "."],
+                         ids=["missing-directory", "a-directory"])
+def test_unwritable_equation_path_is_an_error(tmp_path, capsys, target):
+    # open() raises FileNotFoundError or IsADirectoryError here; both used
+    # to escape main as a traceback with exit 1
+    path = write(tmp_path, "w.spec", WITNESS_SPEC)
+    eq_path = str(tmp_path / target)
+    assert main(["analyze", path, "--emit-equation", eq_path]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith(f"error: cannot write {eq_path}: ")
+
+
 def test_filler_unit_rejected(tmp_path, capsys):
     path = write(tmp_path, "w.spec", WITNESS_SPEC)
     assert main(["analyze", path, "--filler", "1"]) == 2

@@ -69,16 +69,8 @@ def test_pow_and_canonical_form():
             assert x ** e == acc
             acc = acc * x
         assert x ** -3 == (x.inverse()) ** 3
-    assert DihedralElement.from_flip_first(1, 4) == DihedralElement(-4, 1)
     assert repr(DihedralElement(2, 1)) == "a^2*b"
     assert repr(IDENTITY) == "1"
-
-
-def test_order():
-    assert IDENTITY.order == 1
-    assert B.order == 2
-    assert DihedralElement(5, 1).order == 2
-    assert A.order == 0  # marker for infinite order
 
 
 def test_character_of_substitution():

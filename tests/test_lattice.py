@@ -20,7 +20,6 @@ from verbalclosure.lattice import (
     membership_solve,
     smith_normal_form,
     snf_diagonal,
-    solve_integer_combination,
     vec_sub,
 )
 
@@ -97,7 +96,7 @@ def test_kernel_basis_saturated():
             assert all(x == 0 for x in mat_vec(M, v))
         # random integer kernel vectors lie in the integer span
         if basis:
-            L = Lattice.from_generators(basis, dim=c)
+            L = Lattice.from_generators(basis)
             for _ in range(5):
                 coeffs = [rng.randint(-3, 3) for _ in basis]
                 v = tuple(sum(k * b[i] for k, b in zip(coeffs, basis))
@@ -106,7 +105,7 @@ def test_kernel_basis_saturated():
     assert kernel_basis([], cols=3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
-def test_solve_integer_combination_roundtrip():
+def test_membership_solve_over_generators_roundtrip():
     rng = random.Random(9)
     for trial in range(150):
         g = rng.randint(1, 4)
@@ -121,19 +120,20 @@ def test_solve_integer_combination_roundtrip():
         coeffs = [rng.randint(-5, 5) for _ in range(g)]
         target = tuple(sum(c * v[i] for c, v in zip(coeffs, gens))
                        for i in range(n))
-        got = solve_integer_combination(gens, target)
+        got = membership_solve(Lattice.from_generators(gens), target)
         assert got is not None
         back = tuple(sum(c * v[i] for c, v in zip(got, gens))
                      for i in range(n))
         assert back == target
 
 
-def test_solve_integer_combination_rejects_outsiders():
-    gens = [(2, 0), (0, 2)]
-    assert solve_integer_combination(gens, (1, 0)) is None
-    assert solve_integer_combination(gens, (2, 3)) is None
-    assert solve_integer_combination([], (0, 0)) == ()
-    assert solve_integer_combination([], (1, 0)) is None
+def test_membership_solve_over_generators_rejects_outsiders():
+    L = Lattice.from_generators([(2, 0), (0, 2)])
+    assert membership_solve(L, (1, 0)) is None
+    assert membership_solve(L, (2, 3)) is None
+    empty = Lattice.from_generators([])
+    assert membership_solve(empty, (0, 0)) == ()
+    assert membership_solve(empty, (1, 0)) is None
 
 
 def test_lattice_coordinates():
@@ -170,11 +170,11 @@ def test_lattice_from_generators_spans_same_lattice():
         g = rng.randint(1, 5)
         gens = [tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2)))
                       for _ in range(n)) for _ in range(g)]
-        L = Lattice.from_generators(gens, dim=n)
+        L = Lattice.from_generators(gens)
         for v in gens:
             assert L.integer_coordinates(v) is not None
         for b in L.basis:
-            c = solve_integer_combination(gens, b)
+            c = membership_solve(L, b)
             assert tuple(sum(x * v[i] for x, v in zip(c, gens))
                          for i in range(n)) == b
 
@@ -187,7 +187,7 @@ def test_lattice_runs_one_elimination(monkeypatch):
     calls = count_calls(monkeypatch, lat, "smith_normal_form")
     gens = [(Fraction(1, 2), Fraction(1, 2), 0), (0, 0, 0),
             (Fraction(1, 2), Fraction(-1, 2), 0), (1, 0, 0)]
-    L = Lattice.from_generators(gens, dim=3)
+    L = Lattice.from_generators(gens)
     assert L.integer_coordinates((2, 5, 0)) is not None
     assert L.integer_coordinates((Fraction(1, 3), 0, 0)) is None
     assert content_and_primitive_part((3, 3, 0), L) == (6, (
@@ -201,8 +201,7 @@ def test_lattice_runs_one_elimination(monkeypatch):
 
 def test_membership_solve_fixture():
     closure = Lattice.from_generators(
-        [(Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(-1, 2))],
-        dim=2)
+        [(Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(-1, 2))])
     assert membership_solve(closure, (2, 5)) == (7, -3)
     assert membership_solve(closure, (Fraction(1, 2), Fraction(3, 2))) == (2, -1)
     assert membership_solve(closure, (Fraction(1, 3), 0)) is None

@@ -375,13 +375,6 @@ def test_verify_builds_no_tower(witness_m4, monkeypatch):
         assert recipe[1] == recipe[3] < count
 
 
-def test_spot_check_walks_a_given_lhs_once(witness_m4, monkeypatch):
-    parsed = parse_equation(serialize_equation(witness_m4[1].equation))
-    walks = count_calls(monkeypatch, words, "postorder")
-    assert spot_check_no_solution(parsed, bound=10, trials=8)
-    assert len(walks) == 1
-
-
 WRITER_SPECS = [
     ([DInf(), DInf()], "b1*b2", "a1^3*a2^5"),
     ([DInf(), ZedMod(6)], "b1", "a1^3"),

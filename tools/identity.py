@@ -1,0 +1,127 @@
+"""Write every benchmark spec's report, exit code and equation file, and
+the demos' output, so that two checkouts can be compared byte for byte.
+
+    python3 tools/identity.py --out DIR
+
+For each workload w in sweep, ladder, check and each seed s in 101-103,
+every spec of ``workload_specs(w, s)`` (from ``bench/family.py``) is run
+through ``verbalclosure.cli.main`` in-process, in the text format and in
+``--format structured``.  On ``check`` each run adds ``bench/run.py``'s
+``CHECK_FLAGS`` and ``--emit-equation <format>.eq``.  Each spec runs from
+inside its own directory DIR/w/s/NAME, so every path a report prints is
+relative and the same in every checkout.  That directory holds:
+
+* ``spec``: the spec file;
+* ``text.out``, ``structured.out``: the reports (stdout);
+* ``text.exit``, ``structured.exit``: the exit code, or the type of the
+  exception the call raised, followed by anything written to stderr;
+* ``text.eq``, ``structured.eq``: the equation files, for a witness on
+  ``check``.
+
+Then each demo runs as its own process against this checkout's ``src``;
+DIR/demos/NAME.out holds its stdout and DIR/demos/NAME.exit its exit code.
+
+Run it in a checkout of the parent commit and in the change, then
+``diff -r`` the two directories.  The package is imported from this
+checkout's ``src`` and never from elsewhere; nothing under ``bench/`` is
+written.
+"""
+
+import argparse
+import contextlib
+import io
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+sys.dont_write_bytecode = True  # leaves no __pycache__ under bench/
+
+from family import workload_specs  # noqa: E402
+from run import CHECK_FLAGS, load_program  # noqa: E402
+
+WORKLOADS = ("sweep", "ladder", "check")
+SEEDS = (101, 102, 103)
+FORMATS = {"text": [], "structured": ["--format", "structured"]}
+
+
+def run_cli(main, argv):
+    """(stdout, the exit code or the exception's type name, stderr) of one
+    in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects an option this way
+            code = exc.code
+        except Exception as exc:  # a crash, recorded so that it shows in a diff
+            code = type(exc).__name__
+    return out.getvalue(), code, err.getvalue()
+
+
+def write(path, text):
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+def run_specs(main, out):
+    """Every workload spec in both formats; returns the number of runs."""
+    runs = 0
+    for workload in WORKLOADS:
+        for seed in SEEDS:
+            for spec in workload_specs(workload, seed):
+                where = os.path.join(out, workload, str(seed), spec.name)
+                os.makedirs(where)
+                write(os.path.join(where, "spec"), spec.text())
+                os.chdir(where)
+                for fmt, flags in FORMATS.items():
+                    argv = ["analyze", "spec"] + flags
+                    if workload == "check":
+                        argv += CHECK_FLAGS + ["--emit-equation", f"{fmt}.eq"]
+                    stdout, code, stderr = run_cli(main, argv)
+                    write(f"{fmt}.out", stdout)
+                    write(f"{fmt}.exit", f"{code}\n{stderr}")
+                    runs += 1
+    return runs
+
+
+def run_demos(out):
+    """Each demo's stdout and exit code, one process per demo."""
+    where = os.path.join(out, "demos")
+    os.makedirs(where)
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    demos = sorted(f for f in os.listdir(os.path.join(ROOT, "demos"))
+                   if f.endswith(".py"))
+    for name in demos:
+        done = subprocess.run([sys.executable, os.path.join("demos", name)],
+                              env=env, cwd=ROOT, capture_output=True,
+                              text=True)
+        stem = name[:-len(".py")]
+        write(os.path.join(where, stem + ".out"), done.stdout)
+        write(os.path.join(where, stem + ".exit"), f"{done.returncode}\n")
+    return len(demos)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", required=True,
+                        help="directory to write; must not exist or be empty")
+    args = parser.parse_args(argv)
+    out = os.path.abspath(args.out)
+    if os.path.isdir(out) and os.listdir(out):
+        sys.exit(f"error: {args.out} is not empty")
+    os.makedirs(out, exist_ok=True)
+    vc = load_program()
+    cwd = os.getcwd()
+    try:
+        runs = run_specs(vc.cli.main, out)
+    finally:
+        os.chdir(cwd)
+    demos = run_demos(out)
+    print(f"{runs} reports and {demos} demos written to {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
