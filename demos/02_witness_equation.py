@@ -28,11 +28,12 @@ def main():
     print(f"verdict: {verdict.kind}")
     print(f"a^2 in square-subgroup coordinates: {verdict.a_squared}")
 
+    # the report keeps only the nonzero components, keyed by character
+    # index; the other 14 of the 16 characters have content 0
     print("\nnonzero character components of a^2:")
-    for w in verdict.report.components:
-        if w.content:
-            print(f"  {w.character.label()}: content {w.content}, "
-                  f"lift {w.lift}")
+    for index, w in verdict.report.nonzero.items():
+        print(f"  #{index} {w.character.label()}: content {w.content}, "
+              f"lift {w.lift}")
 
     eq = verdict.equation
     print(f"\nwitness equation: LHS = a^{eq.rhs_exponent}"
@@ -48,7 +49,8 @@ def main():
         if value != spec.group.identity:
             print(f"  {name} = {value}")
 
-    print("\nno-solution certificate (one row per flip pattern):")
+    print("\nno-solution certificate (one row per nonzero component, then "
+          "the filler's row for every other flip pattern):")
     print(verdict.certificate.to_table())
     print(f"\ncertificate re-verifies: {verdict.certificate.is_valid()}")
 

@@ -487,14 +487,15 @@ def g_solution(eq, data, report):
     assignment = {}
     for j, d in enumerate(data.d_elements):
         assignment[x_var(j)] = d
-    for ci, w in enumerate(report.components):
-        root = group.identity  # a vanishing component's lift is zero
+    for ci in range(len(eq.k_values)):
+        for i in range(1, eq.n_squares + 1):
+            assignment[y_var(ci, i)] = group.identity
+    for ci, w in report.nonzero.items():
+        root = group.identity
         for coeff, g in zip(w.lift, data.q_roots):
             if coeff:
                 root = group.mul(root, group.pow(g, coeff))
         assignment[y_var(ci, 1)] = root
-        for i in range(2, eq.n_squares + 1):
-            assignment[y_var(ci, i)] = group.identity
     return assignment
 
 

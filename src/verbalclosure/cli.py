@@ -11,7 +11,9 @@ namespace, so no option carries over from one call to the next.
 """
 
 import argparse
+import errno
 import json
+import os
 import sys
 import time
 
@@ -83,13 +85,16 @@ def build_report(verdict, args):
     payload["verdict"] = "NotVerballyClosed"
     lines.append("component contents by character:")
     payload["components"] = []
-    for w in report.components:
+    for w in report.nonzero.values():
         lines.append(f"  {w.character.label()}  k={w.content}"
-                     + ("" if w.content == 0
-                        else f"  lift={_format_vector(w.lift)}"))
+                     f"  lift={_format_vector(w.lift)}")
         payload["components"].append(
             {"character": w.character.label(), "content": w.content,
              "lift": list(w.lift)})
+    vanishing = (1 << data.c_rank) - len(report.nonzero)
+    if vanishing:
+        lines.append(f"  every other character ({vanishing}): k=0")
+    payload["vanishing_components"] = vanishing
     eq = verdict.equation
     lines.append(f"witness equation: rhs = a^{eq.rhs_exponent} "
                  f"(2 * 2^{eq.c_size} * {eq.torsion_order}), "
@@ -120,6 +125,15 @@ def build_report(verdict, args):
     return lines, payload, 10
 
 
+def _check_writable(path):
+    """Raise the OSError that opening PATH for writing would raise when its
+    directory is missing or PATH is a directory, creating no file."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def cmd_analyze(args):
     try:
         with open(args.specfile) as fh:
@@ -131,10 +145,16 @@ def cmd_analyze(args):
         spec = GroupSpec.from_text(text)
         if args.filler in (1, -1):
             raise SpecError("filler exponent must not be +-1")
+        if args.emit_equation:
+            _check_writable(args.emit_equation)
         start = time.perf_counter()
         verdict = analyze(spec, filler=args.filler)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: cannot write {args.emit_equation}: {exc}",
+              file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - start
     lines, payload, code = build_report(verdict, args)

@@ -121,80 +121,125 @@ class CertificateRow:
     __repr__ = _repr
 
 
+def _row(delta, k, rhs):
+    """The certificate row of flip pattern delta, whose matched character's
+    effective exponent is k, against the right-hand side a^rhs."""
+    return CertificateRow(
+        delta=delta,
+        matched_character=character_of_substitution(delta),
+        effective_exponent=k,
+        subgroup_exponent=rhs * k,
+        target_exponent=rhs,
+        obstruction="identity-vs-nontrivial" if k == 0 else "nonunit-multiplier",
+    )
+
+
+def _row_text(k, target, subgroup):
+    """A table row's values and obstruction text for effective exponent k."""
+    if k == 0:
+        return f"values in {{1}}  obstruction: identity != a^{target}"
+    return (f"values in <a^{subgroup}>  obstruction: a^{target} not in "
+            f"<a^{subgroup}> since {k}*l = 1 has no integer solution")
+
+
+_BITS = frozenset((0, 1))
+
+
 @dataclass
 class NoSolutionCertificate:
-    rows: list
+    """One row per flip pattern whose matched character has nonzero content,
+    plus a remainder: each of the other `remainder` patterns matches a
+    character with content 0, whose effective exponent is the filler.
+    Those rows differ only in delta, so one fact about the filler proves
+    them all."""
+
+    listed: list  # CertificateRow per nonzero character, in delta order
     c_rank: int
     rhs_exponent: int
+    filler: int
+    remainder: int  # the number of flip patterns not listed
 
     __repr__ = _repr
 
+    @property
+    def rows(self):
+        """One CertificateRow per flip pattern, in enumeration order: the
+        listed rows and the filler's, built on each read."""
+        listed = {row.delta: row for row in self.listed}
+        return [listed.get(delta) or _row(delta, self.filler, self.rhs_exponent)
+                for delta in enumerate_group_elements(self.c_rank)]
+
     def is_valid(self):
         """Re-verify every integer obstruction independently of how the
-        rows were produced."""
-        seen = set()
-        for row in self.rows:
-            seen.add(row.delta)
+        rows were produced: each listed row's, the filler's for the
+        remainder, and that the listed patterns are distinct and the
+        remainder counts the rest."""
+        m = self.c_rank
+        deltas = {row.delta for row in self.listed}
+        if (len(deltas) != len(self.listed)
+                or len(self.listed) + self.remainder != 1 << m
+                or not all(len(d) == m and _BITS.issuperset(d)
+                           for d in deltas)):
+            return False
+        # target = subgroup * l  <=>  k * l = 1: impossible for |k| != 1;
+        # with k = 0 the values are 1, which misses a nonzero target
+        if self.remainder and (abs(self.filler) == 1 or
+                               self.filler == 0 and self.rhs_exponent == 0):
+            return False
+        for row in self.listed:
             k = row.effective_exponent
             if row.target_exponent != self.rhs_exponent:
                 return False
             if k == 0:
                 if row.obstruction != "identity-vs-nontrivial" or self.rhs_exponent == 0:
                     return False
-            else:
-                # target = subgroup * l  <=>  k * l = 1: impossible for |k| != 1
-                if abs(k) == 1 or row.subgroup_exponent != self.rhs_exponent * k:
-                    return False
-        return len(seen) == 1 << self.c_rank
+            elif abs(k) == 1 or row.subgroup_exponent != self.rhs_exponent * k:
+                return False
+        return True
 
     def to_table(self):
         lines = []
-        for row in self.rows:
+        for row in self.listed:
             d = "(" + ",".join(map(str, row.delta)) + ")"
-            if row.effective_exponent == 0:
-                value = "{1}"
-                why = f"identity != a^{row.target_exponent}"
-            else:
-                value = f"<a^{row.subgroup_exponent}>"
-                why = (f"a^{row.target_exponent} not in <a^{row.subgroup_exponent}>"
-                       f" since {row.effective_exponent}*l = 1 has no integer solution")
             lines.append(f"delta={d}  {row.matched_character.label()}  "
-                         f"values in {value}  obstruction: {why}")
+                         + _row_text(row.effective_exponent,
+                                        row.target_exponent,
+                                        row.subgroup_exponent))
+        if self.remainder:
+            rhs = self.rhs_exponent
+            lines.append(f"every other delta ({self.remainder})  "
+                         + _row_text(self.filler, rhs, rhs * self.filler))
         return "\n".join(lines)
 
 
 def certify_no_solution(eq):
-    """Build the per-flip-pattern no-solution certificate for a witness
-    equation.
+    """Build the no-solution certificate for a witness equation.
 
     For each pattern of flip bits on the x-variables, exactly one character
     survives the closed-form collapse, so every dihedral value of the
     left-hand side lies in a proper subgroup <a^(target * k)> (or is the
     identity when k = 0); the right-hand side a^target escapes because
     |k| != 1.  The free translation parameters never need enumerating --
-    this is a proof, not a search.  Row i is flip pattern i and character i
-    of `enumerate_characters`, so it reads the equation's i-th exponent.
+    this is a proof, not a search.  Flip pattern i matches character i of
+    `enumerate_characters`: both lists are lexicographic (0 before 1, +1
+    before -1) and chi_j = (-1)^{delta_j}.  So a row is listed for each
+    nonzero exponent of the equation, and the filler covers the rest.
     """
     m = eq.c_rank
-    rows = []
-    # flip pattern i selects character i: both lists are lexicographic (0
-    # before 1, +1 before -1) and chi_j = (-1)^{delta_j}
-    for i, delta in enumerate(enumerate_group_elements(m)):
-        k = eq.used_exponent(i)
-        if abs(k) == 1:
-            raise InvalidEquation(
-                "effective exponent +-1: a simple component slipped through")
-        rows.append(CertificateRow(
-            delta=delta,
-            matched_character=character_of_substitution(delta),
-            effective_exponent=k,
-            subgroup_exponent=eq.rhs_exponent * k,
-            target_exponent=eq.rhs_exponent,
-            obstruction=("identity-vs-nontrivial" if k == 0
-                         else "nonunit-multiplier"),
-        ))
-    return NoSolutionCertificate(rows=rows, c_rank=m,
-                                 rhs_exponent=eq.rhs_exponent)
+    listed = []
+    for i, k in enumerate(eq.k_values):
+        if k:
+            if abs(k) == 1:
+                raise InvalidEquation(
+                    "effective exponent +-1: a simple component slipped through")
+            delta = tuple((i >> j) & 1 for j in range(m - 1, -1, -1))
+            listed.append(_row(delta, k, eq.rhs_exponent))
+    remainder = (1 << m) - len(listed)
+    if remainder and abs(eq.filler) == 1:
+        raise InvalidEquation("effective exponent +-1: the filler")
+    return NoSolutionCertificate(listed=listed, c_rank=m,
+                                 rhs_exponent=eq.rhs_exponent,
+                                 filler=eq.filler, remainder=remainder)
 
 
 def spot_check_no_solution(eq, bound, trials, seed=0):

@@ -26,6 +26,7 @@ from .lattice import (
     snf_diagonal,
     vec_sub,
 )
+from .words import _index
 
 
 class NotSimple(ValueError):
@@ -89,9 +90,29 @@ class ComponentWitness:
 
 @dataclass
 class SimplicityReport:
+    """The outcome of `InvolutionModule.is_simple`.
+
+    A non-simple report keeps only the nonzero components, keyed by
+    character index in `enumerate_characters` order; every other
+    character's component vanishes, with content 0 and a zero lift of
+    length `rank`.
+    """
+
     simple: bool
     witness_character: Character = None
-    components: list = None  # list of ComponentWitness, non-simple only
+    nonzero: dict = None  # index -> ComponentWitness, non-simple only
+    c_rank: int = 0
+    rank: int = 0  # the ambient rank of Q, the length of a lift
+
+    @property
+    def components(self):
+        """One ComponentWitness per character of C, in enumeration order,
+        built on each read (None for a simple report)."""
+        if self.simple:
+            return None
+        vanishing = (0,) * self.rank
+        return [self.nonzero.get(i) or ComponentWitness(chi, 0, vanishing)
+                for i, chi in enumerate(enumerate_characters(self.c_rank))]
 
 
 class InvolutionModule:
@@ -202,15 +223,15 @@ class InvolutionModule:
         """Decide whether some chi-component of q is primitive in its lattice.
 
         Returns at the first primitive component in enumeration order; for
-        non-simple q, every character gets its content k (0 for a vanishing
-        component) and a lift into Q of the primitive direction.  Only the
+        non-simple q, each character with a nonzero component gets its
+        content k and a lift into Q of the primitive direction.  Only the
         characters in `_eigensplit` are visited, each nonzero component with
         one solve: the eigenlattice is generated by the projections of the
         unit vectors, so its membership solve x = s U[:r] lifts the
         component into Q, and gcd(x) = gcd(s) = k as U is unimodular.
         """
         fq = self.group.free_coordinates(q)
-        components = {}  # chi -> (content, lift), nonzero only
+        nonzero = {}
         for signs in self._split:
             v = _component(self._split, signs, fq)
             if not any(v):
@@ -222,11 +243,10 @@ class InvolutionModule:
             k = gcd(*x)
             if k == 1:
                 return SimplicityReport(simple=True, witness_character=chi)
-            components[chi] = k, tuple(c // k for c in x)
-        vanishing = 0, (0,) * self.group.rank
-        table = [ComponentWitness(chi, *components.get(chi, vanishing))
-                 for chi in self.characters]
-        return SimplicityReport(simple=False, components=table)
+            nonzero[_index(chi)] = ComponentWitness(
+                chi, k, tuple(c // k for c in x))
+        return SimplicityReport(simple=False, nonzero=nonzero,
+                                c_rank=self.c_rank, rank=self.group.rank)
 
     # -- complements --------------------------------------------------------
 

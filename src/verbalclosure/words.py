@@ -504,6 +504,11 @@ def build_witness_equation(report, n, torsion_order, c_rank, coset_words,
     if n < 1:
         raise ValueError("need at least one square per character")
     c_size = 1 << c_rank
+    # the recipe's terms are in `enumerate_characters` order, the order of
+    # the report's character indices
+    k_values = [0] * c_size
+    for ci, w in report.nonzero.items():
+        k_values[ci] = w.content
     # right-hand side a^(2 * 2^|C| * |T|): each of the |C| commutator
     # nestings doubles the exponent once
     return Equation(
@@ -512,9 +517,7 @@ def build_witness_equation(report, n, torsion_order, c_rank, coset_words,
         torsion_order=torsion_order,
         n_squares=n,
         filler=filler,
-        # `is_simple` lists the components in `enumerate_characters` order,
-        # the order of the recipe's terms
-        k_values=tuple(w.content for w in report.components),
+        k_values=tuple(k_values),
         coset_words=coset_words,
     )
 

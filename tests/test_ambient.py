@@ -1,7 +1,10 @@
 """Tests for ambient groups, spec parsing, and the analyzer pipeline."""
 
+import contextlib
 import random
+import sys
 import time
+from argparse import Namespace
 
 import pytest
 
@@ -28,6 +31,7 @@ from verbalclosure.ambient import (
     verify_solution_in_G,
     word_to_text,
 )
+from verbalclosure.cli import build_report
 from verbalclosure.dihedral import DihedralElement, certify_no_solution
 from verbalclosure.lattice import mat_vec
 from verbalclosure.words import UnboundGenerator, y_var
@@ -306,39 +310,71 @@ def _dinf_spec(n, a1):
     return validate_spec(GroupSpec([DInf()] * n, b, a))
 
 
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift Python's limit on str(int) for the block: a witness report
+    prints its right-hand side, about 0.3 * 2^m digits, in decimal, past
+    the limit from c_rank 14 on."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_counts_grow_with_c_rank(monkeypatch):
     # deterministic counts, not wall times.  A Retract's Smith forms and
-    # Characters grow by the same step with each step in m; a witness builds
-    # 2 * 2^m + f Characters: one per nonzero component (f of them, one per
-    # factor here), one per component in is_simple's table and one per
-    # certificate row
+    # Characters grow by the same step with each step in m.  A witness
+    # builds objects only for its f nonzero components: on
+    # [DInf, DInf] x ZedMod(2)^(m - 4), f = 2 at every m, `analyze` plus
+    # `build_report` build f ComponentWitnesses (is_simple), f
+    # CertificateRows and 2f Characters (one in each per component), as
+    # many at m = 16 as at m = 4, and the text report has f + 1 component
+    # lines and f + 1 certificate rows
     import verbalclosure.involutions as involutions
     import verbalclosure.lattice as lattice
-    from verbalclosure.involutions import Character
+    from verbalclosure.dihedral import CertificateRow
+    from verbalclosure.involutions import Character, ComponentWitness
 
     # involutions imports smith_normal_form by name
     snf = [count_calls(monkeypatch, module, "smith_normal_form")
            for module in (lattice, involutions)]
-    characters = count_calls(monkeypatch, Character, "__post_init__")
+    built = [count_calls(monkeypatch, cls, name)
+             for cls, name in ((Character, "__post_init__"),
+                               (ComponentWitness, "__init__"),
+                               (CertificateRow, "__init__"))]
 
-    def counts(n, a1):
-        for calls in snf + [characters]:
+    def counts(spec):
+        for calls in snf + built:
             calls.clear()
-        verdict = analyze(_dinf_spec(n, a1))
-        return verdict, sum(map(len, snf)), len(characters)
+        verdict = analyze(spec)
+        lines = None
+        if not verdict.is_retract:
+            with _unlimited_int_digits():
+                lines, _, _ = build_report(verdict, Namespace(verify=False))
+        return verdict, sum(map(len, snf)), [len(b) for b in built], lines
 
     retract = []
     for n in (4, 8, 12):
-        verdict, forms, chars = counts(n, 1)
+        verdict, forms, (chars, _, _), _ = counts(_dinf_spec(n, 1))
         assert verdict.is_retract
         retract.append((forms, chars))
     (f0, c0), (f1, c1), (f2, c2) = retract
     assert f2 - f1 == f1 - f0 > 0 and c2 - c1 == c1 - c0 > 0
-    for n in (2, 3, 4):
-        verdict, _, chars = counts(n, 3)
-        m = verdict.data.c_rank
-        assert not verdict.is_retract and m == 2 * n
-        assert chars == 2 * (1 << m) + n
+    for m in (4, 6, 8, 16):
+        spec = validate_spec(GroupSpec([DInf(), DInf()] + [ZedMod(2)] * (m - 4),
+                                       "b1*b2", "a1^3*a2^5"))
+        verdict, _, objects, lines = counts(spec)
+        assert not verdict.is_retract and verdict.data.c_rank == m
+        assert verdict.data.presentation.free_rank == 2
+        assert objects == [4, 2, 2], m
+        i = lines.index("component contents by character:")
+        j = lines.index("no-solution certificate:")
+        assert len(lines[i + 1:j - 1]) == 3 and lines[j - 2].startswith(
+            f"  every other character ({(1 << m) - 2}):")
+        assert len(lines[j + 1:-1]) == 3 and lines[-2].startswith(
+            f"  every other delta ({(1 << m) - 2})")
 
 
 def test_witness_at_c_rank_10_decides_quickly():

@@ -86,15 +86,22 @@ def test_analyze_missing_file(capsys):
 
 @pytest.mark.parametrize("target", ["missing_dir/eq.txt", "."],
                          ids=["missing-directory", "a-directory"])
-def test_unwritable_equation_path_is_an_error(tmp_path, capsys, target):
+def test_unwritable_equation_path_is_an_error(tmp_path, capsys, monkeypatch,
+                                              target):
     # open() raises FileNotFoundError or IsADirectoryError here; both used
-    # to escape main as a traceback with exit 1
-    path = write(tmp_path, "w.spec", WITNESS_SPEC)
+    # to escape main as a traceback with exit 1.  The path is checked
+    # before the decision, so nothing is analyzed, a Retract (which writes
+    # no equation) is refused as well, and no file is made
+    analyses = count_calls(monkeypatch, cli, "analyze")
     eq_path = str(tmp_path / target)
-    assert main(["analyze", path, "--emit-equation", eq_path]) == 2
-    err = capsys.readouterr().err
-    assert err.splitlines() == [err.strip()]
-    assert err.startswith(f"error: cannot write {eq_path}: ")
+    for spec in (WITNESS_SPEC, RETRACT_SPEC):
+        path = write(tmp_path, "w.spec", spec)
+        assert main(["analyze", path, "--emit-equation", eq_path]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith(f"error: cannot write {eq_path}: ")
+    assert len(analyses) == 0
+    assert sorted(os.listdir(tmp_path)) == ["w.spec"]
 
 
 def test_filler_unit_rejected(tmp_path, capsys):

@@ -1,11 +1,18 @@
 """Tests for infinite dihedral arithmetic and no-solution certificates."""
 
+import os
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
 
-from util import canonical_coset_words, count_calls
+from util import (
+    canonical_coset_words,
+    count_calls,
+    full_certificate_rows,
+    full_component_table,
+)
 
 from verbalclosure.ambient import DInf, GroupSpec, analyze, validate_spec
 from verbalclosure.dihedral import (
@@ -37,6 +44,9 @@ from verbalclosure.words import (
     serialize_equation,
     skew_commutator,
 )
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def rand_elt(rng, bound=20):
@@ -138,31 +148,88 @@ def test_certificate_valid_and_table():
     cert = certify_no_solution(eq)
     assert cert.is_valid()
     assert len(cert.rows) == 4
-    table = cert.to_table()
-    assert "delta=(0,0)" in table and "obstruction" in table
-    by_delta = {r.delta: r for r in cert.rows}
-    # contents 2 and 3 appear at the matching flip patterns
-    assert sorted(abs(r.effective_exponent) for r in cert.rows
-                  if r.effective_exponent) == [2, 3]
+    # one listed row per nonzero content, 2 and 3 at the matching flip
+    # patterns, and the filler's row for the 2 others
+    assert [(r.delta, r.effective_exponent) for r in cert.listed] == [
+        ((0, 1), 3), ((1, 0), 2)]
+    assert (cert.filler, cert.remainder) == (0, 2)
+    table = cert.to_table().splitlines()
+    assert len(table) == 3
+    assert table[0].startswith("delta=(0,1)  chi(+-)  values in <a^")
+    assert table[2] == ("every other delta (2)  values in {1}  "
+                        f"obstruction: identity != a^{eq.rhs_exponent}")
     for r in cert.rows:
         if r.effective_exponent:
             assert r.subgroup_exponent == eq.rhs_exponent * r.effective_exponent
+    filled = certify_no_solution(_witness_equation(filler=2))
+    assert filled.is_valid()
+    assert filled.to_table().splitlines()[2] == (
+        f"every other delta (2)  values in <a^{2 * eq.rhs_exponent}>  "
+        f"obstruction: a^{eq.rhs_exponent} not in <a^{2 * eq.rhs_exponent}> "
+        "since 2*l = 1 has no integer solution")
 
 
 def test_certificate_detects_tampering():
     eq = _witness_equation()
     cert = certify_no_solution(eq)
-    cert.rows[0].target_exponent += 1
+    cert.listed[0].target_exponent += 1
     assert not cert.is_valid()
     cert2 = certify_no_solution(eq)
-    cert2.rows.pop()
+    cert2.listed.pop()
     assert not cert2.is_valid()
     cert3 = certify_no_solution(eq)
-    for r in cert3.rows:
-        if r.effective_exponent:
-            r.subgroup_exponent += eq.rhs_exponent
-            break
+    cert3.listed[0].subgroup_exponent += eq.rhs_exponent
     assert not cert3.is_valid()
+
+
+@pytest.mark.parametrize("tamper", [
+    "remainder+1", "remainder-1", "duplicated delta", "delta outside C",
+    "filler 1", "filler -1", "filler 0 with rhs 0"])
+def test_compact_certificate_detects_tampering(tamper):
+    cert = certify_no_solution(_witness_equation())
+    assert cert.is_valid()
+    if tamper.startswith("remainder"):
+        cert.remainder += 1 if tamper.endswith("+1") else -1
+    elif tamper == "duplicated delta":
+        # the count still adds up: a copy of a listed row stands in for a
+        # pattern of the remainder
+        cert.listed.append(replace(cert.listed[0]))
+        cert.remainder -= 1
+    elif tamper == "delta outside C":
+        cert.listed[0].delta = (0, 1, 0)
+    elif tamper.startswith("filler 0"):
+        # every listed row restated for rhs 0 stays valid; the remainder's
+        # values are 1, which is the target 1 = a^0
+        for row in cert.listed:
+            row.target_exponent = row.subgroup_exponent = 0
+        cert.rhs_exponent = 0
+        cert.filler = 2
+        assert cert.is_valid()
+        cert.filler = 0
+    else:
+        cert.filler = int(tamper.split()[1])
+    assert not cert.is_valid()
+
+
+def test_derived_tables_match_the_full_loops():
+    # report.components and cert.rows are built on read from the nonzero
+    # components; they equal, field by field, the tables that one loop over
+    # every character and every flip pattern makes
+    for case in ("two_factor_witness", "zed_witness", "zedmod_witness",
+                 "rank6_verify"):
+        with open(os.path.join(GOLDEN, case + ".spec")) as fh:
+            spec = GroupSpec.from_text(fh.read())
+        for filler in (0, 2):
+            verdict = analyze(spec, filler=filler)
+            m = verdict.data.c_rank
+            components = verdict.report.components
+            assert len(components) == 1 << m
+            assert components == full_component_table(verdict.data.module,
+                                                       verdict.a_squared)
+            rows = verdict.certificate.rows
+            assert len(rows) == 1 << m
+            assert rows == full_certificate_rows(verdict.equation), (case,
+                                                                    filler)
 
 
 def test_certificate_rejects_unit_exponent():
@@ -173,6 +240,10 @@ def test_certificate_rejects_unit_exponent():
                       k_values=(1,) + eq.k_values[1:])
     with pytest.raises(InvalidEquation):
         certify_no_solution(hacked)
+    # a unit filler stands for every vanishing character's exponent
+    eq.filler = 1
+    with pytest.raises(InvalidEquation):
+        certify_no_solution(eq)
 
 
 def test_certificate_reprs_print_long_exponents_by_bit_length():
@@ -187,10 +258,12 @@ def test_certificate_reprs_print_long_exponents_by_bit_length():
         "CertificateRow(delta=(1,), matched_character=Character(signs=(-1,)), "
         "effective_exponent=3, subgroup_exponent=<20002-bit int>, "
         "target_exponent=<20001-bit int>, obstruction='nonunit-multiplier')")
-    cert = NoSolutionCertificate(rows=[row], c_rank=1,
-                                 rhs_exponent=2 ** 20000)
-    assert repr(cert) == (f"NoSolutionCertificate(rows=[{row!r}], c_rank=1, "
-                          "rhs_exponent=<20001-bit int>)")
+    cert = NoSolutionCertificate(listed=[row], c_rank=1,
+                                 rhs_exponent=2 ** 20000, filler=0,
+                                 remainder=1)
+    assert repr(cert) == (f"NoSolutionCertificate(listed=[{row!r}], c_rank=1, "
+                          "rhs_exponent=<20001-bit int>, filler=0, "
+                          "remainder=1)")
     small = certify_no_solution(_witness_equation())
     assert repr(small.rows[1]) == (
         "CertificateRow(delta=(0, 1), matched_character=Character(signs="

@@ -25,7 +25,6 @@ from verbalclosure.involutions import (
     InvolutionModule,
     NotEpimorphism,
     NotSimple,
-    SimplicityReport,
     enumerate_characters,
     enumerate_group_elements,
     factor_through,
@@ -183,9 +182,9 @@ def _sign_product(mod, chi):
 
 
 def _simplicity_by_projection(mod, q):
-    """Reference for is_simple: project q onto every character in turn.  It
-    reads the same eigensplit as is_simple, which the test pins separately
-    against `_sign_product`."""
+    """Reference for is_simple: project q onto every character in turn, as
+    (simple, witness character, components).  It reads the same eigensplit
+    as is_simple, which the test pins separately against `_sign_product`."""
     components = []
     for chi in mod.characters:
         v = mod.project_free(q, chi)
@@ -195,9 +194,9 @@ def _simplicity_by_projection(mod, q):
         L = mod.eigenlattice_free(chi)
         k, u = content_and_primitive_part(v, L)
         if k == 1:
-            return SimplicityReport(simple=True, witness_character=chi)
+            return True, chi, None
         components.append(ComponentWitness(chi, k, membership_solve(L, u)))
-    return SimplicityReport(simple=False, components=components)
+    return False, None, components
 
 
 def test_is_simple_split_matches_per_character_projection():
@@ -217,7 +216,8 @@ def test_is_simple_split_matches_per_character_projection():
             for q in [(0,) * n] + [tuple(rng.randint(-5, 5) for _ in range(n))
                                    for _ in range(4)]:
                 rep = mod.is_simple(q)
-                assert rep == _simplicity_by_projection(mod, q), (m, q)
+                assert (rep.simple, rep.witness_character, rep.components) \
+                    == _simplicity_by_projection(mod, q), (m, q)
                 verdicts.add(rep.simple)
     assert verdicts == {True, False}
     assert zero_characters  # characters with a zero eigenspace are covered

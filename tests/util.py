@@ -1,11 +1,28 @@
 """Shared test helpers: random module generators, a semidirect product
 group for evaluating words against direct module arithmetic, a DAG node
-counter, a call counter, the canonical coset words and the witness
-pipeline with n squares."""
+counter, a call counter, the canonical coset words, the witness pipeline
+with n squares, and reference builders of a witness's full component and
+certificate tables."""
+
+from math import gcd
 
 from verbalclosure.ambient import image_of_a_squared, square_data
-from verbalclosure.involutions import InvolutionModule, enumerate_group_elements
-from verbalclosure.lattice import AbelianPresentation, eye, mat_inv, mat_mul, mat_vec
+from verbalclosure.dihedral import CertificateRow, character_of_substitution
+from verbalclosure.involutions import (
+    Character,
+    ComponentWitness,
+    InvolutionModule,
+    _component,
+    enumerate_group_elements,
+)
+from verbalclosure.lattice import (
+    AbelianPresentation,
+    eye,
+    mat_inv,
+    mat_mul,
+    mat_vec,
+    membership_solve,
+)
 from verbalclosure.words import Concat, Inv, Pow, build_witness_equation
 
 
@@ -194,3 +211,39 @@ def canonical_coset_words(m):
     whose product spells it, as `SquareData.coset_words` lists them."""
     return [tuple(j for j, b in enumerate(bits) if b)
             for bits in enumerate_group_elements(m)]
+
+
+def full_component_table(module, q):
+    """Reference: the table of a non-simple q with one ComponentWitness per
+    character of C, a vanishing component's content 0 and lift zero, made
+    by a loop over every character as `is_simple` once made it."""
+    fq = module.group.free_coordinates(q)
+    components = {}
+    for signs in module._split:
+        v = _component(module._split, signs, fq)
+        if any(v):
+            x = membership_solve(module.eigenlattice_free(Character(signs)), v)
+            k = gcd(*x)
+            components[Character(signs)] = k, tuple(c // k for c in x)
+    vanishing = 0, (0,) * module.group.rank
+    return [ComponentWitness(chi, *components.get(chi, vanishing))
+            for chi in module.characters]
+
+
+def full_certificate_rows(eq):
+    """Reference: one CertificateRow per flip pattern of a witness
+    equation, made by a loop over every pattern as `certify_no_solution`
+    once made them."""
+    rows = []
+    for i, delta in enumerate(enumerate_group_elements(eq.c_rank)):
+        k = eq.used_exponent(i)
+        rows.append(CertificateRow(
+            delta=delta,
+            matched_character=character_of_substitution(delta),
+            effective_exponent=k,
+            subgroup_exponent=eq.rhs_exponent * k,
+            target_exponent=eq.rhs_exponent,
+            obstruction=("identity-vs-nontrivial" if k == 0
+                         else "nonunit-multiplier"),
+        ))
+    return rows
