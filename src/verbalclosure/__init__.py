@@ -41,7 +41,6 @@ from .dihedral import (
     NoSolutionCertificate,
     certify_no_solution,
     character_of_substitution,
-    evaluate_v_closed_form,
     spot_check_no_solution,
 )
 from .involutions import (
@@ -75,14 +74,12 @@ from .words import (
     Inv,
     NotAWitness,
     Pow,
-    TooLarge,
     UnboundGenerator,
     build_v_chi,
     build_w_chi,
     build_witness_equation,
     evaluate,
     parse_equation,
-    reduce,
     serialize_equation,
     skew_commutator,
 )

@@ -16,16 +16,13 @@ from itertools import islice
 from math import gcd
 
 from .dihedral import IDENTITY, DihedralElement, certify_no_solution
-from .involutions import (
-    Character,
-    InvolutionModule,
-    enumerate_group_elements,
-)
+from .involutions import Character, InvolutionModule
 from .lattice import AbelianPresentation
 from .words import (
     Equation,
     GroupOps,
     build_witness_equation,
+    coset_words_of,
     x_var,
     y_var,
 )
@@ -306,6 +303,9 @@ def parse_factor(text):
     return ZedMod(int(m.group(2)))
 
 
+_SPEC_KEYS = ("factors", "b", "a")  # each exactly once
+
+
 class GroupSpec:
     """An ambient group plus the two words defining the dihedral subgroup."""
 
@@ -333,8 +333,10 @@ class GroupSpec:
             if "=" not in line:
                 raise SpecParseError(f"expected key = value, got {line!r}")
             key, value = (s.strip() for s in line.split("=", 1))
+            if key not in _SPEC_KEYS or key in entries:
+                raise SpecParseError(f"unknown or repeated key {key!r}")
             entries[key] = value
-        for key in ("factors", "b", "a"):
+        for key in _SPEC_KEYS:
             if key not in entries:
                 raise SpecParseError(f"missing key {key!r}")
         flist = entries["factors"].strip()
@@ -394,8 +396,7 @@ class SquareData:
 
     @property
     def coset_words(self):  # per element of G/Q (lex bits), c_names indices
-        return [tuple(j for j, b in enumerate(bits) if b)
-                for bits in enumerate_group_elements(self.c_rank)]
+        return coset_words_of(self.c_rank)
 
     def q_coordinates(self, element):
         """Coordinates of an ambient element of Q, factor by factor.
@@ -695,7 +696,7 @@ def analyze(spec, filler=0):
         return Verdict(kind="retract", spec=spec, data=data, report=report,
                        a_squared=a_sq, retraction=retraction)
     eq = build_witness_equation(report, 1, data.presentation.torsion_order,
-                                data.c_rank, data.coset_words, filler=filler)
+                                data.c_rank, filler=filler)
     solution = g_solution(eq, data, report)
     certificate = certify_no_solution(eq)
     return Verdict(kind="not-verbally-closed", spec=spec, data=data,

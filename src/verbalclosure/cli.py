@@ -195,7 +195,7 @@ def _selftest_checks():
     from .dihedral import InvalidEquation, certify_no_solution
     from .involutions import Character, InvolutionModule, project
     from .lattice import AbelianPresentation, Lattice, membership_solve
-    from .words import build_v_chi, evaluate, x_var
+    from .words import build_v_chi, coset_words_of, evaluate, x_var
 
     def swap_module():
         pres = AbelianPresentation(2, [])
@@ -243,7 +243,7 @@ def _selftest_checks():
         assignment["y"] = q
         total = group.identity
         for chi in data.module.characters:
-            w = build_v_chi(chi, data.coset_words)
+            w = build_v_chi(chi, coset_words_of(data.c_rank))
             total = group.mul(total, evaluate(w, assignment, group.ops))
         # product over all characters of q^(2^|C|) components reassembles
         # q^(2^|C|) with |C| = 2^c_rank

@@ -85,19 +85,6 @@ def character_of_substitution(delta):
     return Character(tuple(-1 if d else 1 for d in delta))
 
 
-def evaluate_v_closed_form(chi, delta, y_value_exponent):
-    """Value of the commutator-tower word over the dihedral group, in closed
-    form.
-
-    With y = a^{y_value_exponent} (necessarily an even power of a) the word
-    collapses to a^{y_value_exponent * 2^{|C|}} when chi matches the
-    character determined by the flip bits, and to the identity otherwise.
-    """
-    if chi != character_of_substitution(delta):
-        return IDENTITY
-    return DihedralElement(y_value_exponent << (1 << len(delta)), 0)
-
-
 def _repr(obj):
     """The dataclass repr, each field through `short_repr`: a witness's
     exponents pass Python's limit on str(int) from c-rank 14."""

@@ -296,15 +296,6 @@ class InvolutionModule:
                 if sum(l * x for l, x in zip(lam, img)) != 0:
                     raise AssertionError("complement is not invariant")
 
-    def complement(self, q, chi):
-        """Generators of an invariant complement M with Q = <q> (+) M.
-
-        Precondition: q is simple with witness chi (NotSimple otherwise).
-        The returned vectors span M together with all torsion of Q.
-        """
-        basis, _ = self._complement_data(q, chi)
-        return [tuple(b) for b in basis]
-
     # -- identities ---------------------------------------------------------
 
     def verify_component_identity(self, q):

@@ -274,9 +274,6 @@ class Lattice:
             return None
         return tuple(int(x) for x in coords)
 
-    def __contains__(self, v):
-        return self.integer_coordinates(v) is not None
-
     def __repr__(self):
         return f"Lattice({self.basis!r})"
 

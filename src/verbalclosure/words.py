@@ -1,29 +1,26 @@
 """Free-group words as shared DAGs (straight-line programs).
 
 Words built here can have flattened length exponential in their node count
-(the nested skew-commutator words do), so only small-word tests flatten them,
-through the recursive oracle `flatten`.  Every other pass starts from one
-iterative walk, `postorder`, listing each distinct node once, children first:
-`evaluate` interprets a GroupOps over that list, `length` interprets letter
-counts over it, `serialize_equation` numbers it, and `parse_equation` rebuilds
-the nodes in the same order.  Interpreting needs only the live nodes: the base
-of a zero power is never read, since x^0 = 1 in every group.
+(the nested skew-commutator words do), so no pass flattens them.  Every pass
+starts from one iterative walk, `postorder`, listing each distinct node once,
+children first: `evaluate` interprets a GroupOps over that list, `length`
+interprets letter counts over it, `serialize_equation` numbers it, and
+`parse_equation` rebuilds the nodes in the same order.  Interpreting needs
+only the live nodes: the base of a zero power is never read, since x^0 = 1
+in every group.
 
 A witness equation keeps the recipe of its left-hand side, not the DAG:
-its coset words, term i being the tower of the i-th character of C, with n,
-|T| and the exponents read from its fields.  `Equation.lhs` builds the DAG
-on each read; `Equation.lhs_value` evaluates the terms with a nonzero
-exponent level by level, one product per `_levels` entry, and
-`serialize_chunks` writes the DAG's post-order from the recipe, tower by
-tower, each level one fill of a template made once per element of C, so a
-writer streaming it to a file holds one tower's text at a time.
+term i is the tower of the i-th character of C, each element of C spelled
+by its own generator bits (`coset_words_of`), with c-rank, n, |T| and the
+exponents read from its fields.  `Equation.lhs` builds the DAG on each
+read; `Equation.lhs_value` evaluates the terms with a nonzero exponent
+level by level, one product per `_levels` entry, and `serialize_chunks`
+writes the DAG's post-order from the recipe, tower by tower, each level one
+fill of a template made once per element of C, so a writer streaming it to
+a file holds one tower's text at a time.
 """
 
 from dataclasses import dataclass
-
-
-class TooLarge(ValueError):
-    """Flattened length exceeds the configured cap; evaluate instead."""
 
 
 class UnboundGenerator(KeyError):
@@ -32,9 +29,6 @@ class UnboundGenerator(KeyError):
 
 class NotAWitness(ValueError):
     """Witness equations require a non-simple element report."""
-
-
-REDUCE_CAP = 10 ** 6
 
 
 def short_repr(x):
@@ -253,53 +247,6 @@ def evaluate(word, assignment, ops):
     return interpret(postorder(word, live=True), assignment, ops)
 
 
-def flatten(word):
-    """Letter sequence [(name, +-1), ...] of the word, unreduced."""
-    if word.length > REDUCE_CAP:
-        raise TooLarge(f"flattened length {word.length} exceeds cap "
-                       f"{REDUCE_CAP}")
-    out = []
-
-    def go(w, sign):
-        if isinstance(w, Gen):
-            out.append((w.name, sign))
-        elif isinstance(w, Inv):
-            go(w.child, -sign)
-        elif isinstance(w, Concat):
-            parts = w.parts if sign == 1 else reversed(w.parts)
-            for p in parts:
-                go(p, sign)
-        elif isinstance(w, Pow):
-            e = w.exp * sign
-            s = 1 if e > 0 else -1
-            for _ in range(abs(e)):
-                go(w.base, s)
-        else:
-            raise TypeError(f"not a word node: {w!r}")
-
-    go(word, 1)
-    return out
-
-
-def free_reduce(letters):
-    stack = []
-    for name, sign in letters:
-        if stack and stack[-1][0] == name and stack[-1][1] == -sign:
-            stack.pop()
-        else:
-            stack.append((name, sign))
-    return stack
-
-
-def reduce(word):
-    """Freely reduced letter sequence of a small word.
-
-    Raises TooLarge beyond REDUCE_CAP: long words must be evaluated through
-    a group, never flattened.
-    """
-    return free_reduce(flatten(word))
-
-
 # ---------------------------------------------------------------------------
 # the skew-commutator word tower
 
@@ -337,6 +284,14 @@ def _levels(index, m):
     and characters of `certify_no_solution`)."""
     return [(e, -1 if (index & e).bit_count() & 1 else 1)
             for e in range((1 << m) - 1, -1, -1)]
+
+
+def coset_words_of(m):
+    """The coset words of C = G/Q, as `build_v_chi` takes them: element e
+    is spelled by its own set bits, the first generator's the highest, so
+    the words depend on the c-rank m alone."""
+    return [tuple(j for j in range(m) if e >> (m - 1 - j) & 1)
+            for e in range(1 << m)]
 
 
 def _tower(index, m, c_exprs, body):
@@ -387,21 +342,20 @@ class Equation:
     Coefficients appear only on the right-hand side, as a power of the
     distinguished infinite-order generator a of the dihedral subgroup.
 
-    The left-hand side is either given as `lhs`, or by the recipe of the
-    paper's witness: the coset words (as for `build_v_chi`), with one term
-    v_chi^used_exponent per character of C in `enumerate_characters` order,
-    whose y-block is (prod_i y_{chi,i}^2)^torsion_order, the other facts
-    read from the fields.  Deciding needs only the k values and the
-    right-hand side, and `lhs_value` evaluates a recipe level by level with
-    no word built, while the paper's witness DAG has about 4^c-rank nodes.
-    For a recipe, `lhs` is that full DAG, built from the current fields,
-    towers and all, each time it is read.
+    The left-hand side is either given as `lhs`, or, when `lhs` is None, by
+    the recipe of the paper's witness: one term v_chi^used_exponent per
+    character of C in `enumerate_characters` order, whose y-block is
+    (prod_i y_{chi,i}^2)^torsion_order, over the coset words of
+    `coset_words_of(c_rank)`, every fact read from the fields.  Deciding
+    needs only the k values and the right-hand side, and `lhs_value`
+    evaluates a recipe level by level with no word built, while the paper's
+    witness DAG has about 4^c-rank nodes.  For a recipe, `lhs` is that full
+    DAG, built from the current fields, towers and all, each time it is
+    read.
     """
 
     def __init__(self, lhs=None, *, rhs_exponent, c_rank, torsion_order,
-                 n_squares, filler, k_values, coset_words=None):
-        if (lhs is None) == (coset_words is None):
-            raise TypeError("give exactly one of lhs and coset_words")
+                 n_squares, filler, k_values):
         self._lhs = lhs
         self.rhs_exponent = rhs_exponent
         self.c_rank = c_rank
@@ -409,20 +363,20 @@ class Equation:
         self.n_squares = n_squares
         self.filler = filler
         self.k_values = k_values  # raw per-character contents, enumeration order
-        self._coset_words = None if coset_words is None else tuple(coset_words)
 
     def _exponents(self):
         return map(self.used_exponent, range(len(self.k_values)))
 
     @property
     def lhs(self):
-        if self._coset_words is None:
+        if self._lhs is not None:
             return self._lhs
+        words = coset_words_of(self.c_rank)
         terms = []
         for ci, e in enumerate(self._exponents()):
             squares = Concat(tuple(Pow(Gen(y_var(ci, i)), 2)
                                    for i in range(1, self.n_squares + 1)))
-            terms.append(Pow(_v_tower(ci, self.c_rank, self._coset_words,
+            terms.append(Pow(_v_tower(ci, self.c_rank, words,
                                       Pow(squares, self.torsion_order)), e))
         return Concat(tuple(terms))
 
@@ -430,35 +384,36 @@ class Equation:
         """Value of the left-hand side under `assignment` over `ops`, equal
         to `evaluate(self.lhs, assignment, ops)`.
 
-        A recipe is evaluated level by level with no word built: each coset
-        word's value and its inverse are formed once, and each term with a
-        nonzero exponent forms its y-block, then body * c * body^sign * c^-1
-        per `_levels` entry, then its power; a term with exponent 0 is the
-        identity, so its variables need no value.  A given lhs is walked
-        by `evaluate` on each call.
+        A recipe is evaluated level by level with no word built: each x is
+        read once, each coset word's value and its inverse are formed once,
+        and each term with a nonzero exponent forms its y-block, then
+        body * c * body^sign * c^-1 per `_levels` entry, then its power; a
+        term with exponent 0 is the identity, so its variables need no
+        value.  A given lhs is walked by `evaluate` on each call.
         """
-        if self._coset_words is None:
+        if self._lhs is not None:
             return evaluate(self._lhs, assignment, ops)
         mul, inv = ops.mul, ops.inv
-        n, torsion = self.n_squares, self.torsion_order
+        m, n, torsion = self.c_rank, self.n_squares, self.torsion_order
         value = ops.identity
         cosets = None
         for ci, e in enumerate(self._exponents()):
             if not e:
                 continue
             if cosets is None:
+                xs = [_read(assignment, x_var(j)) for j in range(m)]
                 cosets = []
-                for indices in self._coset_words:
+                for indices in coset_words_of(m):
                     c = ops.identity
                     for j in indices:
-                        c = mul(c, _read(assignment, x_var(j)))
+                        c = mul(c, xs[j])
                     cosets.append((c, inv(c)))
             body = ops.identity
             for i in range(1, n + 1):
                 y = _read(assignment, y_var(ci, i))
                 body = mul(body, mul(y, y))
             body = _power(body, torsion, ops)
-            for i, sign in _levels(ci, self.c_rank):
+            for i, sign in _levels(ci, m):
                 c, c_inv = cosets[i]
                 body = mul(mul(mul(body, c), body if sign == 1 else inv(body)),
                            c_inv)
@@ -488,14 +443,16 @@ class Equation:
             for i in range(1, self.n_squares + 1)]
 
 
-def build_witness_equation(report, n, torsion_order, c_rank, coset_words,
-                           filler=0):
+def build_witness_equation(report, n, torsion_order, c_rank,
+                           coset_words=None, filler=0):
     """Assemble the witness equation from a non-simplicity report.
 
     The y-block substituted for each character is (prod_i y_{chi,i}^2)
     raised to the torsion order; characters with vanishing components get
     the filler exponent (any integer except +-1, 0 by default).  No word is
-    built here: the equation keeps the recipe of its left-hand side.
+    built here: the equation keeps the recipe of its left-hand side, whose
+    coset words follow from c_rank.  `coset_words` is not read; the
+    benchmark's tracer still passes `SquareData.coset_words` in its place.
     """
     if report.simple:
         raise NotAWitness("simple elements admit a retraction, not a witness")
@@ -518,7 +475,6 @@ def build_witness_equation(report, n, torsion_order, c_rank, coset_words,
         n_squares=n,
         filler=filler,
         k_values=tuple(k_values),
-        coset_words=coset_words,
     )
 
 
@@ -549,12 +505,11 @@ def serialize_chunks(eq):
            f"(n {eq.n_squares}) (filler {eq.filler})\n"
            f"  (k{''.join(' ' + str(k) for k in eq.k_values)})\n"
            " (nodes\n")
-    if eq._coset_words is None:
-        root = yield from _walk_lines(eq.lhs)
+    if eq._lhs is not None:
+        root = yield from _walk_lines(eq._lhs)
     else:
-        root = yield from _recipe_lines(eq._coset_words, eq.c_rank,
-                                        eq.n_squares, eq.torsion_order,
-                                        eq._exponents())
+        root = yield from _recipe_lines(eq.c_rank, eq.n_squares,
+                                        eq.torsion_order, eq._exponents())
     yield f" )\n (lhs n{root})\n (rhs a {eq.rhs_exponent}))\n"
 
 
@@ -577,9 +532,10 @@ def _walk_lines(lhs):
     return len(labels) - 1
 
 
-def _level_templates(coset_words):
-    """Per element of C, the text of one tower level with sign +1 and with
-    sign -1, as `str.format` templates, with the count of labels each adds.
+def _level_templates(m):
+    """Per element of C at c-rank m, the text of one tower level with sign
+    +1 and with sign -1, as `str.format` templates, with the count of labels
+    each adds.
 
     A level's labels are consecutive and follow its body's label, so field
     {0} is the body and field {t} the t-th label the level defines.  A level
@@ -588,7 +544,7 @@ def _level_templates(coset_words):
     Inv(c), and the level's Concat.
     """
     plus, minus = [], []
-    for indices in coset_words:
+    for indices in coset_words_of(m):
         # c's field; fields 1 .. c - 1 are its generators.  `%` writes the
         # field numbers here, and `format` each level's labels into them
         c = len(indices) + 1
@@ -606,7 +562,7 @@ def _level_templates(coset_words):
     return plus, minus
 
 
-def _recipe_lines(coset_words, m, n, torsion, exponents):
+def _recipe_lines(m, n, torsion, exponents):
     """`_walk_lines` of a recipe's left-hand side, from the tower layout:
     yields one chunk per term, then the root's line; returns the root's
     label number.
@@ -616,7 +572,7 @@ def _recipe_lines(coset_words, m, n, torsion, exponents):
     its power), then one level per `_levels` entry, innermost first, then
     the term's Pow.  No two terms share a node.
     """
-    plus, minus = _level_templates(coset_words)
+    plus, minus = _level_templates(m)
     k = 0  # the next label number
     terms = ""
     for ci, e in enumerate(exponents):

@@ -282,12 +282,8 @@ def test_retract_enumerates_no_listing_of_c(monkeypatch):
     def refuse(m):
         raise AssertionError(f"listed C at c_rank {m}")
 
-    # ambient imports enumerate_group_elements by name
-    for module, name in [
-            (verbalclosure.involutions, "enumerate_characters"),
-            (verbalclosure.involutions, "enumerate_group_elements"),
-            (verbalclosure.ambient, "enumerate_group_elements")]:
-        monkeypatch.setattr(module, name, refuse)
+    for name in ["enumerate_characters", "enumerate_group_elements"]:
+        monkeypatch.setattr(verbalclosure.involutions, name, refuse)
     cases = [
         (5, "a1^3*a2^5*a3^7*a4^9*a5", "chi(+++++++++-)", (0, 0, 0, 0, 1)),
         (5, "a1*a2^3*a3^5*a4^7*a5^9", "chi(+-++++++++)", (1, 0, 0, 0, 0)),
@@ -301,6 +297,46 @@ def test_retract_enumerates_no_listing_of_c(monkeypatch):
         assert rho.data.c_rank == 2 * n
         assert rho.sign_character.label() == label
         assert rho.functional == functional
+
+
+def test_witness_lists_no_coset_words(monkeypatch):
+    # a witness derives its coset words from c_rank where a level reads
+    # them, so analyze and the report (without --verify) list no element
+    # or character of C and read no coset word, even at c_rank 16
+    import verbalclosure.ambient
+    import verbalclosure.dihedral
+    import verbalclosure.involutions
+    import verbalclosure.words
+    from verbalclosure.ambient import SquareData
+
+    def refuse(*args):
+        raise AssertionError("listed C")
+
+    # dihedral and ambient import these by name
+    for module, name in [
+            (verbalclosure.involutions, "enumerate_characters"),
+            (verbalclosure.involutions, "enumerate_group_elements"),
+            (verbalclosure.dihedral, "enumerate_group_elements"),
+            (verbalclosure.words, "coset_words_of"),
+            (verbalclosure.ambient, "coset_words_of")]:
+        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(SquareData, "coset_words", property(refuse))
+    spec = validate_spec(GroupSpec([DInf(), DInf()] + [ZedMod(2)] * 12,
+                                   "b1*b2", "a1^3*a2^5"))
+    verdict = analyze(spec)
+    assert verdict.data.c_rank == 16 and not verdict.is_retract
+    # the report prints the right-hand side a^(2^65538) in decimal, past
+    # Python's default limit on str(int), where build_report still raises
+    # ValueError from c_rank 14; the limit is lifted only inside this guard,
+    # so that it reaches the report's code
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        lines, payload, code = build_report(verdict, Namespace(verify=False))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 10 and payload["certificate_valid"] is True
+    assert "  every other character (65534): k=0" in lines
 
 
 def _dinf_spec(n, a1):

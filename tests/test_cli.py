@@ -79,6 +79,19 @@ def test_analyze_validation_error(tmp_path, capsys):
     assert "invert" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra, key", [
+    ("a = a1*a2^5\n", "a"),  # a repeated key once kept its last value
+    ("filer = 2\n", "filer"),  # an unknown key was once dropped
+], ids=["repeated-key", "unknown-key"])
+def test_analyze_rejects_repeated_and_unknown_keys(tmp_path, capsys, extra,
+                                                   key):
+    path = write(tmp_path, "k.spec", WITNESS_SPEC + extra)
+    assert main(["analyze", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unknown or repeated key {key!r}\n"
+
+
 def test_analyze_missing_file(capsys):
     assert main(["analyze", "/nonexistent/path.spec"]) == 2
     assert "cannot read" in capsys.readouterr().err

@@ -10,6 +10,7 @@ import pytest
 from util import (
     canonical_coset_words,
     count_calls,
+    evaluate_v_closed_form,
     full_certificate_rows,
     full_component_table,
 )
@@ -26,7 +27,6 @@ from verbalclosure.dihedral import (
     NoSolutionCertificate,
     certify_no_solution,
     character_of_substitution,
-    evaluate_v_closed_form,
     spot_check_no_solution,
 )
 from verbalclosure.involutions import (
@@ -138,9 +138,7 @@ def _witness_equation(filler=0, n=1, torsion=1):
     pres = AbelianPresentation(2, [])
     mod = InvolutionModule(pres, [[[-1, 0], [0, 1]], [[1, 0], [0, -1]]])
     rep = mod.is_simple((2, 3))
-    coset_words = canonical_coset_words(2)
-    return build_witness_equation(rep, n, torsion, 2, coset_words,
-                                  filler=filler)
+    return build_witness_equation(rep, n, torsion, 2, filler=filler)
 
 
 def test_certificate_valid_and_table():

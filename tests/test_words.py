@@ -5,7 +5,14 @@ import random
 
 import pytest
 
-from util import canonical_coset_words, count_calls, dag_nodes, witness_equation
+from util import (
+    canonical_coset_words,
+    count_calls,
+    dag_nodes,
+    evaluate_v_closed_form,
+    flatten,
+    witness_equation,
+)
 
 import verbalclosure.words as words
 from verbalclosure import (
@@ -23,7 +30,6 @@ from verbalclosure.dihedral import (
     IDENTITY,
     DihedralElement,
     character_of_substitution,
-    evaluate_v_closed_form,
     spot_check_no_solution,
 )
 from verbalclosure.involutions import (
@@ -42,17 +48,14 @@ from verbalclosure.words import (
     Inv,
     NotAWitness,
     Pow,
-    TooLarge,
     UnboundGenerator,
     build_v_chi,
     build_w_chi,
     build_witness_equation,
+    coset_words_of,
     evaluate,
-    flatten,
-    free_reduce,
     parse_equation,
     postorder,
-    reduce,
     serialize_chunks,
     serialize_equation,
     skew_commutator,
@@ -93,23 +96,13 @@ def test_evaluate_matches_letterwise_oracle():
         assert got == want
 
 
-def test_free_reduce():
-    assert free_reduce([("a", 1), ("a", -1)]) == []
-    assert free_reduce([("a", 1), ("b", 1), ("b", -1), ("a", 1)]) == [
-        ("a", 1), ("a", 1)]
-    w = Concat((Gen("a"), Inv(Gen("a")), Gen("b")))
-    assert reduce(w) == [("b", 1)]
-
-
 def test_too_large_guard():
     w = Gen("a")
     for _ in range(40):
         w = Pow(w, 2)
     assert w.length == 2 ** 40
     assert Pow(w, 0).length == 0
-    with pytest.raises(TooLarge):
-        reduce(w)
-    # but evaluation is cheap
+    # evaluation is cheap
     assert evaluate(w, {"a": 1}, INT_OPS) == 2 ** 40
 
 
@@ -143,9 +136,9 @@ def test_skew_commutator_shape():
     body = Gen("y")
     c = Gen("c")
     w = skew_commutator(c, 1, body)
-    assert reduce(w) == [("y", 1), ("c", 1), ("y", 1), ("c", -1)]
+    assert flatten(w) == [("y", 1), ("c", 1), ("y", 1), ("c", -1)]
     w2 = skew_commutator(c, -1, body)
-    assert reduce(w2) == [("y", 1), ("c", 1), ("y", -1), ("c", -1)]
+    assert flatten(w2) == [("y", 1), ("c", 1), ("y", -1), ("c", -1)]
     with pytest.raises(ValueError):
         skew_commutator(c, 0, body)
 
@@ -193,8 +186,7 @@ def _nonsimple_report():
 
 def test_build_witness_equation_shape():
     mod, rep = _nonsimple_report()
-    coset_words = canonical_coset_words(2)
-    eq = build_witness_equation(rep, 1, 1, 2, coset_words)
+    eq = build_witness_equation(rep, 1, 1, 2)
     assert eq.rhs_exponent == 2 * (1 << 4) * 1
     assert eq.c_rank == 2 and eq.c_size == 4
     assert sorted(k for k in eq.k_values if k) == [2, 3]
@@ -206,22 +198,20 @@ def test_build_witness_equation_shape():
 
 def test_build_witness_equation_preconditions():
     mod, rep = _nonsimple_report()
-    coset_words = canonical_coset_words(2)
     with pytest.raises(ValueError):
-        build_witness_equation(rep, 1, 1, 2, coset_words, filler=1)
+        build_witness_equation(rep, 1, 1, 2, filler=1)
     with pytest.raises(ValueError):
-        build_witness_equation(rep, 0, 1, 2, coset_words)
+        build_witness_equation(rep, 0, 1, 2)
     simple_rep = InvolutionModule(
         AbelianPresentation(1, []), [[[-1]]]).is_simple((1,))
     assert simple_rep.simple
     with pytest.raises(NotAWitness):
-        build_witness_equation(simple_rep, 1, 1, 1, [(), (0,)])
+        build_witness_equation(simple_rep, 1, 1, 1)
 
 
 def test_used_exponent_and_filler():
     mod, rep = _nonsimple_report()
-    coset_words = canonical_coset_words(2)
-    eq = build_witness_equation(rep, 1, 1, 2, coset_words, filler=2)
+    eq = build_witness_equation(rep, 1, 1, 2, filler=2)
     for ci, k in enumerate(eq.k_values):
         assert eq.used_exponent(ci) == (k if k else 2)
 
@@ -259,8 +249,7 @@ def test_v_chi_substitution_recovers_w_chi():
 
 def test_serialization_round_trip_preserves_sharing():
     mod, rep = _nonsimple_report()
-    coset_words = canonical_coset_words(2)
-    eq = build_witness_equation(rep, 2, 3, 2, coset_words, filler=0)
+    eq = build_witness_equation(rep, 2, 3, 2, filler=0)
     text = serialize_equation(eq)
     eq2 = parse_equation(text)
     assert serialize_equation(eq2) == text  # byte-identical round trip
@@ -303,6 +292,11 @@ def _given(eq, lhs):
                     filler=eq.filler, k_values=eq.k_values)
 
 
+@pytest.mark.parametrize("m", range(7))
+def test_coset_words_are_derived_from_c_rank(m):
+    assert coset_words_of(m) == canonical_coset_words(m)
+
+
 @pytest.mark.parametrize("m", range(6))
 def test_levels_read_the_character_by_index(m):
     # index i is the i-th character of enumerate_characters, and each
@@ -321,12 +315,12 @@ def test_witness_lhs_is_built_on_each_read(witness_m4, monkeypatch):
     assert "<built when read>" in repr(verdict)
     assert towers == []
     # the same equation with its lhs built eagerly through build_v_chi
-    data = verdict.data
+    coset_words = canonical_coset_words(eq.c_rank)
     terms = []
     for ci, chi in enumerate(enumerate_characters(eq.c_rank)):
         squares = Concat(tuple(Pow(Gen(y_var(ci, i)), 2)
                                for i in range(1, eq.n_squares + 1)))
-        v = build_v_chi(chi, data.coset_words,
+        v = build_v_chi(chi, coset_words,
                         y_word=Pow(squares, eq.torsion_order))
         terms.append(Pow(v, eq.used_exponent(ci)))
     eager = serialize_equation(_given(eq, Concat(tuple(terms))))
@@ -340,9 +334,6 @@ def test_witness_lhs_is_built_on_each_read(witness_m4, monkeypatch):
     assert len(towers) == 2 << eq.c_rank
     assert serialize_equation(_given(eq, lhs)) == eager
     assert "<built when read>" in repr(verdict)
-    with pytest.raises(TypeError):
-        Equation(rhs_exponent=2, c_rank=0, torsion_order=1, n_squares=1,
-                 filler=0, k_values=(0,))
 
 
 def test_verify_builds_no_tower(witness_m4, monkeypatch):

@@ -1,13 +1,19 @@
 """Shared test helpers: random module generators, a semidirect product
 group for evaluating words against direct module arithmetic, a DAG node
-counter, a call counter, the canonical coset words, the witness pipeline
-with n squares, and reference builders of a witness's full component and
-certificate tables."""
+counter, the letter-by-letter flattening of a small word, a call counter,
+the canonical coset words, the closed-form value of a tower over the
+infinite dihedral group, the witness pipeline with n squares, and reference
+builders of a witness's full component and certificate tables."""
 
 from math import gcd
 
 from verbalclosure.ambient import image_of_a_squared, square_data
-from verbalclosure.dihedral import CertificateRow, character_of_substitution
+from verbalclosure.dihedral import (
+    IDENTITY,
+    CertificateRow,
+    DihedralElement,
+    character_of_substitution,
+)
 from verbalclosure.involutions import (
     Character,
     ComponentWitness,
@@ -23,7 +29,7 @@ from verbalclosure.lattice import (
     mat_vec,
     membership_solve,
 )
-from verbalclosure.words import Concat, Inv, Pow, build_witness_equation
+from verbalclosure.words import Concat, Gen, Inv, Pow, build_witness_equation
 
 
 def random_unimodular(rng, n, steps=8):
@@ -181,6 +187,30 @@ def dag_nodes(root):
     return len(seen)
 
 
+def flatten(word):
+    """Letter sequence [(name, +-1), ...] of a small word, unreduced: the
+    letter-by-letter oracle, recursive and exponential in the DAG depth."""
+    out = []
+
+    def go(w, sign):
+        if isinstance(w, Gen):
+            out.append((w.name, sign))
+        elif isinstance(w, Inv):
+            go(w.child, -sign)
+        elif isinstance(w, Concat):
+            for p in (w.parts if sign == 1 else reversed(w.parts)):
+                go(p, sign)
+        elif isinstance(w, Pow):
+            e = w.exp * sign
+            for _ in range(abs(e)):
+                go(w.base, 1 if e > 0 else -1)
+        else:
+            raise TypeError(f"not a word node: {w!r}")
+
+    go(word, 1)
+    return out
+
+
 def count_calls(monkeypatch, owner, name):
     """Wrap owner.name for the rest of the test; returns the list that each
     call appends its positional arguments to.  A method patched on its
@@ -202,7 +232,7 @@ def witness_equation(spec, n, filler=0):
     data = square_data(spec)
     report = data.module.is_simple(image_of_a_squared(spec, data))
     eq = build_witness_equation(report, n, data.presentation.torsion_order,
-                                data.c_rank, data.coset_words, filler=filler)
+                                data.c_rank, filler=filler)
     return data, report, eq
 
 
@@ -211,6 +241,19 @@ def canonical_coset_words(m):
     whose product spells it, as `SquareData.coset_words` lists them."""
     return [tuple(j for j, b in enumerate(bits) if b)
             for bits in enumerate_group_elements(m)]
+
+
+def evaluate_v_closed_form(chi, delta, y_value_exponent):
+    """Reference: the value of the commutator-tower word v_chi over the
+    infinite dihedral group with x_j = a^{k_j} b^{delta_j}, in closed form.
+
+    With y = a^{y_value_exponent} (necessarily an even power of a) the word
+    collapses to a^{y_value_exponent * 2^{|C|}} when chi matches the
+    character determined by the flip bits, and to the identity otherwise.
+    """
+    if chi != character_of_substitution(delta):
+        return IDENTITY
+    return DihedralElement(y_value_exponent << (1 << len(delta)), 0)
 
 
 def full_component_table(module, q):
