@@ -381,12 +381,12 @@ def validate_spec(spec):
 class SquareData:
     """The subgroup Q generated by all squares, as a presented abelian group
     with one coordinate per factor, together with the quotient 2-group data
-    and its conjugation action."""
+    and its conjugation action.  Coordinate j is generated by the square of
+    factor j's q_letter; the factor names that root, so none is stored."""
 
     spec: GroupSpec
     presentation: AbelianPresentation
     module: InvolutionModule
-    q_roots: list  # per Q-coordinate, an ambient element whose square generates it
     c_names: list  # independent generators of G/Q, in factor order, a before b
     d_elements: list  # coset representatives for c_names
 
@@ -420,45 +420,41 @@ class SquareData:
 def square_data(spec):
     """Extract Q, C = G/Q and the conjugation action from a validated spec.
 
-    Q gets one coordinate per factor (the square of a distinguished
-    generator); odd cyclic factors are entirely inside Q and contribute a
-    torsion relation but no quotient generator.  Action matrices are
-    computed by direct conjugation of the coordinate generators.
+    Q gets one coordinate per factor (the square of the factor's q_letter);
+    odd cyclic factors are entirely inside Q and contribute a torsion
+    relation but no quotient generator.  G is a direct product, so a
+    quotient generator of factor j acts on coordinate j only: its action
+    matrix is diagonal, and each entry is computed by one factor's own
+    arithmetic, entry (j, j) by conjugating factor j's square.
     """
-    group = spec.group
     factors = spec.factors
     n = len(factors)
-    q_roots = []
+    squares = [f.pow(f.generator(f.q_letter), 2) for f in factors]
+    # a generator of another factor fixes each square: 1, or 0 where the
+    # coordinate is trivial
+    fixed = [f.q_coordinate(s) for f, s in zip(factors, squares)]
     relations = []
     c_names = []
-    for j, f in enumerate(factors, start=1):
-        q_roots.append(group.generator_element(f"{f.q_letter}{j}"))
-        c_names.extend(f"{letter}{j}" for letter in f.quotient_letters)
+    actions = []
+    for j, (f, s) in enumerate(zip(factors, squares)):
+        for letter in f.quotient_letters:
+            d = f.generator(letter)
+            diagonal = fixed.copy()
+            diagonal[j] = f.q_coordinate(f.mul(f.mul(d, s), f.inv(d)))
+            actions.append([[x if i == l else 0 for l in range(n)]
+                            for i, x in enumerate(diagonal)])
+            c_names.append(f"{letter}{j + 1}")
         if f.q_order is not None:
             row = [0] * n
-            row[j - 1] = f.q_order
+            row[j] = f.q_order
             relations.append(tuple(row))
     presentation = AbelianPresentation(n, relations)
-
-    d_elements = [group.generator_element(name) for name in c_names]
-    actions = []
-    for d in d_elements:
-        dinv = group.inv(d)
-        matrix = [[0] * n for _ in range(n)]
-        for l, root in enumerate(q_roots):
-            s = group.mul(root, root)
-            conj = group.mul(group.mul(d, s), dinv)
-            for i, (f, x) in enumerate(zip(factors, conj)):
-                matrix[i][l] = f.q_coordinate(x)
-        actions.append(matrix)
-    module = InvolutionModule(presentation, actions)
     return SquareData(
         spec=spec,
         presentation=presentation,
-        module=module,
-        q_roots=q_roots,
+        module=InvolutionModule(presentation, actions),
         c_names=c_names,
-        d_elements=d_elements,
+        d_elements=[spec.group.generator_element(name) for name in c_names],
     )
 
 
@@ -476,9 +472,9 @@ def g_solution(eq, data, report):
     """An explicit ambient solution of the witness equation.
 
     Each x-variable gets its coset representative; for every character with
-    a nonzero component the first y-slot gets the product of coordinate
-    square roots realising the reported lift, so its square is exactly that
-    element of Q.  Remaining slots are identity.
+    a nonzero component the first y-slot gets, factor by factor, the
+    factor's q_letter generator raised to the reported lift's coordinate, so
+    its square is exactly that element of Q.  Remaining slots are identity.
     """
     if report.simple:
         raise ValueError("no witness equation exists for a simple element")
@@ -492,11 +488,9 @@ def g_solution(eq, data, report):
         for i in range(1, eq.n_squares + 1):
             assignment[y_var(ci, i)] = group.identity
     for ci, w in report.nonzero.items():
-        root = group.identity
-        for coeff, g in zip(w.lift, data.q_roots):
-            if coeff:
-                root = group.mul(root, group.pow(g, coeff))
-        assignment[y_var(ci, 1)] = root
+        assignment[y_var(ci, 1)] = tuple(
+            f.pow(f.generator(f.q_letter), c)
+            for f, c in zip(data.spec.factors, w.lift))
     return assignment
 
 
@@ -585,27 +579,12 @@ def build_retraction(spec, data, q_vec, chi):
     if data.sign_of(chi, spec.h_b) != -1:
         raise NormalizationFailure("sign character must negate along b")
 
-    # kernel of the sign character inside G/Q, as bit vectors
-    m = data.c_rank
-    neg = [1 if s == -1 else 0 for s in chi.signs]
-    pivot = next((j for j, r in enumerate(neg) if r), None)
-    kernel_bits = []
-    for j in range(m):
-        if j == pivot:
-            continue
-        bits = [0] * m
-        bits[j] = 1
-        if neg[j]:
-            bits[pivot] ^= 1
-        kernel_bits.append(tuple(bits))
-
-    lifts = []
-    for bits in kernel_bits:
-        g = group.identity
-        for j, b in enumerate(bits):
-            if b:
-                g = group.mul(g, data.d_elements[j])
-        lifts.append(g)
+    # lifts of the kernel of chi in G/Q: each generator but the first that
+    # chi negates, times that one when chi negates it too
+    d = data.d_elements
+    pivot = chi.signs.index(-1)
+    lifts = [group.mul(d[pivot], d[j]) if s == -1 else d[j]
+             for j, s in enumerate(chi.signs) if j != pivot]
     # the index-two subgroup must be abelian modulo the complement
     for i in range(len(lifts)):
         for j in range(i + 1, len(lifts)):

@@ -333,7 +333,8 @@ def make_parser():
     pa.add_argument("--samples", type=nonnegative_int, default=10000,
                     help="sample count for retraction verification")
     pa.add_argument("--bound", type=nonnegative_int, default=100,
-                    help="coordinate bound for sampled elements")
+                    help="coordinate bound for the retraction samples only "
+                         "(the spot check's is fixed; the report prints it)")
     pa.add_argument("--trials", type=nonnegative_int, default=1000,
                     help="trial count for the no-solution spot check")
     pa.add_argument("--format", choices=("text", "structured"),

@@ -158,27 +158,28 @@ class NoSolutionCertificate:
 
     def is_valid(self):
         """Re-verify every integer obstruction independently of how the
-        rows were produced: each listed row's, the filler's for the
-        remainder, and that the listed patterns are distinct and the
-        remainder counts the rest."""
+        rows were produced: that the target is not 1, each listed row's
+        obstruction, the filler's for the remainder, and that the listed
+        patterns are distinct and the remainder counts the rest."""
         m = self.c_rank
         deltas = {row.delta for row in self.listed}
-        if (len(deltas) != len(self.listed)
+        # a^0 = 1 lies in every subgroup, so a target a^0 is always solved
+        if (self.rhs_exponent == 0
+                or len(deltas) != len(self.listed)
                 or len(self.listed) + self.remainder != 1 << m
                 or not all(len(d) == m and _BITS.issuperset(d)
                            for d in deltas)):
             return False
         # target = subgroup * l  <=>  k * l = 1: impossible for |k| != 1;
-        # with k = 0 the values are 1, which misses a nonzero target
-        if self.remainder and (abs(self.filler) == 1 or
-                               self.filler == 0 and self.rhs_exponent == 0):
+        # with k = 0 the values are 1, which misses the nonzero target
+        if self.remainder and abs(self.filler) == 1:
             return False
         for row in self.listed:
             k = row.effective_exponent
             if row.target_exponent != self.rhs_exponent:
                 return False
             if k == 0:
-                if row.obstruction != "identity-vs-nontrivial" or self.rhs_exponent == 0:
+                if row.obstruction != "identity-vs-nontrivial":
                     return False
             elif abs(k) == 1 or row.subgroup_exponent != self.rhs_exponent * k:
                 return False

@@ -195,17 +195,46 @@ def test_every_square_lies_in_q(factors):
         assert data.coset_bits(sq) == (0,) * data.c_rank
 
 
+def all_factor_types_spec():
+    # every factor type, with an even and an odd modulus; a witness
+    return validate_spec(GroupSpec([DInf(), Zed(), ZedMod(4), ZedMod(3)],
+                                   "b1*c3^2", "a1^3"))
+
+
 def test_action_matrices_match_conjugation():
-    spec = spec4()
+    # the reference for square_data's factor-by-factor matrices: conjugate
+    # each coordinate's generator as a full n-tuple.  In ZedMod(2) and
+    # ZedMod(1) the Q coordinate is trivial, and the square's coordinate 0
+    trivial = validate_spec(GroupSpec([DInf(), ZedMod(2), ZedMod(1)],
+                                      "b1*c2", "a1"))
+    for spec in (spec4(), all_factor_types_spec(), trivial):
+        data = square_data(spec)
+        group = spec.group
+        n = len(spec.factors)
+        roots = [group.generator_element(f"{f.q_letter}{l}")
+                 for l, f in enumerate(spec.factors, start=1)]
+        assert len(data.module.actions) == data.c_rank
+        for d, A in zip(data.d_elements, data.module.actions):
+            for l, root in enumerate(roots):
+                s = group.mul(root, root)
+                conj = group.mul(group.mul(d, s), group.inv(d))
+                col = data.q_coordinates(conj)
+                unit = tuple(1 if i == l else 0 for i in range(n))
+                assert mat_vec(A, unit) == col
+
+
+def test_square_data_and_g_solution_make_no_ambient_products(monkeypatch):
+    # the action and the square roots come from each factor's own
+    # arithmetic, with no n-tuple product
+    spec = all_factor_types_spec()
+    verdict = analyze(spec)
+    assert not verdict.is_retract
+    calls = [count_calls(monkeypatch, AmbientGroup, name)
+             for name in ("mul", "inv")]
     data = square_data(spec)
-    group = spec.group
-    for d, A in zip(data.d_elements, data.module.actions):
-        for l, root in enumerate(data.q_roots):
-            s = group.mul(root, root)
-            conj = group.mul(group.mul(d, s), group.inv(d))
-            col = data.q_coordinates(conj)
-            unit = tuple(1 if i == l else 0 for i in range(len(data.q_roots)))
-            assert mat_vec(A, unit) == col
+    solution = g_solution(verdict.equation, data, verdict.report)
+    assert calls == [[], []]
+    assert verify_solution_in_G(verdict.equation, solution, spec)
 
 
 def test_coset_bits():

@@ -174,7 +174,7 @@ def test_emit_equation_round_trips(tmp_path, capsys):
     out_path = str(tmp_path / "eq.txt")
     assert main(["analyze", path, "--emit-equation", out_path]) == 10
     capsys.readouterr()
-    text = open(out_path).read()
+    text = Path(out_path).read_text()
     eq = parse_equation(text)
     assert eq.rhs_exponent == 2 ** 17
     assert sorted(k for k in eq.k_values if k) == [3, 5]

@@ -25,6 +25,7 @@ from verbalclosure.dihedral import (
     IDENTITY,
     InvalidEquation,
     NoSolutionCertificate,
+    _row,
     certify_no_solution,
     character_of_substitution,
     spot_check_no_solution,
@@ -196,17 +197,30 @@ def test_compact_certificate_detects_tampering(tamper):
     elif tamper == "delta outside C":
         cert.listed[0].delta = (0, 1, 0)
     elif tamper.startswith("filler 0"):
-        # every listed row restated for rhs 0 stays valid; the remainder's
-        # values are 1, which is the target 1 = a^0
+        # every listed row restated for rhs 0; the remainder's values are 1,
+        # which is the target 1 = a^0
         for row in cert.listed:
             row.target_exponent = row.subgroup_exponent = 0
         cert.rhs_exponent = 0
-        cert.filler = 2
-        assert cert.is_valid()
         cert.filler = 0
     else:
         cert.filler = int(tamper.split()[1])
     assert not cert.is_valid()
+
+
+@pytest.mark.parametrize("remainder", [0, 1])
+def test_certificate_rejects_target_a_to_the_0(remainder):
+    # a^0 = 1 lies in every <a^(0*k)>, so the identity solves the equation,
+    # whatever the rows' exponents and the filler
+    listed = [_row((0,), 3, 0), _row((1,), 2, 0)][:2 - remainder]
+    cert = NoSolutionCertificate(listed=listed, c_rank=1, rhs_exponent=0,
+                                 filler=2, remainder=remainder)
+    assert not cert.is_valid()
+    for row in listed:
+        row.target_exponent = 4
+        row.subgroup_exponent = 4 * row.effective_exponent
+    cert.rhs_exponent = 4
+    assert cert.is_valid()
 
 
 def test_derived_tables_match_the_full_loops():
