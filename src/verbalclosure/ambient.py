@@ -424,23 +424,23 @@ def square_data(spec):
     odd cyclic factors are entirely inside Q and contribute a torsion
     relation but no quotient generator.  G is a direct product, so a
     quotient generator of factor j acts on coordinate j only: its action
-    matrix is diagonal, and each entry is computed by one factor's own
-    arithmetic, entry (j, j) by conjugating factor j's square.
+    matrix is diagonal with 1 elsewhere, and entry (j, j) is computed by
+    factor j's own arithmetic, by conjugating its square.  An entry matters
+    only modulo the coordinate's order, so a trivial coordinate (ZedMod(1),
+    ZedMod(2)) gets 1, and every action squares to I exactly.
     """
     factors = spec.factors
     n = len(factors)
-    squares = [f.pow(f.generator(f.q_letter), 2) for f in factors]
-    # a generator of another factor fixes each square: 1, or 0 where the
-    # coordinate is trivial
-    fixed = [f.q_coordinate(s) for f, s in zip(factors, squares)]
     relations = []
     c_names = []
     actions = []
-    for j, (f, s) in enumerate(zip(factors, squares)):
+    for j, f in enumerate(factors):
+        s = f.pow(f.generator(f.q_letter), 2)
         for letter in f.quotient_letters:
             d = f.generator(letter)
-            diagonal = fixed.copy()
-            diagonal[j] = f.q_coordinate(f.mul(f.mul(d, s), f.inv(d)))
+            diagonal = [1] * n
+            if f.q_order != 1:
+                diagonal[j] = f.q_coordinate(f.mul(f.mul(d, s), f.inv(d)))
             actions.append([[x if i == l else 0 for l in range(n)]
                             for i, x in enumerate(diagonal)])
             c_names.append(f"{letter}{j + 1}")
@@ -585,14 +585,21 @@ def build_retraction(spec, data, q_vec, chi):
     pivot = chi.signs.index(-1)
     lifts = [group.mul(d[pivot], d[j]) if s == -1 else d[j]
              for j, s in enumerate(chi.signs) if j != pivot]
-    # the index-two subgroup must be abelian modulo the complement
+    # the index-two subgroup must be abelian modulo the complement.  A
+    # commutator in the direct product G is trivial in every factor where
+    # either lift is, so the functional reads it, factor by factor, on the
+    # factors where both are nontrivial
+    factors = spec.factors
+    support = [{k for k, (f, x) in enumerate(zip(factors, g))
+                if x != f.identity} for g in lifts]
     for i in range(len(lifts)):
         for j in range(i + 1, len(lifts)):
-            li, lj = lifts[i], lifts[j]
-            comm = group.mul(group.mul(li, lj),
-                             group.inv(group.mul(lj, li)))
-            coords = data.q_coordinates(comm)
-            if sum(l * x for l, x in zip(lam, coords)) != 0:
+            t = 0
+            for k in support[i] & support[j]:
+                f, x, y = factors[k], lifts[i][k], lifts[j][k]
+                comm = f.mul(f.mul(x, y), f.inv(f.mul(y, x)))
+                t += lam[k] * f.q_coordinate(comm)
+            if t != 0:
                 raise AssertionError(
                     "kernel subgroup is not abelian modulo the complement")
 

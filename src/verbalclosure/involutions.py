@@ -5,18 +5,23 @@ group Q through one integer involution matrix per generator.  This module
 computes sign characters of C, the rational eigenprojections of elements of
 Q, the eigencomponent lattices, the simplicity test that drives the whole
 retract-or-witness decision, and invariant complements for simple elements.
-Every eigenprojection is read from one table, `_eigensplit`.
+Every eigenprojection is read from one table, `_eigensplit`, of the integer
+numerators 2^m e_chi.  The decision stays in integers: it solves 2^m times
+a component, an integer vector, in the eigenlattice scaled by 2^m, where its
+coordinates are those of the component itself.  The public projections and
+eigenlattices divide by 2^m on read.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import gcd
+from operator import mul
 
 from .lattice import (
     AbelianPresentation,
     Lattice,
     NotInLattice,
+    _ratio,
     eye,
     kernel_basis,
     mat_mul,
@@ -141,7 +146,7 @@ class InvolutionModule:
             AG = mat_mul(A, lift) if n else []
             self.free_actions.append(mat_mul(proj, AG) if f else [])
         self._split = _eigensplit(self.free_actions, f)
-        self._eigenlattices = {}
+        self._lattices = {}  # signs -> eigenlattice scaled by 2^m
 
     # -- validation ---------------------------------------------------------
 
@@ -204,13 +209,24 @@ class InvolutionModule:
 
     # -- lattices -----------------------------------------------------------
 
+    def _lattice(self, signs):
+        """The lattice of chi-components of Q scaled by 2^m, in free
+        coordinates: spanned by the integer columns of chi's `_eigensplit`
+        entry M applied to the free projection, which are 2^m times the
+        components of the unit vectors.  Scaling keeps the Smith form's U
+        and V, so coordinates and membership coefficients are those of the
+        unscaled lattice."""
+        if signs not in self._lattices:
+            M = self._split.get(signs)
+            gens = (list(zip(*mat_mul(M, self.group._proj))) if M is not None
+                    else [(0,) * self.group.free_rank] * self.group.rank)
+            self._lattices[signs] = Lattice.from_generators(gens)
+        return self._lattices[signs]
+
     def eigenlattice_free(self, chi):
-        if chi not in self._eigenlattices:
-            n = self.group.rank
-            units = (tuple(int(j == i) for j in range(n)) for i in range(n))
-            self._eigenlattices[chi] = Lattice.from_generators(
-                [self.project_free(e, chi) for e in units])
-        return self._eigenlattices[chi]
+        """The lattice of chi-components of Q in free coordinates, generated
+        by the components of the unit vectors: `_lattice` divided by 2^m."""
+        return self._lattice(chi.signs).divided(self.c_size)
 
     def eigenlattice(self, chi):
         """Z-basis of the lattice of chi-components of Q, ambient coordinates."""
@@ -226,20 +242,21 @@ class InvolutionModule:
         non-simple q, each character with a nonzero component gets its
         content k and a lift into Q of the primitive direction.  Only the
         characters in `_eigensplit` are visited, each nonzero component with
-        one solve: the eigenlattice is generated by the projections of the
-        unit vectors, so its membership solve x = s U[:r] lifts the
-        component into Q, and gcd(x) = gcd(s) = k as U is unimodular.
+        one integer solve of its numerator M fq in the scaled lattice: that
+        lattice is generated by the numerators of the unit vectors'
+        components, so its membership solve x = s U[:r] lifts the component
+        into Q, and gcd(x) = gcd(s) = k as U is unimodular.
         """
         fq = self.group.free_coordinates(q)
         nonzero = {}
-        for signs in self._split:
-            v = _component(self._split, signs, fq)
-            if not any(v):
+        for signs, M in self._split.items():
+            w = mat_vec(M, fq)
+            if not any(w):
                 continue
             chi = Character(signs)
-            x = membership_solve(self.eigenlattice_free(chi), v)
+            x = membership_solve(self._lattice(signs), w)
             if x is None:
-                raise NotInLattice(f"{v} is not in the lattice")
+                raise NotInLattice(f"{w} is not in the lattice")
             k = gcd(*x)
             if k == 1:
                 return SimplicityReport(simple=True, witness_character=chi)
@@ -256,11 +273,13 @@ class InvolutionModule:
 
         Construction: extend the chi-component of q to a basis of the
         eigenlattice; the functional reads off the coefficient of that basis
-        vector.  Raises NotSimple unless the component is primitive.
+        vector.  Both are read in the lattice scaled by 2^m, from the
+        numerator of the component, with one solve.  Raises NotSimple unless
+        the component is primitive.
         """
-        v = self.project_free(q, chi)
-        L = self.eigenlattice_free(chi)
-        coords = L.integer_coordinates(v) if any(v) else None
+        w = _numerator(self._split, chi.signs, self.group.free_coordinates(q))
+        L = self._lattice(chi.signs)
+        coords = L.integer_coordinates(w) if any(w) else None
         if coords is None or len(coords) == 0:
             raise NotSimple("element has no primitive component at this character")
         if gcd(*coords) != 1:
@@ -271,13 +290,10 @@ class InvolutionModule:
         assert snf_diagonal(D) == [1]
         mu = [U[0][0] * row[0] for row in V]
         assert sum(c * x for c, x in zip(coords, mu)) == 1
-        n = self.group.rank
-        functional = []
-        for g in L.generators:  # the projection of each unit vector
-            ci = L.integer_coordinates(g)
-            functional.append(sum(c * x for c, x in zip(ci, mu)))
-        lam = tuple(functional)
-        basis = kernel_basis([list(lam)], cols=n)
+        # entry i is mu on the basis coordinates of the component of the
+        # i-th unit vector, the lattice's i-th generator
+        lam = mat_vec(L.generator_coordinates(), mu)
+        basis = kernel_basis([list(lam)], cols=self.group.rank)
         self._check_complement(q, lam, basis)
         return basis, lam
 
@@ -290,11 +306,11 @@ class InvolutionModule:
         diag = snf_diagonal(D)
         if not (len([d for d in diag if d == 1]) == n and all(d in (0, 1) for d in diag)):
             raise AssertionError("complement does not span Q together with q")
+        # lam (A b) = (lam A) b: one row product per action
         for A in self.actions:
-            for b in basis:
-                img = mat_vec(A, b)
-                if sum(l * x for l, x in zip(lam, img)) != 0:
-                    raise AssertionError("complement is not invariant")
+            lam_a = mat_mul([lam], A)[0]
+            if any(sum(map(mul, lam_a, b)) for b in basis):
+                raise AssertionError("complement is not invariant")
 
     # -- identities ---------------------------------------------------------
 
@@ -373,12 +389,19 @@ def _eigensplit(matrices, f):
     return level
 
 
+def _numerator(split, signs, fq):
+    """2^m times the eigencomponent of a free-coordinate vector at the
+    character with these signs: its `_eigensplit` entry applied (zero when
+    the character is absent)."""
+    M = split.get(signs)
+    return mat_vec(M, fq) if M is not None else (0,) * len(fq)
+
+
 def _component(split, signs, fq):
     """The eigencomponent of a free-coordinate vector at the character with
-    these signs, from an `_eigensplit` table: its entry applied, over 2^m."""
-    M = split.get(signs)
-    w = mat_vec(M, fq) if M is not None else (0,) * len(fq)
-    return tuple(Fraction(x, 1 << len(signs)) for x in w)
+    these signs, from an `_eigensplit` table: its numerator over 2^m."""
+    return tuple(_ratio(x, 1 << len(signs))
+                 for x in _numerator(split, signs, fq))
 
 
 def factor_through(chi, phi, m_hat):

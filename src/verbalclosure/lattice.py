@@ -4,16 +4,23 @@ Matrices are lists of lists of Python ints (arbitrary precision), row-major.
 Vectors are tuples of ints or Fractions.  Nothing here ever touches floating
 point: primitivity and content computations are only meaningful exactly.
 
+Products skip zero entries: each row of A adds only the rows of B that its
+nonzero entries select, and of those only their nonzero entries, so the
+cost follows the nonzero entries.  A quotient is an int wherever the
+division is exact, so integer input makes no Fraction.
+
 The Smith normal form is the one elimination routine.  The inverse, kernels
 and the presentations of finitely generated abelian groups are read off it.
 A lattice runs it once, on its generators, and reads its basis, independence
 check, coordinates and integer membership off that one form.
 Rational input is scaled once by a common denominator, so the elimination
-itself stays in integers.
+itself stays in integers.  Scaling does not change the form's U and V, so a
+lattice divided by an integer shares its Smith form.
 """
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import gcd, lcm
 from operator import mul
 
@@ -31,23 +38,47 @@ def eye(n):
 
 
 def mat_mul(A, B):
-    cols = list(zip(*B))
-    return [[sum(map(mul, row, col)) for col in cols] for row in A]
+    """A B, each row of A adding only the rows of B that its nonzero
+    entries select, and of each such row only its nonzero entries."""
+    width = len(B[0]) if B else 0
+    cols = range(width)
+    picks = range(len(B))
+    out = []
+    for row in A:
+        acc = [0] * width
+        for k in compress(picks, row):
+            a, brow = row[k], B[k]
+            for j in compress(cols, brow):
+                acc[j] += a * brow[j]
+        out.append(acc)
+    return out
 
 
 def mat_vec(A, v):
-    return tuple(sum(a * x for a, x in zip(row, v)) for row in A)
+    """A v, each row summing over its nonzero entries only."""
+    return tuple(sum(map(mul, compress(row, row), compress(v, row)))
+                 for row in A)
 
 
 def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
+def _ratio(x, d):
+    """x / d exactly: an int when d divides x, else a Fraction."""
+    return x // d if x % d == 0 else Fraction(x, d)
+
+
 def _integral(rows):
-    """Rational rows scaled by their least common denominator, as
-    (integer rows, denominator)."""
-    denom = lcm(*(x.denominator for v in rows for x in v))
-    return [[int(x * denom) for x in v] for v in rows], denom
+    """Rows of ints and Fractions scaled by their least common denominator,
+    as (integer rows, denominator)."""
+    try:
+        denom = lcm(*(x.denominator for v in rows for x in v))
+    except AttributeError:
+        bad = next(x for v in rows for x in v if not hasattr(x, "denominator"))
+        raise TypeError(f"entry {bad!r} is not an int or a Fraction") from None
+    return [[x.numerator * (denom // x.denominator) for x in v]
+            for v in rows], denom
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +197,7 @@ def mat_inv(A):
     # l A^-1 = V diag(l / d) U is integral for l the lcm of the factors
     l = lcm(*diag)
     VD = [[x * (l // d) for x, d in zip(row, diag)] for row in V]
-    return [[x // l if x % l == 0 else Fraction(x, l) for x in row]
-            for row in mat_mul(VD, U)]
+    return [[_ratio(x, l) for x in row] for row in mat_mul(VD, U)]
 
 
 def kernel_basis(M, cols=None):
@@ -196,12 +226,12 @@ def kernel_basis(M, cols=None):
 class Lattice:
     """A finitely generated subgroup of a rational vector space.
 
-    A lattice keeps its generators, a Z-basis of their span (tuples of
-    Fractions, linearly independent over the rationals) and the Smith form
-    U (denom Mg) V = D of its generators Mg, scaled to integers by their
-    common denominator.  That form is the only elimination a lattice runs:
-    basis coordinates, content and integer membership over the generators
-    are all read off it by one solve.
+    A lattice keeps its generators, a Z-basis of their span (tuples of ints
+    and Fractions, linearly independent over the rationals) and the Smith
+    form U R V = D of the integer rows R = denom Mg of its generators Mg.
+    That form is the only elimination a lattice runs: basis coordinates,
+    content and integer membership over the generators are all read off it
+    by one solve.
     """
 
     def __init__(self, basis):
@@ -217,46 +247,59 @@ class Lattice:
     def from_generators(cls, generators, dim=None):
         """Extract a Z-basis of the span of possibly dependent generators.
 
-        With U Mg V = D for the generators Mg scaled to integers, the rows
-        of U Mg = D V^-1 at the nonzero invariant factors are that basis B.
-        Then I (denom B) V = D over the rank, so the one Smith form of the
-        generators is that of the basis too, and its s are basis
-        coordinates.  `dim` is not read; the benchmark's tracer passes it.
+        With U R V = D for the generators' integer rows R, the rows of
+        U R = D V^-1 at the nonzero invariant factors, over denom, are that
+        basis B.  Then I (denom B) V = D over the rank, so the one Smith
+        form of the generators is that of the basis too, and its s are
+        basis coordinates.  `dim` is not read; the benchmark's tracer
+        passes it.
         """
         L = cls.__new__(cls)
-        rows = L._eliminate(generators)
-        L.basis = [tuple(Fraction(x, L._denom) for x in row)
-                   for row in mat_mul(L._u[:L.rank], rows)]
+        L._eliminate(generators)
+        L.basis = [tuple(_ratio(x, L._denom) for x in row)
+                   for row in mat_mul(L._u[:L.rank], L._rows)]
         L._to_basis = None  # c B = v reads c = s
         return L
 
     def _eliminate(self, generators):
-        """Keep the generators and their Smith form U (denom Mg) V = D;
-        returns the integer rows denom Mg."""
-        gens = [tuple(Fraction(x) for x in v) for v in generators]
+        """Keep the generators, their integer rows R = denom Mg and the
+        Smith form U R V = D."""
+        gens = [tuple(v) for v in generators]
         if any(len(v) != len(gens[0]) for v in gens):
             raise ValueError("vectors of unequal length")
-        rows, self._denom = _integral(gens)
-        self._u, D, self._v = smith_normal_form(rows)
+        self._rows, self._denom = _integral(gens)
+        self._u, D, self._v = smith_normal_form(self._rows)
         self._diag = [d for d in snf_diagonal(D) if d]
         self.generators = gens
-        return rows
+
+    def divided(self, c):
+        """This lattice scaled by 1/c for an integer c > 0, with no second
+        elimination: Mg / c has the integer rows R over denom * c, and the
+        Smith form of R is already known."""
+        L = Lattice.__new__(Lattice)
+        L._rows, L._u, L._v, L._diag = self._rows, self._u, self._v, self._diag
+        L._to_basis = self._to_basis
+        L._denom = self._denom * c
+        L.generators = [tuple(_ratio(x, c) for x in v) for v in self.generators]
+        L.basis = [tuple(_ratio(x, c) for x in v) for v in self.basis]
+        return L
 
     @property
     def rank(self):
         return len(self._diag)
 
     def _solve(self, v):
-        """The s with s D = (denom v) V over the rank, as Fractions, or None
-        when v is outside the rational span: x Mg = v reads s D = (denom v) V
-        with x = s U, so v is in the span iff (v V)_j = 0 past the rank."""
+        """The s with s D = (denom v) V over the rank, or None when v is
+        outside the rational span: x Mg = v reads s D = (denom v) V with
+        x = s U, so v is in the span iff (v V)_j = 0 past the rank.  An
+        integral s_j is an int."""
         if not self.generators:
             return None if any(v) else []
         (w,), e = _integral([v])  # w = e v
         t = mat_mul([w], self._v)[0]
         if any(t[self.rank:]):
             return None
-        return [Fraction(x * self._denom, e * d) for x, d in zip(t, self._diag)]
+        return [_ratio(x * self._denom, e * d) for x, d in zip(t, self._diag)]
 
     def coordinates(self, v):
         """Rational coordinates of v in the basis, or None if v is outside
@@ -274,6 +317,16 @@ class Lattice:
             return None
         return tuple(int(x) for x in coords)
 
+    def generator_coordinates(self):
+        """The basis coordinates of every generator, one integer row each,
+        with no solve: R V = U^-1 D vanishes past the rank, so row i of
+        R V over the d_j is the s of generator i."""
+        rows = [[x // d for x, d in zip(row, self._diag)]
+                for row in mat_mul(self._rows, self._v)]
+        if self._to_basis is not None:
+            rows = mat_mul(rows, self._to_basis)
+        return rows
+
     def __repr__(self):
         return f"Lattice({self.basis!r})"
 
@@ -286,8 +339,7 @@ def membership_solve(L, v):
     s = L._solve(v)
     if s is None or any(x.denominator != 1 for x in s):
         return None
-    return tuple(sum(int(x) * row[j] for x, row in zip(s, L._u))
-                 for j in range(len(L.generators)))
+    return tuple(mat_mul([s], L._u)[0])
 
 
 def content_and_primitive_part(v, L):
@@ -296,12 +348,12 @@ def content_and_primitive_part(v, L):
     Returns (0, zero vector) for v = 0.  Raises NotInLattice when v has
     non-integral coordinates relative to the basis of L.
     """
-    v = tuple(Fraction(x) for x in v)
+    v = tuple(v)
     coords = L.integer_coordinates(v)
     if coords is None:
         raise NotInLattice(f"{v} is not in the lattice")
     k = gcd(*coords)
-    return k, tuple(x / k for x in v) if k else v
+    return k, tuple(_ratio(x, k) for x in v) if k else v
 
 
 # ---------------------------------------------------------------------------

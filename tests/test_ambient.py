@@ -5,6 +5,8 @@ import random
 import sys
 import time
 from argparse import Namespace
+from fractions import Fraction
+from itertools import compress
 
 import pytest
 
@@ -33,7 +35,14 @@ from verbalclosure.ambient import (
 )
 from verbalclosure.cli import build_report
 from verbalclosure.dihedral import DihedralElement, certify_no_solution
-from verbalclosure.lattice import mat_vec
+from verbalclosure.lattice import (
+    AbelianPresentation,
+    Lattice,
+    eye,
+    mat_mul,
+    mat_vec,
+    vec_sub,
+)
 from verbalclosure.words import UnboundGenerator, y_var
 
 from util import count_calls, dag_nodes, witness_equation
@@ -204,23 +213,41 @@ def all_factor_types_spec():
 def test_action_matrices_match_conjugation():
     # the reference for square_data's factor-by-factor matrices: conjugate
     # each coordinate's generator as a full n-tuple.  In ZedMod(2) and
-    # ZedMod(1) the Q coordinate is trivial, and the square's coordinate 0
+    # ZedMod(1) the Q coordinate is trivial: conjugation gives coordinate
+    # 0 there and the matrix 1, the same endomorphism of Q, so a trivial
+    # coordinate is compared modulo the relations and every other exactly
     trivial = validate_spec(GroupSpec([DInf(), ZedMod(2), ZedMod(1)],
                                       "b1*c2", "a1"))
     for spec in (spec4(), all_factor_types_spec(), trivial):
         data = square_data(spec)
         group = spec.group
         n = len(spec.factors)
+        exact = [f.q_order != 1 for f in spec.factors]
         roots = [group.generator_element(f"{f.q_letter}{l}")
                  for l, f in enumerate(spec.factors, start=1)]
         assert len(data.module.actions) == data.c_rank
         for d, A in zip(data.d_elements, data.module.actions):
+            assert mat_mul(A, A) == eye(n)
             for l, root in enumerate(roots):
                 s = group.mul(root, root)
                 conj = group.mul(group.mul(d, s), group.inv(d))
                 col = data.q_coordinates(conj)
                 unit = tuple(1 if i == l else 0 for i in range(n))
-                assert mat_vec(A, unit) == col
+                got = mat_vec(A, unit)
+                assert data.presentation.in_relation_lattice(vec_sub(got, col))
+                assert [*compress(got, exact)] == [*compress(col, exact)]
+
+
+def test_trivial_coordinates_validate_exactly(monkeypatch):
+    # every action squares to I as an integer matrix, so validation tests
+    # only that each action preserves each relation: one membership test
+    # per action per relation, with a trivial coordinate as with ZedMod(4)
+    calls = count_calls(monkeypatch, AbelianPresentation, "in_relation_lattice")
+    for last in (ZedMod(2), ZedMod(4)):
+        calls.clear()
+        square_data(validate_spec(GroupSpec([DInf(), DInf(), last],
+                                            "b1*b2", "a1^3*a2^5")))
+        assert len(calls) == 5, last
 
 
 def test_square_data_and_g_solution_make_no_ambient_products(monkeypatch):
@@ -440,6 +467,63 @@ def test_counts_grow_with_c_rank(monkeypatch):
             f"  every other character ({(1 << m) - 2}):")
         assert len(lines[j + 1:-1]) == 3 and lines[-2].startswith(
             f"  every other delta ({(1 << m) - 2})")
+
+
+def test_retract_at_c_rank_64_decides_quickly():
+    # every product follows the nonzero entries of the diagonal actions
+    # and of the projectors, so [DInf]*32 decides in well under a second
+    spec = _dinf_spec(32, 1)
+    t0 = time.perf_counter()
+    verdict = analyze(spec)
+    elapsed = time.perf_counter() - t0
+    assert verdict.is_retract and verdict.data.c_rank == 64
+    rho = verdict.retraction
+    assert rho.sign_character.label() == "chi(+-" + "+" * 62 + ")"
+    assert rho.functional == (1,) + (0,) * 31
+    assert rho.torsion_invariants == [2] * 62
+    assert elapsed < 5.0, elapsed
+
+
+def test_analyze_makes_no_fraction_on_integer_specs(monkeypatch):
+    # the decision solves integer numerators in 2^m-scaled lattices, so
+    # an all-integer spec constructs no Fraction, for either verdict
+    specs = [(_dinf_spec(2, 1), True), (_dinf_spec(2, 3), False),
+             (_dinf_spec(4, 1), True)]
+    made = count_calls(monkeypatch, Fraction, "__new__")
+    for spec, retract in specs:
+        assert analyze(spec).is_retract == retract
+    assert made == []
+
+
+def test_build_retraction_solves_once(monkeypatch):
+    # the functional's n entries are read off the eigenlattice's one Smith
+    # form by one product, so a Retract makes one solve at every rank
+    for n in (2, 4, 16):
+        spec = _dinf_spec(n, 1)
+        data = square_data(spec)
+        a_sq = image_of_a_squared(spec, data)
+        chi = data.module.is_simple(a_sq).witness_character
+        solves = count_calls(monkeypatch, Lattice, "_solve")
+        rho = build_retraction(spec, data, a_sq, chi)
+        monkeypatch.undo()
+        assert len(solves) == 1, n
+        assert rho.functional == (1,) + (0,) * (n - 1)
+
+
+def test_build_retraction_checks_the_commutators(monkeypatch):
+    # (-4, 1) sends a^2 = (1, 5) to 1 but the commutator of the lifts a2
+    # and b2, which is a2^2 in the second factor, to 1 as well, so the
+    # kernel subgroup is not abelian modulo the kernel of (-4, 1)
+    spec = _dinf_spec(2, 1)
+    data = square_data(spec)
+    a_sq = image_of_a_squared(spec, data)
+    chi = data.module.is_simple(a_sq).witness_character
+    basis, lam = data.module._complement_data(a_sq, chi)
+    assert lam == (1, 0)
+    monkeypatch.setattr(data.module, "_complement_data",
+                        lambda q, chi: (basis, (-4, 1)))
+    with pytest.raises(AssertionError, match="not abelian"):
+        build_retraction(spec, data, a_sq, chi)
 
 
 def test_witness_at_c_rank_10_decides_quickly():

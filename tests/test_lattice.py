@@ -254,25 +254,110 @@ def _mat_mul_reference(A, B):
 
 
 def test_mat_mul_matches_triple_loop():
+    # the products skip zero entries, so half the shapes are mostly zeros
     rng = random.Random(17)
 
-    def entry(rational):
-        x = rng.randint(-9, 9)
+    def entry(rational, sparse):
+        x = 0 if sparse and rng.random() < 0.7 else rng.randint(-9, 9)
         return Fraction(x, rng.randint(1, 6)) if rational else x
 
-    def matrix(r, c, rational):
-        return [[entry(rational) for _ in range(c)] for _ in range(r)]
+    def matrix(r, c, rational, sparse):
+        return [[entry(rational, sparse) for _ in range(c)] for _ in range(r)]
 
     # (rows of A, rows of B, columns of B): 0-row A, 0-row B, 0-column B,
     # then random shapes up to 5 x 5
     shapes = [(0, 3, 2), (2, 0, 3), (3, 2, 0), (0, 0, 0), (2, 0, 0)]
-    while len(shapes) < 100:
+    while len(shapes) < 200:
         shapes.append(tuple(rng.randint(1, 5) for _ in range(3)))
     for t, (r, k, c) in enumerate(shapes):
-        rational = t % 2 == 1
-        A = matrix(r, k, rational)
-        B = matrix(k, c, rational)
+        rational, sparse = t % 2 == 1, t % 4 >= 2
+        A = matrix(r, k, rational, sparse)
+        B = matrix(k, c, rational, sparse)
         assert mat_mul(A, B) == _mat_mul_reference(A, B)
+        v = [row[0] for row in matrix(k, 1, rational, sparse)]
+        assert mat_vec(A, v) == tuple(
+            sum(a * x for a, x in zip(row, v)) for row in A)
+
+
+def test_integer_input_makes_no_fraction(monkeypatch):
+    # ints stay ints: an integer lattice, its basis, its integral solves
+    # and its generator coordinates construct no Fraction; a lattice
+    # divided by 2 makes them only where an entry is odd
+    made = count_calls(monkeypatch, Fraction, "__new__")
+    gens = [(2, 4, 0), (0, 2, 2), (2, 6, 2), (4, 0, 0)]
+    L = Lattice.from_generators(gens)
+    assert membership_solve(L, (6, 14, 2)) is not None
+    assert L.generator_coordinates() == [
+        list(L.integer_coordinates(g)) for g in gens]
+    assert all(type(x) is int for b in L.basis for x in b)
+    assert content_and_primitive_part((4, 8, 0), L)[1] == (2, 4, 0)
+    assert made == []
+    half = L.divided(2)
+    assert all(type(x) is int for g in half.generators for x in g)
+    assert made == []
+    assert half.integer_coordinates((1, 1, 0)) is None
+    assert made  # the non-integral coordinate
+
+
+def test_entries_must_be_ints_or_fractions():
+    # integral Fractions become ints in the eliminated rows; any other
+    # number is refused by name rather than converted
+    L = Lattice.from_generators([(Fraction(4), Fraction(2)), (0, Fraction(6))])
+    assert all(type(x) is int for row in L._rows for x in row)
+    with pytest.raises(TypeError, match="1.5"):
+        Lattice.from_generators([(1, 0), (1.5, 2)])
+    with pytest.raises(TypeError, match="0.5"):
+        content_and_primitive_part((0.5, 0), L)
+
+
+def test_divided_lattice_shares_the_smith_form(monkeypatch):
+    # L / c is the lattice of the generators over c, with the same basis
+    # over c, coordinates, membership coefficients and generator
+    # coordinates, and runs no elimination of its own
+    import verbalclosure.lattice as lat
+
+    rng = random.Random(31)
+    for trial in range(40):
+        n = rng.randint(1, 4)
+        gens = [tuple(rng.choice((0, 0, rng.randint(-6, 6))) for _ in range(n))
+                for _ in range(rng.randint(1, 5))]
+        if trial % 2:
+            gens = [tuple(Fraction(x, rng.choice((1, 2))) for x in v)
+                    for v in gens]
+        c = rng.choice((2, 4, 8, 3))
+        L = Lattice.from_generators(gens)
+        calls = count_calls(monkeypatch, lat, "smith_normal_form")
+        D = L.divided(c)
+        assert calls == []
+        monkeypatch.undo()
+        ref = Lattice.from_generators(
+            [tuple(Fraction(x) / c for x in v) for v in gens])
+        assert D.generators == ref.generators
+        assert D.basis == ref.basis == [
+            tuple(Fraction(x) / c for x in b) for b in L.basis]
+        assert D.generator_coordinates() == ref.generator_coordinates() \
+            == L.generator_coordinates()
+        for _ in range(4):
+            coeffs = [rng.randint(-3, 3) for _ in gens]
+            v = tuple(sum(k * g[i] for k, g in zip(coeffs, gens))
+                      for i in range(n))
+            w = tuple(Fraction(x) / c for x in v)
+            assert D.coordinates(w) == ref.coordinates(w) == L.coordinates(v)
+            assert membership_solve(D, w) == membership_solve(ref, w) \
+                == membership_solve(L, v)
+
+
+def test_generator_coordinates_match_per_generator_solves():
+    rng = random.Random(5)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        gens = [tuple(Fraction(rng.randint(-5, 5), rng.choice((1, 1, 3)))
+                      for _ in range(n)) for _ in range(rng.randint(1, 5))]
+        L = Lattice.from_generators(gens)
+        assert L.generator_coordinates() == [
+            list(L.integer_coordinates(g)) for g in gens]
+        B = Lattice(L.basis)  # a lattice built from its basis
+        assert B.generator_coordinates() == eye(len(L.basis))
 
 
 def test_presentation_free_part():
