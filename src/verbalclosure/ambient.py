@@ -15,7 +15,12 @@ from dataclasses import dataclass
 from itertools import islice
 from math import gcd
 
-from .dihedral import IDENTITY, DihedralElement, certify_no_solution
+from .dihedral import (
+    IDENTITY,
+    DihedralElement,
+    certify_no_solution,
+    draw_element,
+)
 from .involutions import Character, InvolutionModule
 from .lattice import AbelianPresentation
 from .words import (
@@ -67,8 +72,11 @@ class NormalizationFailure(RuntimeError):
 # letters and generator(letter); identity, mul, inv, pow, random_element and
 # has_infinite_order; q_letter, the generator whose square generates the
 # factor's coordinate of Q, q_coordinate(x) and q_order (None when that
-# coordinate is free); quotient_letters, the generators it contributes to
-# G/Q, and coset_bits(x), the image of x on them.
+# coordinate is free); square_coordinate(x), the Q-coordinate of x·x in
+# closed form; quotient_letters, the generators it contributes to G/Q, and
+# coset_bits(x), the image of x on them.  random_element draws with
+# one-argument randrange: randrange(2·bound + 1) − bound consumes exactly
+# the bits of randint(−bound, bound).
 
 
 @dataclass(frozen=True)
@@ -85,15 +93,13 @@ class DInf:
     mul = staticmethod(operator.mul)
     inv = staticmethod(DihedralElement.inverse)
     pow = staticmethod(operator.pow)
+    random_element = staticmethod(draw_element)
 
     def __str__(self):
         return "DInf"
 
     def generator(self, letter):
         return DihedralElement(0, 1) if letter == "b" else DihedralElement(1, 0)
-
-    def random_element(self, rng, bound):
-        return DihedralElement(rng.randint(-bound, bound), rng.randint(0, 1))
 
     def has_infinite_order(self, x):
         return x.flip == 0 and x.translation != 0
@@ -102,6 +108,9 @@ class DInf:
         if x.flip or x.translation % 2:
             raise NotInQ(f"{x!r} is outside the square subgroup")
         return x.translation // 2
+
+    def square_coordinate(self, x):
+        return 0 if x.flip else x.translation
 
     def coset_bits(self, x):
         return (x.translation & 1, x.flip)
@@ -128,7 +137,7 @@ class Zed:
         return 1
 
     def random_element(self, rng, bound):
-        return rng.randint(-bound, bound)
+        return rng.randrange(2 * bound + 1) - bound
 
     def has_infinite_order(self, x):
         return x != 0
@@ -137,6 +146,9 @@ class Zed:
         if x % 2:
             raise NotInQ(f"{x} is odd")
         return x // 2
+
+    def square_coordinate(self, x):
+        return x
 
     def coset_bits(self, x):
         return (x & 1,)
@@ -193,6 +205,10 @@ class ZedMod:
         if x % 2:
             raise NotInQ(f"{x} is odd mod {k}")
         return x // 2
+
+    def square_coordinate(self, x):
+        # 2x mod k: halved for even k, times the inverse of 2 for odd k
+        return x % self.q_order
 
     def coset_bits(self, x):
         return (x & 1,) if self.modulus % 2 == 0 else ()
@@ -254,7 +270,7 @@ class AmbientGroup:
         return val
 
     def random_element(self, rng, bound):
-        return tuple(f.random_element(rng, bound) for f in self.factors)
+        return tuple([f.random_element(rng, bound) for f in self.factors])
 
     def has_infinite_order(self, x):
         return any(f.has_infinite_order(a) for f, a in zip(self.factors, x))
@@ -510,6 +526,23 @@ def verify_solution_in_G(eq, assignment, spec):
 # retraction construction
 
 
+def _square_reads(factors, functional):
+    """The functional on squares, read factor by factor: one (index,
+    coefficient, factor) per factor where the functional is nonzero.  The
+    functional on g·g, an element of Q, is the sum of coefficient ×
+    factor.square_coordinate(g[index]) over them (`_on_square`)."""
+    return tuple((j, l, f) for j, (f, l) in enumerate(zip(factors, functional))
+                 if l)
+
+
+def _on_square(reads, g):
+    """The functional of `_square_reads` on g·g."""
+    t = 0
+    for j, l, f in reads:
+        t += l * f.square_coordinate(g[j])
+    return t
+
+
 @dataclass
 class RetractionData:
     """A retraction G -> H assembled from an invariant complement.
@@ -518,6 +551,11 @@ class RetractionData:
     square subgroup by the complement; the sign character records how
     conjugation acts on that coefficient.  torsion_invariants describe the
     finite normal subgroup quotiented away in the final step.
+
+    rho is applied one factor at a time, with no product of whole n-tuples:
+    chi's sign is read on the factors where chi negates a quotient letter,
+    the functional on those where it is nonzero, and the image a^t or
+    a^t·b is built once, factor by factor.
     """
 
     spec: GroupSpec
@@ -528,33 +566,44 @@ class RetractionData:
     torsion_invariants: list
 
     def __post_init__(self):
-        # per factor: the factor, chi's signs on the generators it adds to
-        # G/Q (its quotient letters) and its coefficient in the functional
+        # bound once, per factor: its arithmetic and its coordinates of a
+        # and b; where chi negates a generator that the factor adds to G/Q
+        # (its quotient letters), which ones
+        spec = self.spec
         signs = iter(self.sign_character.signs)
-        self._factors = tuple(
-            (f, tuple(islice(signs, len(f.quotient_letters))), l)
-            for f, l in zip(self.spec.factors, self.functional))
+        signed = []
+        for j, f in enumerate(spec.factors):
+            negated = tuple([s == -1 for s in
+                             islice(signs, len(f.quotient_letters))])
+            if any(negated):
+                signed.append((j, f.coset_bits, negated))
+        self._signed = tuple(signed)
+        self._reads = _square_reads(spec.factors, self.functional)
+        self._images = tuple([(f.pow, f.mul, x, y) for f, x, y
+                              in zip(spec.factors, spec.h_a, spec.h_b)])
 
     def translation_of(self, g):
         """Value of the translation functional on any ambient element,
         computed through its square (always in Q), factor by factor."""
-        t = 0
-        for (f, _, l), x in zip(self._factors, g):
-            t += l * f.q_coordinate(f.mul(x, x))
-        return t
+        return _on_square(self._reads, g)
 
     def apply(self, g):
-        # chi's sign on g's coset, read factor by factor from its coset bits
-        sign = 1
-        for (f, signs, _), x in zip(self._factors, g):
-            for bit, s in zip(f.coset_bits(x), signs):
-                if bit:
-                    sign *= s
-        group, h_a, h_b = self.spec.group, self.spec.h_a, self.spec.h_b
-        if sign == 1:
-            return group.pow(h_a, self.translation_of(g))
-        shifted = group.mul(g, h_b)
-        return group.mul(group.pow(h_a, self.translation_of(shifted)), h_b)
+        # chi's sign on g's coset: the parity of g's coset bits on the
+        # generators that chi negates
+        odd = 0
+        for j, coset_bits, negated in self._signed:
+            for bit, neg in zip(coset_bits(g[j]), negated):
+                if neg:
+                    odd ^= bit
+        if not odd:  # a^t with t the functional on g^2
+            t = _on_square(self._reads, g)
+            return tuple([pow(x, t) for pow, _, x, _ in self._images])
+        # a^t·b with t the functional on (g·b)^2, read on each g[j]·b[j]
+        t = 0
+        h_b = self.spec.h_b
+        for j, l, f in self._reads:
+            t += l * f.square_coordinate(f.mul(g[j], h_b[j]))
+        return tuple([mul(pow(x, t), y) for pow, mul, x, y in self._images])
 
 
 def build_retraction(spec, data, q_vec, chi):
@@ -605,10 +654,10 @@ def build_retraction(spec, data, q_vec, chi):
 
     # presentation of the kernel subgroup modulo the complement:
     # generator 0 is the image of a^2, the others are the coset lifts
+    reads = _square_reads(factors, lam)
     rows = []
     for i, g in enumerate(lifts):
-        sq = data.q_coordinates(group.mul(g, g))
-        t = sum(l * x for l, x in zip(lam, sq))
+        t = _on_square(reads, g)
         row = [0] * (1 + len(lifts))
         row[0] = -t
         row[1 + i] = 2
@@ -628,20 +677,30 @@ def build_retraction(spec, data, q_vec, chi):
 
 
 def verify_retraction(rho, spec, samples=10000, bound=100, seed=0):
-    """Sampled check that rho is an idempotent homomorphism fixing H."""
+    """Sampled check that rho is an idempotent homomorphism fixing H.
+
+    Checks rho(a) = a and rho(b) = b, then per sample pair g, h that
+    rho(gh) = rho(g)rho(h) and rho(rho(g)) = rho(g), both as comparisons of
+    G-elements: two products in G per sample.  `RetractionData.apply`
+    applies rho one factor at a time.  Each coordinate is drawn with
+    one-argument randrange, which consumes exactly the bits of the
+    equivalent randint draw, so a seed gives the samples that randint
+    would give.
+    """
     import random
 
     rng = random.Random(seed)
     group = spec.group
-    if rho.apply(spec.h_a) != spec.h_a or rho.apply(spec.h_b) != spec.h_b:
+    apply = rho.apply
+    if apply(spec.h_a) != spec.h_a or apply(spec.h_b) != spec.h_b:
         return False
     for _ in range(samples):
         g = group.random_element(rng, bound)
         h = group.random_element(rng, bound)
-        rg = rho.apply(g)
-        if rho.apply(group.mul(g, h)) != group.mul(rg, rho.apply(h)):
+        rg = apply(g)
+        if apply(group.mul(g, h)) != group.mul(rg, apply(h)):
             return False
-        if rho.apply(rg) != rg:
+        if apply(rg) != rg:
             return False
     return True
 

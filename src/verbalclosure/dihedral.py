@@ -72,6 +72,16 @@ IDENTITY = DihedralElement(0, 0)
 A = DihedralElement(1, 0)
 B = DihedralElement(0, 1)
 
+
+def draw_element(rng, bound, flip=None):
+    """a^t * b^flip with t uniform in [-bound, bound] and, unless given, a
+    uniform flip bit.  One-argument randrange consumes exactly the bits of
+    rng.randint(-bound, bound) and rng.randint(0, 1), so the stream is
+    theirs."""
+    t = rng.randrange(2 * bound + 1) - bound
+    return DihedralElement(t, rng.randrange(2) if flip is None else flip)
+
+
 DIHEDRAL_OPS = GroupOps(
     mul=operator.mul,
     inv=DihedralElement.inverse,
@@ -252,15 +262,13 @@ def spot_check_no_solution(eq, bound, trials, seed=0):
 
     class Draws(dict):  # an assignment drawing each y on its first read
         def __missing__(self, name):
-            value = self[name] = DihedralElement(rng.randint(-bound, bound),
-                                                 rng.randint(0, 1))
+            value = self[name] = draw_element(rng, bound)
             return value
 
     for _, delta in zip(range(trials), cycle(enumerate_group_elements(m))):
         assignment = Draws()
         for j in range(m):
-            assignment[x_var(j)] = DihedralElement(
-                rng.randint(-bound, bound), 0) * (B if delta[j] else IDENTITY)
+            assignment[x_var(j)] = draw_element(rng, bound, delta[j])
         if eq.lhs_value(assignment, DIHEDRAL_OPS) == rhs:
             return False
     return True

@@ -45,7 +45,7 @@ from verbalclosure.lattice import (
 )
 from verbalclosure.words import UnboundGenerator, y_var
 
-from util import count_calls, dag_nodes, witness_equation
+from util import count_calls, dag_nodes, randint_element, witness_equation
 
 
 def spec4():
@@ -202,6 +202,39 @@ def test_every_square_lies_in_q(factors):
         sq = group.mul(g, g)
         data.q_coordinates(sq)  # must not raise
         assert data.coset_bits(sq) == (0,) * data.c_rank
+
+
+SQUARE_FACTORS = [DInf(), Zed()] + [ZedMod(k) for k in (1, 2, 3, 4, 6, 8)]
+
+
+@pytest.mark.parametrize("factor", SQUARE_FACTORS, ids=str)
+def test_square_coordinate_is_the_q_coordinate_of_the_square(factor):
+    # the closed form against the factor's own product and Q-coordinate
+    if isinstance(factor, ZedMod):
+        boundary = list(range(factor.modulus))
+    elif isinstance(factor, DInf):
+        boundary = [DihedralElement(t, e) for t in (0, 1, -1, 2, -2, 10 ** 30)
+                    for e in (0, 1)]
+    else:
+        boundary = [0, 1, -1, 2, -2, 10 ** 30, -10 ** 30 - 1]
+    rng = random.Random(str(factor))
+    drawn = [factor.random_element(rng, 1000) for _ in range(300)]
+    for x in boundary + drawn:
+        assert (factor.square_coordinate(x)
+                == factor.q_coordinate(factor.mul(x, x))), x
+
+
+@pytest.mark.parametrize("factor", SQUARE_FACTORS, ids=str)
+def test_random_element_keeps_the_randint_stream(factor):
+    # one-argument randrange consumes the bits of the equivalent randint
+    # draw, so a seed gives every sampled check the randint samples
+    for seed in range(5):
+        for bound in (0, 1, 25, 100):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for _ in range(40):
+                assert (factor.random_element(rng, bound)
+                        == randint_element(factor, ref, bound))
+            assert rng.getstate() == ref.getstate()
 
 
 def all_factor_types_spec():
@@ -692,6 +725,61 @@ def test_retraction_apply_matches_the_composed_reference(factors, b, a):
         assert rho.translation_of(g) == reference_translation(rho, g)
         signs.add(verdict.data.sign_of(rho.sign_character, g))
     assert signs == {1, -1}  # both branches of apply were compared
+
+
+@pytest.mark.parametrize("samples", [0, 1, 7, 60])
+def test_verify_retraction_makes_two_products_per_sample(monkeypatch,
+                                                         samples):
+    # rho is applied factor by factor: the only products in G are the two
+    # comparisons' gh and rho(g)rho(h)
+    for factors, b, a in APPLY_SPECS:
+        spec = validate_spec(GroupSpec(factors, b, a))
+        rho = analyze(spec).retraction
+        muls = count_calls(monkeypatch, AmbientGroup, "mul")
+        pows = count_calls(monkeypatch, AmbientGroup, "pow")
+        assert verify_retraction(rho, spec, samples=samples, bound=100,
+                                 seed=3)
+        assert (len(muls), len(pows)) == (2 * samples, 0), (b, a)
+        monkeypatch.undo()
+
+
+def tampered(rho, **changes):
+    """rho with its functional or sign character replaced."""
+    fields = dict(spec=rho.spec, data=rho.data,
+                  sign_character=rho.sign_character,
+                  functional=rho.functional,
+                  complement_basis=rho.complement_basis,
+                  torsion_invariants=rho.torsion_invariants)
+    fields.update(changes)
+    return type(rho)(**fields)
+
+
+@pytest.mark.parametrize("factors, b, a", APPLY_SPECS,
+                         ids=["-".join(map(str, f)) for f, _, _ in APPLY_SPECS])
+def test_verify_retraction_rejects_a_tampered_functional_or_sign(factors, b,
+                                                                 a):
+    # apply reads the functional only where it is nonzero: a coefficient
+    # put where the true one is 0 must be read, and rejected.  A factor
+    # whose Q coordinate is trivial (ZedMod(1), ZedMod(2)) reads 0 from
+    # every square, so a coefficient there changes nothing
+    spec = validate_spec(GroupSpec(factors, b, a))
+    rho = analyze(spec).retraction
+    assert verify_retraction(rho, spec, samples=300, bound=25, seed=1)
+    for j, (f, l) in enumerate(zip(spec.factors, rho.functional)):
+        if l or f.q_order == 1:
+            continue
+        functional = list(rho.functional)
+        functional[j] = 1
+        broken = tampered(rho, functional=tuple(functional))
+        assert not verify_retraction(broken, spec, samples=300, bound=25,
+                                     seed=1), j
+    # one letter's sign flipped in the sign character
+    signs = rho.sign_character.signs
+    for i in range(len(signs)):
+        flipped = signs[:i] + (-signs[i],) + signs[i + 1:]
+        broken = tampered(rho, sign_character=type(rho.sign_character)(flipped))
+        assert not verify_retraction(broken, spec, samples=300, bound=25,
+                                     seed=1), i
 
 
 def test_verdict_invariance_under_factor_reorder_and_inverse():

@@ -28,6 +28,7 @@ from verbalclosure.dihedral import (
     _row,
     certify_no_solution,
     character_of_substitution,
+    draw_element,
     spot_check_no_solution,
 )
 from verbalclosure.involutions import (
@@ -310,17 +311,30 @@ def test_spot_check_detects_solvable_equation():
     assert not spot_check_no_solution(eq, bound=3, trials=2000, seed=0)
 
 
+def test_draw_element_keeps_the_randint_stream():
+    # the spot check's x and y draws, each against the equivalent randint
+    # draw: the same elements from the same bits
+    for seed in range(5):
+        for bound in (0, 1, 25, 100):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for flip in (None, 0, 1) * 10:
+                t = ref.randint(-bound, bound)
+                e = ref.randint(0, 1) if flip is None else flip
+                assert draw_element(rng, bound, flip) == DihedralElement(t, e)
+            assert rng.getstate() == ref.getstate()
+
+
 @pytest.mark.parametrize("filler, live", [(0, 2), (2, 16)])
 def test_spot_check_draws_only_the_variables_it_reads(monkeypatch, filler,
                                                       live):
     # a trial draws each x's translation, then a y's translation and flip
     # on its first read: with filler 0 only the 2 y's of the m = 4
     # witness's nonzero components are read, with filler 2 all 16; a parsed
-    # equation reads the same ones
+    # equation reads the same ones.  Each draw is one randrange call
     spec = validate_spec(GroupSpec([DInf(), DInf()], "b1*b2", "a1^3*a2^5"))
     eq = analyze(spec, filler=filler).equation
     parsed = parse_equation(serialize_equation(eq))
-    draws = count_calls(monkeypatch, random.Random, "randint")
+    draws = count_calls(monkeypatch, random.Random, "randrange")
     for equation in (eq, parsed):
         draws.clear()
         assert spot_check_no_solution(equation, bound=10, trials=8)

@@ -2,12 +2,19 @@
 group for evaluating words against direct module arithmetic, a DAG node
 counter, the letter-by-letter flattening of a small word, a call counter,
 the canonical coset words, the closed-form value of a tower over the
-infinite dihedral group, the witness pipeline with n squares, and reference
-builders of a witness's full component and certificate tables."""
+infinite dihedral group, the witness pipeline with n squares, reference
+builders of a witness's full component and certificate tables, and the
+randint draw of a factor's random element."""
 
 from math import gcd
 
-from verbalclosure.ambient import image_of_a_squared, square_data
+from verbalclosure.ambient import (
+    DInf,
+    Zed,
+    ZedMod,
+    image_of_a_squared,
+    square_data,
+)
 from verbalclosure.dihedral import (
     IDENTITY,
     CertificateRow,
@@ -290,3 +297,15 @@ def full_certificate_rows(eq):
                          else "nonunit-multiplier"),
         ))
     return rows
+
+
+def randint_element(factor, rng, bound):
+    """Reference: a random element of a factor drawn by randint; the
+    factor's own one-argument randrange draw must reproduce the stream bit
+    for bit."""
+    if isinstance(factor, DInf):
+        return DihedralElement(rng.randint(-bound, bound), rng.randint(0, 1))
+    if isinstance(factor, Zed):
+        return rng.randint(-bound, bound)
+    assert isinstance(factor, ZedMod)
+    return rng.randrange(factor.modulus)
