@@ -11,7 +11,6 @@ from .ambient import (
     AmbientGroup,
     DInf,
     GroupSpec,
-    NoSquareRoot,
     NormalizationFailure,
     NotAnInvolution,
     NotInfiniteOrder,

@@ -57,10 +57,6 @@ class NotInQ(ValueError):
     """Element is not in the subgroup generated by squares."""
 
 
-class NoSquareRoot(ValueError):
-    """Could not express an element with the configured number of squares."""
-
-
 class NormalizationFailure(RuntimeError):
     """The translation functional failed to send the dihedral generator to 1."""
 
@@ -283,6 +279,17 @@ class AmbientGroup:
 _WORD_TERM = re.compile(r"([A-Za-z][A-Za-z0-9]*)(?:\^(-?\d+))?$")
 
 
+def _spec_int(digits, what):
+    """int(digits), or SpecParseError naming `what` when the literal is past
+    Python's limit on int(str), 4,300 digits by default."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise SpecParseError(
+            f"{what} has {len(digits.lstrip('-'))} digits, past Python's "
+            "limit on reading an integer") from None
+
+
 def parse_word(text):
     """Parse products like a1^3*a2^5 into ((name, exp), ...); "1" is empty."""
     text = text.strip().strip('"').strip("'")
@@ -295,7 +302,8 @@ def parse_word(text):
         if not m:
             raise SpecParseError(f"malformed word term {chunk!r}")
         name, exp = m.group(1), m.group(2)
-        terms.append((name, int(exp) if exp is not None else 1))
+        terms.append((name, 1 if exp is None
+                      else _spec_int(exp, f"the exponent of {name}")))
     return tuple(terms)
 
 
@@ -316,7 +324,7 @@ def parse_factor(text):
         return DInf()
     if m.group(1) == "Zed":
         return Zed()
-    return ZedMod(int(m.group(2)))
+    return ZedMod(_spec_int(m.group(2), "the modulus of ZedMod"))
 
 
 _SPEC_KEYS = ("factors", "b", "a")  # each exactly once
@@ -487,24 +495,21 @@ def image_of_a_squared(spec, data):
 def g_solution(eq, data, report):
     """An explicit ambient solution of the witness equation.
 
-    Each x-variable gets its coset representative; for every character with
-    a nonzero component the first y-slot gets, factor by factor, the
-    factor's q_letter generator raised to the reported lift's coordinate, so
-    its square is exactly that element of Q.  Remaining slots are identity.
+    Each x-variable gets its coset representative, and each character's y
+    the identity; then for every character with a nonzero component the y
+    gets, factor by factor, the factor's q_letter generator raised to the
+    reported lift's coordinate, so its square is exactly that element of Q.
     """
     if report.simple:
         raise ValueError("no witness equation exists for a simple element")
-    if eq.n_squares < 1:
-        raise NoSquareRoot("need at least one square slot")
-    group = data.spec.group
+    identity = data.spec.group.identity
     assignment = {}
     for j, d in enumerate(data.d_elements):
         assignment[x_var(j)] = d
     for ci in range(len(eq.k_values)):
-        for i in range(1, eq.n_squares + 1):
-            assignment[y_var(ci, i)] = group.identity
+        assignment[y_var(ci)] = identity
     for ci, w in report.nonzero.items():
-        assignment[y_var(ci, 1)] = tuple(
+        assignment[y_var(ci)] = tuple(
             f.pow(f.generator(f.q_letter), c)
             for f, c in zip(data.spec.factors, w.lift))
     return assignment

@@ -31,7 +31,6 @@ from .lattice import (
     snf_diagonal,
     vec_sub,
 )
-from .words import _index
 
 
 class NotSimple(ValueError):
@@ -60,6 +59,13 @@ class Character:
     @property
     def rank(self):
         return len(self.signs)
+
+    @property
+    def index(self):
+        """Position in `enumerate_characters` order: the signs read as
+        binary digits, -1 as 1, the first generator's the highest."""
+        return sum(1 << j for j, s in enumerate(reversed(self.signs))
+                   if s == -1)
 
     def on_element(self, bits):
         """Value on the element of C given by a generator-exponent bit tuple."""
@@ -260,7 +266,7 @@ class InvolutionModule:
             k = gcd(*x)
             if k == 1:
                 return SimplicityReport(simple=True, witness_character=chi)
-            nonzero[_index(chi)] = ComponentWitness(
+            nonzero[chi.index] = ComponentWitness(
                 chi, k, tuple(c // k for c in x))
         return SimplicityReport(simple=False, nonzero=nonzero,
                                 c_rank=self.c_rank, rank=self.group.rank)

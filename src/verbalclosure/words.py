@@ -11,7 +11,7 @@ in every group.
 
 A witness equation keeps the recipe of its left-hand side, not the DAG:
 term i is the tower of the i-th character of C, each element of C spelled
-by its own generator bits (`coset_words_of`), with c-rank, n, |T| and the
+by its own generator bits (`coset_words_of`), with c-rank, |T| and the
 exponents read from its fields.  `Equation.lhs` builds the DAG on each
 read; `Equation.lhs_value` evaluates the terms with a nonzero exponent
 level by level, one product per `_levels` entry, and `serialize_chunks`
@@ -266,13 +266,7 @@ def build_w_chi(chi, c_exprs):
     bit-tuple order used everywhere; the innermost commutator uses the last
     entry.  The result is a DAG of depth |C| in the single variable y.
     """
-    return _tower(_index(chi), chi.rank, list(c_exprs), Gen("y"))
-
-
-def _index(chi):
-    """chi's position in `enumerate_characters` order: its signs read as
-    binary digits, -1 as 1, the first generator's the highest."""
-    return sum(1 << j for j, s in enumerate(reversed(chi.signs)) if s == -1)
+    return _tower(chi.index, chi.rank, list(c_exprs), Gen("y"))
 
 
 def _levels(index, m):
@@ -313,7 +307,7 @@ def build_v_chi(chi, coset_words, y_word=None):
     of the generators whose product represents it.  Substituting the actual
     cosets for the x-variables recovers the nested commutator word exactly.
     """
-    return _v_tower(_index(chi), chi.rank, coset_words,
+    return _v_tower(chi.index, chi.rank, coset_words,
                     y_word if y_word is not None else Gen("y"))
 
 
@@ -332,8 +326,10 @@ def x_var(j):
     return f"x{j + 1}"
 
 
-def y_var(char_index, i):
-    return f"y_{char_index}_{i}"
+def y_var(char_index):
+    """The y of the char_index-th character: one square per character
+    suffices, since every element of Q is a square in the groups in scope."""
+    return f"y_{char_index}_1"
 
 
 class Equation:
@@ -345,7 +341,7 @@ class Equation:
     The left-hand side is either given as `lhs`, or, when `lhs` is None, by
     the recipe of the paper's witness: one term v_chi^used_exponent per
     character of C in `enumerate_characters` order, whose y-block is
-    (prod_i y_{chi,i}^2)^torsion_order, over the coset words of
+    (y_chi^2)^torsion_order, over the coset words of
     `coset_words_of(c_rank)`, every fact read from the fields.  Deciding
     needs only the k values and the right-hand side, and `lhs_value`
     evaluates a recipe level by level with no word built, while the paper's
@@ -355,12 +351,11 @@ class Equation:
     """
 
     def __init__(self, lhs=None, *, rhs_exponent, c_rank, torsion_order,
-                 n_squares, filler, k_values):
+                 filler, k_values):
         self._lhs = lhs
         self.rhs_exponent = rhs_exponent
         self.c_rank = c_rank
         self.torsion_order = torsion_order
-        self.n_squares = n_squares
         self.filler = filler
         self.k_values = k_values  # raw per-character contents, enumeration order
 
@@ -374,8 +369,7 @@ class Equation:
         words = coset_words_of(self.c_rank)
         terms = []
         for ci, e in enumerate(self._exponents()):
-            squares = Concat(tuple(Pow(Gen(y_var(ci, i)), 2)
-                                   for i in range(1, self.n_squares + 1)))
+            squares = Concat((Pow(Gen(y_var(ci)), 2),))
             terms.append(Pow(_v_tower(ci, self.c_rank, words,
                                       Pow(squares, self.torsion_order)), e))
         return Concat(tuple(terms))
@@ -394,7 +388,7 @@ class Equation:
         if self._lhs is not None:
             return evaluate(self._lhs, assignment, ops)
         mul, inv = ops.mul, ops.inv
-        m, n, torsion = self.c_rank, self.n_squares, self.torsion_order
+        m, torsion = self.c_rank, self.torsion_order
         value = ops.identity
         cosets = None
         for ci, e in enumerate(self._exponents()):
@@ -408,11 +402,8 @@ class Equation:
                     for j in indices:
                         c = mul(c, xs[j])
                     cosets.append((c, inv(c)))
-            body = ops.identity
-            for i in range(1, n + 1):
-                y = _read(assignment, y_var(ci, i))
-                body = mul(body, mul(y, y))
-            body = _power(body, torsion, ops)
+            y = _read(assignment, y_var(ci))
+            body = _power(mul(y, y), torsion, ops)
             for i, sign in _levels(ci, m):
                 c, c_inv = cosets[i]
                 body = mul(mul(mul(body, c), body if sign == 1 else inv(body)),
@@ -426,7 +417,7 @@ class Equation:
         return (f"Equation(lhs={lhs}, "
                 f"rhs_exponent={short_repr(self.rhs_exponent)}, "
                 f"c_rank={self.c_rank}, torsion_order={self.torsion_order}, "
-                f"n_squares={self.n_squares}, filler={self.filler}, "
+                f"filler={self.filler}, "
                 f"k_values={self.k_values})")
 
     @property
@@ -438,28 +429,28 @@ class Equation:
         return k if k != 0 else self.filler
 
     def variables(self):
-        return [x_var(j) for j in range(self.c_rank)] + [
-            y_var(ci, i) for ci in range(len(self.k_values))
-            for i in range(1, self.n_squares + 1)]
+        return ([x_var(j) for j in range(self.c_rank)]
+                + [y_var(ci) for ci in range(len(self.k_values))])
 
 
 def build_witness_equation(report, n, torsion_order, c_rank,
                            coset_words=None, filler=0):
     """Assemble the witness equation from a non-simplicity report.
 
-    The y-block substituted for each character is (prod_i y_{chi,i}^2)
-    raised to the torsion order; characters with vanishing components get
-    the filler exponent (any integer except +-1, 0 by default).  No word is
-    built here: the equation keeps the recipe of its left-hand side, whose
-    coset words follow from c_rank.  `coset_words` is not read; the
-    benchmark's tracer still passes `SquareData.coset_words` in its place.
+    The y-block substituted for each character is y_chi^2 raised to the
+    torsion order; characters with vanishing components get the filler
+    exponent (any integer except +-1, 0 by default).  No word is built
+    here: the equation keeps the recipe of its left-hand side, whose coset
+    words follow from c_rank.  `coset_words` is not read, and n must be 1,
+    the one square per character; the benchmark's tracer still passes
+    `SquareData.coset_words` and 1 in their places.
     """
     if report.simple:
         raise NotAWitness("simple elements admit a retraction, not a witness")
     if filler in (1, -1):
         raise ValueError("filler exponent must not be +-1")
-    if n < 1:
-        raise ValueError("need at least one square per character")
+    if n != 1:
+        raise ValueError("a witness has one square per character")
     c_size = 1 << c_rank
     # the recipe's terms are in `enumerate_characters` order, the order of
     # the report's character indices
@@ -472,7 +463,6 @@ def build_witness_equation(report, n, torsion_order, c_rank,
         rhs_exponent=2 * (1 << c_size) * torsion_order,
         c_rank=c_rank,
         torsion_order=torsion_order,
-        n_squares=n,
         filler=filler,
         k_values=tuple(k_values),
     )
@@ -502,14 +492,14 @@ def serialize_chunks(eq):
     chunk per node.
     """
     yield (f"(equation (c-rank {eq.c_rank}) (torsion {eq.torsion_order}) "
-           f"(n {eq.n_squares}) (filler {eq.filler})\n"
+           f"(n 1) (filler {eq.filler})\n"
            f"  (k{''.join(' ' + str(k) for k in eq.k_values)})\n"
            " (nodes\n")
     if eq._lhs is not None:
         root = yield from _walk_lines(eq._lhs)
     else:
-        root = yield from _recipe_lines(eq.c_rank, eq.n_squares,
-                                        eq.torsion_order, eq._exponents())
+        root = yield from _recipe_lines(eq.c_rank, eq.torsion_order,
+                                        eq._exponents())
     yield f" )\n (lhs n{root})\n (rhs a {eq.rhs_exponent}))\n"
 
 
@@ -562,30 +552,25 @@ def _level_templates(m):
     return plus, minus
 
 
-def _recipe_lines(m, n, torsion, exponents):
+def _recipe_lines(m, torsion, exponents):
     """`_walk_lines` of a recipe's left-hand side, from the tower layout:
     yields one chunk per term, then the root's line; returns the root's
     label number.
 
     The walk lists each term Pow(v_chi, e) in turn, then the root Concat.
-    In a term it lists the y-block (each y with its square, their Concat,
-    its power), then one level per `_levels` entry, innermost first, then
-    the term's Pow.  No two terms share a node.
+    In a term it lists the y-block (the y, its square, the one-part Concat
+    of that square, its power), then one level per `_levels` entry,
+    innermost first, then the term's Pow.  No two terms share a node.
     """
     plus, minus = _level_templates(m)
     k = 0  # the next label number
     terms = ""
     for ci, e in enumerate(exponents):
-        parts = []
-        squares = ""
-        for i in range(1, n + 1):
-            parts.append(f"  (n{k} (gen {y_var(ci, i)}))\n"
-                         f"  (n{k + 1} (pow n{k} 2))\n")
-            squares += f" n{k + 1}"
-            k += 2
-        parts.append(f"  (n{k} (cat{squares}))\n"
-                     f"  (n{k + 1} (pow n{k} {torsion}))\n")
-        body = k + 1
+        parts = [f"  (n{k} (gen {y_var(ci)}))\n"
+                 f"  (n{k + 1} (pow n{k} 2))\n"
+                 f"  (n{k + 2} (cat n{k + 1}))\n"
+                 f"  (n{k + 3} (pow n{k + 2} {torsion}))\n"]
+        body = k + 3
         for i, sign in _levels(ci, m):
             template, size = plus[i] if sign == 1 else minus[i]
             parts.append(template.format(*range(body, body + size + 1)))
@@ -610,7 +595,7 @@ def parse_equation(text):
     the order they were written, each from labels defined before it, so the
     DAG is rebuilt without a nested parse tree.  Raises ValueError when the
     text is not exactly one equation form: each field once, with its number
-    of atoms, and nothing after the closing parenthesis.
+    of atoms, n equal to 1, and nothing after the closing parenthesis.
     """
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     if tokens[:2] != ["(", "equation"]:
@@ -661,12 +646,13 @@ def parse_equation(text):
             raise ValueError("k must hold 2^c-rank values")
         if fields["rhs"][0] != "a":
             raise ValueError("the right-hand side must be a power of a")
+        if int(fields["n"][0]) != 1:
+            raise ValueError("a witness has one square per character")
         return Equation(
             lhs=built[fields["lhs"][0]],
             rhs_exponent=int(fields["rhs"][1]),
             c_rank=c_rank,
             torsion_order=int(fields["torsion"][0]),
-            n_squares=int(fields["n"][0]),
             filler=int(fields["filler"][0]),
             k_values=tuple(int(k) for k in k_values),
         )

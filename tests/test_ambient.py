@@ -34,7 +34,7 @@ from verbalclosure.ambient import (
     word_to_text,
 )
 from verbalclosure.cli import build_report
-from verbalclosure.dihedral import DihedralElement, certify_no_solution
+from verbalclosure.dihedral import DihedralElement
 from verbalclosure.lattice import (
     AbelianPresentation,
     Lattice,
@@ -45,7 +45,7 @@ from verbalclosure.lattice import (
 )
 from verbalclosure.words import UnboundGenerator, y_var
 
-from util import count_calls, dag_nodes, randint_element, witness_equation
+from util import count_calls, dag_nodes, randint_element
 
 
 def spec4():
@@ -614,8 +614,7 @@ def test_verify_solution_needs_only_the_live_variables():
     eq = verdict.equation
     live, dead = [], []
     for ci, k in enumerate(eq.k_values):
-        (live if k else dead).extend(y_var(ci, i)
-                                     for i in range(1, eq.n_squares + 1))
+        (live if k else dead).append(y_var(ci))
     partial = {name: value for name, value in verdict.solution.items()
                if name not in dead}
     assert verify_solution_in_G(eq, partial, spec)
@@ -623,6 +622,14 @@ def test_verify_solution_needs_only_the_live_variables():
         missing = {k: v for k, v in partial.items() if k != name}
         with pytest.raises(UnboundGenerator):
             verify_solution_in_G(eq, missing, spec)
+
+
+def test_the_package_has_no_square_root_error():
+    # a witness has one square per character, and every element of Q is the
+    # square of one factor-wise power, so no element lacks a square root
+    import verbalclosure
+    assert not hasattr(verbalclosure, "NoSquareRoot")
+    assert not hasattr(verbalclosure.ambient, "NoSquareRoot")
 
 
 def test_retraction_projection_case():
@@ -822,18 +829,3 @@ def test_simple_iff_retraction_builds():
         else:
             verdict = analyze(spec)
             assert verdict.kind == "not-verbally-closed"
-
-
-def test_analyze_filler_and_n_squares():
-    # analyze always uses one square per character; the equation with two
-    # is built by the same steps
-    spec = spec4()
-    data, report, eq = witness_equation(spec, 2, filler=2)
-    solution = g_solution(eq, data, report)
-    assert eq.filler == 2 and eq.n_squares == 2
-    assert certify_no_solution(eq).is_valid()
-    assert verify_solution_in_G(eq, solution, spec)
-    # unused second square slots are identity
-    group = spec.group
-    for ci in range(len(eq.k_values)):
-        assert solution[y_var(ci, 2)] == group.identity

@@ -92,6 +92,27 @@ def test_analyze_rejects_repeated_and_unknown_keys(tmp_path, capsys, extra,
     assert captured.err == f"error: unknown or repeated key {key!r}\n"
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                    reason="this Python reads integers of any length")
+@pytest.mark.parametrize("factors, a, what", [
+    ("[DInf, DInf]", "a1^{}*a2", "the exponent of a1"),
+    ("[DInf, ZedMod({})]", "a1^3", "the modulus of ZedMod"),
+], ids=["exponent", "modulus"])
+def test_spec_integers_past_the_digit_limit_are_spec_errors(tmp_path, capsys,
+                                                           factors, a, what):
+    # int() raises a plain ValueError past Python's limit on int(str),
+    # which used to escape main as a traceback with exit 1
+    digits = "1" * (sys.get_int_max_str_digits() + 700)
+    spec = (f"groupspec v1\nfactors = {factors.format(digits)}\nb = b1\n"
+            f"a = {a.format(digits)}\n")
+    path = write(tmp_path, "big.spec", spec)
+    assert main(["analyze", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {what} has {len(digits)} digits, past "
+                            "Python's limit on reading an integer\n")
+
+
 def test_analyze_missing_file(capsys):
     assert main(["analyze", "/nonexistent/path.spec"]) == 2
     assert "cannot read" in capsys.readouterr().err

@@ -136,11 +136,11 @@ def test_closed_form_selection():
     assert evaluate_v_closed_form(chi, (0, 0), 6) == IDENTITY
 
 
-def _witness_equation(filler=0, n=1, torsion=1):
+def _witness_equation(filler=0, torsion=1):
     pres = AbelianPresentation(2, [])
     mod = InvolutionModule(pres, [[[-1, 0], [0, 1]], [[1, 0], [0, -1]]])
     rep = mod.is_simple((2, 3))
-    return build_witness_equation(rep, n, torsion, 2, filler=filler)
+    return build_witness_equation(rep, 1, torsion, 2, filler=filler)
 
 
 def test_certificate_valid_and_table():
@@ -249,8 +249,7 @@ def test_certificate_rejects_unit_exponent():
     eq = _witness_equation()
     hacked = type(eq)(lhs=eq.lhs, rhs_exponent=eq.rhs_exponent,
                       c_rank=eq.c_rank, torsion_order=eq.torsion_order,
-                      n_squares=eq.n_squares, filler=eq.filler,
-                      k_values=(1,) + eq.k_values[1:])
+                      filler=eq.filler, k_values=(1,) + eq.k_values[1:])
     with pytest.raises(InvalidEquation):
         certify_no_solution(hacked)
     # a unit filler stands for every vanishing character's exponent
@@ -305,8 +304,7 @@ def test_spot_check_detects_solvable_equation():
     block = Pow(Concat((Pow(G("y_1_1"), 2),)), 1)
     v = build_v_chi(chi, coset_words, y_word=block)
     eq = Equation(lhs=Concat((Pow(v, 1),)), rhs_exponent=2 * (1 << 2),
-                  c_rank=1, torsion_order=1, n_squares=1, filler=0,
-                  k_values=(0, 1))
+                  c_rank=1, torsion_order=1, filler=0, k_values=(0, 1))
     # delta = (1,) with y = a gives a^(2*4) = rhs; the sampler must find it
     assert not spot_check_no_solution(eq, bound=3, trials=2000, seed=0)
 

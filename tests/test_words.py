@@ -192,16 +192,18 @@ def test_build_witness_equation_shape():
     assert sorted(k for k in eq.k_values if k) == [2, 3]
     names = eq.variables()
     assert "x1" in names and "x2" in names
-    assert y_var(0, 1) in names
-    assert len(names) == 2 + 4 * 1
+    assert y_var(0) == "y_0_1" and y_var(0) in names
+    assert len(names) == 2 + 4
 
 
 def test_build_witness_equation_preconditions():
     mod, rep = _nonsimple_report()
     with pytest.raises(ValueError):
         build_witness_equation(rep, 1, 1, 2, filler=1)
-    with pytest.raises(ValueError):
-        build_witness_equation(rep, 0, 1, 2)
+    # one square per character: n = 1 is the only number of squares
+    for n in (0, 2):
+        with pytest.raises(ValueError):
+            build_witness_equation(rep, n, 1, 2)
     simple_rep = InvolutionModule(
         AbelianPresentation(1, []), [[[-1]]]).is_simple((1,))
     assert simple_rep.simple
@@ -249,13 +251,13 @@ def test_v_chi_substitution_recovers_w_chi():
 
 def test_serialization_round_trip_preserves_sharing():
     mod, rep = _nonsimple_report()
-    eq = build_witness_equation(rep, 2, 3, 2, filler=0)
+    eq = build_witness_equation(rep, 1, 3, 2, filler=0)
     text = serialize_equation(eq)
     eq2 = parse_equation(text)
     assert serialize_equation(eq2) == text  # byte-identical round trip
     assert eq2.rhs_exponent == eq.rhs_exponent
     assert eq2.k_values == eq.k_values
-    assert eq2.torsion_order == 3 and eq2.n_squares == 2
+    assert eq2.torsion_order == 3
     # same value under evaluation
     rng = random.Random(3)
     assignment = {name: DihedralElement(rng.randint(-3, 3), rng.randint(0, 1))
@@ -270,8 +272,8 @@ def test_serialization_of_a_deep_tower():
     m = 9
     coset_words = canonical_coset_words(m)
     eq = Equation(lhs=build_v_chi(Character((-1,) * m), coset_words),
-                  rhs_exponent=2, c_rank=m, torsion_order=1, n_squares=1,
-                  filler=0, k_values=(0,) * (1 << m))
+                  rhs_exponent=2, c_rank=m, torsion_order=1, filler=0,
+                  k_values=(0,) * (1 << m))
     text = serialize_equation(eq)
     eq2 = parse_equation(text)
     assert serialize_equation(eq2) == text
@@ -288,8 +290,8 @@ def witness_m4():
 def _given(eq, lhs):
     """eq's fields with `lhs` given in place of its recipe."""
     return Equation(lhs=lhs, rhs_exponent=eq.rhs_exponent, c_rank=eq.c_rank,
-                    torsion_order=eq.torsion_order, n_squares=eq.n_squares,
-                    filler=eq.filler, k_values=eq.k_values)
+                    torsion_order=eq.torsion_order, filler=eq.filler,
+                    k_values=eq.k_values)
 
 
 @pytest.mark.parametrize("m", range(7))
@@ -303,7 +305,7 @@ def test_levels_read_the_character_by_index(m):
     # level's sign is its value on that level's element, innermost last
     elements = list(enumerate(enumerate_group_elements(m)))
     for i, chi in enumerate(enumerate_characters(m)):
-        assert words._index(chi) == i
+        assert chi.index == i
         assert words._levels(i, m) == [(e, chi.on_element(bits))
                                        for e, bits in reversed(elements)]
 
@@ -318,8 +320,7 @@ def test_witness_lhs_is_built_on_each_read(witness_m4, monkeypatch):
     coset_words = canonical_coset_words(eq.c_rank)
     terms = []
     for ci, chi in enumerate(enumerate_characters(eq.c_rank)):
-        squares = Concat(tuple(Pow(Gen(y_var(ci, i)), 2)
-                               for i in range(1, eq.n_squares + 1)))
+        squares = Concat((Pow(Gen(y_var(ci)), 2),))
         v = build_v_chi(chi, coset_words,
                         y_word=Pow(squares, eq.torsion_order))
         terms.append(Pow(v, eq.used_exponent(ci)))
@@ -374,14 +375,16 @@ WRITER_SPECS = [
 ]
 
 
-@pytest.mark.parametrize("n", [1, 2])
+# n is the one square per character that the written header records
+@pytest.mark.parametrize("n", [1])
 @pytest.mark.parametrize("filler", [0, 2, -3])
 @pytest.mark.parametrize("factors, b, a", WRITER_SPECS,
                          ids=["2xDInf", "DInf-Z6", "DInf-Z-Z4", "3xDInf"])
 def test_witness_writer_matches_the_walk(factors, b, a, filler, n):
-    _, _, eq = witness_equation(validate_spec(GroupSpec(factors, b, a)), n,
+    _, _, eq = witness_equation(validate_spec(GroupSpec(factors, b, a)),
                                 filler=filler)
     written = serialize_equation(eq)
+    assert f") (n {n}) (filler {filler})\n" in written.partition("(k")[0]
     assert "<built when read>" in repr(eq)
     # the same left-hand side, written by the generic walk
     walked = serialize_equation(_given(eq, eq.lhs))
@@ -402,18 +405,24 @@ def test_written_exponents_follow_k_values(witness_m4):
     assert parsed.lhs.parts[0].exp == 7
 
 
-@pytest.mark.parametrize("n", [1, 2])
+# n is the one square per character, the one y each character's block reads
+@pytest.mark.parametrize("n", [1])
 @pytest.mark.parametrize("filler", [0, 2])
 @pytest.mark.parametrize("factors, b, a", WRITER_SPECS,
                          ids=["2xDInf", "DInf-Z6", "DInf-Z-Z4", "3xDInf"])
 def test_lhs_value_matches_the_dag_and_the_written_file(factors, b, a,
                                                        filler, n):
     spec = validate_spec(GroupSpec(factors, b, a))
-    data, report, eq = witness_equation(spec, n, filler=filler)
+    data, report, eq = witness_equation(spec, filler=filler)
     parsed = parse_equation(serialize_equation(eq))
     group = spec.group
     rng = random.Random(11)
     solution = g_solution(eq, data, report)
+    # the m x's, then n = 1 y per character, still spelled y_{ci}_1
+    m = eq.c_rank
+    assert list(solution) == eq.variables() == (
+        [f"x{j + 1}" for j in range(m)]
+        + [f"y_{ci}_{n}" for ci in range(eq.c_size)])
     perturbed = {name: group.mul(value, group.random_element(rng, 3))
                  for name, value in solution.items()}
     in_g = [eq.lhs_value(solution, group.ops)]
@@ -422,7 +431,6 @@ def test_lhs_value_matches_the_dag_and_the_written_file(factors, b, a,
     for lhs in (eq.lhs, parsed.lhs):
         assert in_g == [evaluate(lhs, solution, group.ops),
                         evaluate(lhs, perturbed, group.ops)]
-    m = eq.c_rank
     for delta in [(0,) * m, (1,) * m, (1,) + (0,) * (m - 1),
                   tuple(rng.randint(0, 1) for _ in range(m))]:
         assignment = {f"x{j + 1}": DihedralElement(rng.randint(-5, 5), d)
@@ -447,7 +455,7 @@ def test_lhs_follows_the_fields_it_was_built_from(witness_m4):
     # them changes it agrees with the written file and with lhs_value
     eq = analyze(witness_m4[0]).equation
     rng = random.Random(5)
-    for change in [{"k_values": (7,) + eq.k_values[1:]}, {"n_squares": 2},
+    for change in [{"k_values": (7,) + eq.k_values[1:]},
                    {"torsion_order": 3}, {"filler": 2}]:
         for field, value in change.items():
             setattr(eq, field, value)
@@ -474,11 +482,11 @@ def test_reprs_print_long_integers_by_bit_length():
         "Pow(exp=<-20001-bit int>, length=<20001-bit int>)")
     assert repr(Pow(Gen("y"), -3)) == "Pow(exp=-3, length=3)"
     eq = Equation(lhs=big, rhs_exponent=2 ** 20000, c_rank=0,
-                  torsion_order=1, n_squares=1, filler=0, k_values=(0,))
+                  torsion_order=1, filler=0, k_values=(0,))
     assert repr(eq) == (
         "Equation(lhs=Pow(exp=<20001-bit int>, length=<20001-bit int>), "
         "rhs_exponent=<20001-bit int>, c_rank=0, "
-        "torsion_order=1, n_squares=1, filler=0, k_values=(0,))")
+        "torsion_order=1, filler=0, k_values=(0,))")
     # a c_rank-14 tower: its length 3 * 2^(2^14) - 2 has 4,933 digits
     tower = build_w_chi(Character((-1,) * 14), [Gen("c")] * (1 << 14))
     assert tower.length == 3 * 2 ** (1 << 14) - 2
@@ -574,6 +582,9 @@ def test_parse_ignores_layout_and_rejects_other_text(witness_m4):
                 # a token in place of the nodes field's closing parenthesis
                 text + " (lhs n7) junk",
                 text.replace("(n 1)", "(n 1) (bogus 1)"),
+                # any number of squares per character but one
+                text.replace("(n 1)", "(n 0)"),
+                text.replace("(n 1)", "(n 2)"),
                 text.replace("(filler 0)", "(filler 0) (filler 2)"),
                 text.replace("(rhs a 131072)", "(rhs a 3 131072)"),
                 # a right-hand side in a generator other than a

@@ -2,7 +2,7 @@
 group for evaluating words against direct module arithmetic, a DAG node
 counter, the letter-by-letter flattening of a small word, a call counter,
 the canonical coset words, the closed-form value of a tower over the
-infinite dihedral group, the witness pipeline with n squares, reference
+infinite dihedral group, the witness steps of `analyze`, reference
 builders of a witness's full component and certificate tables, and the
 randint draw of a factor's random element."""
 
@@ -233,12 +233,12 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
-def witness_equation(spec, n, filler=0):
-    """The witness steps of `analyze` with n squares per character:
-    (square data, simplicity report, equation)."""
+def witness_equation(spec, filler=0):
+    """The witness steps of `analyze`: (square data, simplicity report,
+    equation)."""
     data = square_data(spec)
     report = data.module.is_simple(image_of_a_squared(spec, data))
-    eq = build_witness_equation(report, n, data.presentation.torsion_order,
+    eq = build_witness_equation(report, 1, data.presentation.torsion_order,
                                 data.c_rank, filler=filler)
     return data, report, eq
 
