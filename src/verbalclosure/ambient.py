@@ -587,11 +587,6 @@ class RetractionData:
         self._images = tuple([(f.pow, f.mul, x, y) for f, x, y
                               in zip(spec.factors, spec.h_a, spec.h_b)])
 
-    def translation_of(self, g):
-        """Value of the translation functional on any ambient element,
-        computed through its square (always in Q), factor by factor."""
-        return _on_square(self._reads, g)
-
     def apply(self, g):
         # chi's sign on g's coset: the parity of g's coset bits on the
         # generators that chi negates

@@ -249,10 +249,14 @@ def spot_check_no_solution(eq, bound, trials, seed=0):
     heuristic, not a proof: absence of small solutions proves nothing for
     general equations.
 
-    A witness is evaluated from its recipe with no word built, so a trial
-    costs O(|C|) group operations per tower with a nonzero exponent: the
-    towers raised to a zero filler exponent are not evaluated.  A y's value
-    is drawn on its first read, so unread y's cost no draws.
+    A witness is evaluated from its recipe with no word built, and the
+    towers raised to a zero filler exponent are not evaluated.  Each other
+    tower stops at its first identity level: one whose character misses the
+    trial's flip pattern dies within a few levels, so a trial costs about
+    O(|C|) group operations, one full tower when a live character matches
+    the flips, rather than O(|C|) per live tower.  A y's value is drawn on
+    its first read, so unread y's cost no draws; every live tower reads its
+    y before its levels, so the draws do not depend on where towers stop.
     """
     import random
 

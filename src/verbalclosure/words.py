@@ -14,10 +14,11 @@ term i is the tower of the i-th character of C, each element of C spelled
 by its own generator bits (`coset_words_of`), with c-rank, |T| and the
 exponents read from its fields.  `Equation.lhs` builds the DAG on each
 read; `Equation.lhs_value` evaluates the terms with a nonzero exponent
-level by level, one product per `_levels` entry, and `serialize_chunks`
-writes the DAG's post-order from the recipe, tower by tower, each level one
-fill of a template made once per element of C, so a writer streaming it to
-a file holds one tower's text at a time.
+level by level, one product per `_levels` entry up to the term's first
+identity level, and `serialize_chunks` writes the DAG's post-order from the
+recipe, tower by tower, each level one fill of a template made once per
+element of C, so a writer streaming it to a file holds one tower's text at a
+time.
 """
 
 from dataclasses import dataclass
@@ -275,23 +276,28 @@ def _levels(index, m):
     the last element of C in the enumeration order, and the sign is the
     character's value on that element, (-1)^popcount(index & e), as the two
     indices pair their bits generator by generator (as do the flip patterns
-    and characters of `certify_no_solution`)."""
-    return [(e, -1 if (index & e).bit_count() & 1 else 1)
-            for e in range((1 << m) - 1, -1, -1)]
+    and characters of `certify_no_solution`).  The levels are yielded one
+    at a time, so a reader that stops early pays for the levels it read."""
+    return ((e, -1 if (index & e).bit_count() & 1 else 1)
+            for e in range((1 << m) - 1, -1, -1))
+
+
+def _coset_word(e, m):
+    """The generator indices spelling element e of C at c-rank m: its own
+    set bits, the first generator's the highest."""
+    return tuple(j for j in range(m) if e >> (m - 1 - j) & 1)
 
 
 def coset_words_of(m):
-    """The coset words of C = G/Q, as `build_v_chi` takes them: element e
-    is spelled by its own set bits, the first generator's the highest, so
-    the words depend on the c-rank m alone."""
-    return [tuple(j for j in range(m) if e >> (m - 1 - j) & 1)
-            for e in range(1 << m)]
+    """The coset words of C = G/Q, as `build_v_chi` takes them, by
+    `_coset_word`, so the words depend on the c-rank m alone."""
+    return [_coset_word(e, m) for e in range(1 << m)]
 
 
 def _tower(index, m, c_exprs, body):
     """Nest skew commutators by c_exprs around body, the last innermost,
     with the signs of the index-th character of C."""
-    levels = _levels(index, m)
+    levels = list(_levels(index, m))
     if len(c_exprs) != len(levels):
         raise ValueError(f"need {len(levels)} element words, got {len(c_exprs)}")
     for i, sign in levels:
@@ -379,36 +385,45 @@ class Equation:
         to `evaluate(self.lhs, assignment, ops)`.
 
         A recipe is evaluated level by level with no word built: each x is
-        read once, each coset word's value and its inverse are formed once,
-        and each term with a nonzero exponent forms its y-block, then
-        body * c * body^sign * c^-1 per `_levels` entry, then its power; a
+        read once, and each term with a nonzero exponent reads its y, forms
+        its y-block, then body * c * body^sign * c^-1 per `_levels` entry,
+        then its power.  A coset word's value and its inverse are formed
+        when a level first reads them, and kept for the call.  A term stops
+        at its first identity body, since 1 * c * 1 * c^-1 = 1 at that level
+        and every later one, and adds nothing: over D-infinity a tower whose
+        character misses the flips of the x's dies within a few levels,
+        while in G the towers of a solution run all 2^c-rank levels.  A
         term with exponent 0 is the identity, so its variables need no
         value.  A given lhs is walked by `evaluate` on each call.
         """
         if self._lhs is not None:
             return evaluate(self._lhs, assignment, ops)
-        mul, inv = ops.mul, ops.inv
+        mul, inv, identity = ops.mul, ops.inv, ops.identity
         m, torsion = self.c_rank, self.torsion_order
-        value = ops.identity
-        cosets = None
+        value = identity
+        xs = None
+        cosets = {}  # element index -> (value, inverse), on first read
         for ci, e in enumerate(self._exponents()):
             if not e:
                 continue
-            if cosets is None:
+            if xs is None:
                 xs = [_read(assignment, x_var(j)) for j in range(m)]
-                cosets = []
-                for indices in coset_words_of(m):
-                    c = ops.identity
-                    for j in indices:
-                        c = mul(c, xs[j])
-                    cosets.append((c, inv(c)))
             y = _read(assignment, y_var(ci))
             body = _power(mul(y, y), torsion, ops)
             for i, sign in _levels(ci, m):
-                c, c_inv = cosets[i]
+                if body == identity:
+                    break
+                pair = cosets.get(i)
+                if pair is None:
+                    c = identity
+                    for j in _coset_word(i, m):
+                        c = mul(c, xs[j])
+                    pair = cosets[i] = (c, inv(c))
+                c, c_inv = pair
                 body = mul(mul(mul(body, c), body if sign == 1 else inv(body)),
                            c_inv)
-            value = mul(value, _power(body, e, ops))
+            if body != identity:
+                value = mul(value, _power(body, e, ops))
         return value
 
     def __repr__(self):

@@ -729,7 +729,6 @@ def test_retraction_apply_matches_the_composed_reference(factors, b, a):
     for _ in range(500):
         g = group.random_element(rng, 40)
         assert rho.apply(g) == reference_apply(rho, g)
-        assert rho.translation_of(g) == reference_translation(rho, g)
         signs.add(verdict.data.sign_of(rho.sign_character, g))
     assert signs == {1, -1}  # both branches of apply were compared
 

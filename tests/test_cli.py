@@ -280,6 +280,27 @@ a = a1^3*a2^5*a3^7*a4^9*a5^11
     assert elapsed < 10.0, elapsed
 
 
+def test_default_verify_at_c_rank_12_is_quick(tmp_path, capsys):
+    # 1,000 spot-check trials: a trial stops each tower at its first
+    # identity level, so only the towers whose character matches the flips
+    # run every level.  Running all 2^12 levels of each live tower took
+    # over a minute
+    path = write(tmp_path, "w12.spec", """groupspec v1
+factors = [DInf, DInf, DInf, DInf, DInf, DInf]
+b = b1*b2*b3*b4*b5*b6
+a = a1^3*a2^5*a3^7*a4^9*a5^11*a6^13
+""")
+    t0 = time.perf_counter()
+    code = main(["analyze", path, "--verify"])
+    elapsed = time.perf_counter() - t0
+    out = capsys.readouterr().out
+    assert code == 10
+    assert "ambient solution verified in G: yes" in out
+    assert ("spot check (bound=50, trials=1000, seed=0): "
+            "no dihedral solution found") in out
+    assert elapsed < 5.0, elapsed
+
+
 def test_reused_parser_carries_no_options_over(tmp_path, capsys):
     # main keeps one parser per process; every call must still read only
     # its own argv, exactly as a freshly built parser does

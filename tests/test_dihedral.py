@@ -38,6 +38,7 @@ from verbalclosure.involutions import (
 )
 from verbalclosure.lattice import AbelianPresentation
 from verbalclosure.words import (
+    Equation,
     Gen,
     build_v_chi,
     build_witness_equation,
@@ -307,6 +308,23 @@ def test_spot_check_detects_solvable_equation():
                   c_rank=1, torsion_order=1, filler=0, k_values=(0, 1))
     # delta = (1,) with y = a gives a^(2*4) = rhs; the sampler must find it
     assert not spot_check_no_solution(eq, bound=3, trials=2000, seed=0)
+
+
+@pytest.mark.parametrize("rhs_exponent, trials", [(8, 200), (0, 1)])
+def test_spot_check_detects_a_solvable_recipe(rhs_exponent, trials):
+    # the same equation as a recipe, evaluated with no word built: its one
+    # live tower, of the nontrivial character, takes y = a to a^8 when x1
+    # flips.  When x1 = a^t does not flip, as in the first trial, the tower
+    # dies at its first level, so the left-hand side is 1 = a^0
+    eq = Equation(rhs_exponent=rhs_exponent, c_rank=1, torsion_order=1,
+                  filler=0, k_values=(0, 1))
+    assert "<built when read>" in repr(eq)
+    assert not spot_check_no_solution(eq, bound=3, trials=trials, seed=0)
+    x1 = DihedralElement(2, 0)
+    for y in (A, DihedralElement(3, 1)):
+        assert eq.lhs_value({"x1": x1, "y_1_1": y}, DIHEDRAL_OPS) == IDENTITY
+    assert eq.lhs_value({"x1": B, "y_1_1": A},
+                        DIHEDRAL_OPS) == DihedralElement(8, 0)
 
 
 def test_draw_element_keeps_the_randint_stream():

@@ -1,6 +1,7 @@
 """Tests for word DAGs, evaluation, the commutator tower and equations."""
 
 import gc
+import itertools
 import random
 
 import pytest
@@ -306,8 +307,8 @@ def test_levels_read_the_character_by_index(m):
     elements = list(enumerate(enumerate_group_elements(m)))
     for i, chi in enumerate(enumerate_characters(m)):
         assert chi.index == i
-        assert words._levels(i, m) == [(e, chi.on_element(bits))
-                                       for e, bits in reversed(elements)]
+        assert list(words._levels(i, m)) == [
+            (e, chi.on_element(bits)) for e, bits in reversed(elements)]
 
 
 def test_witness_lhs_is_built_on_each_read(witness_m4, monkeypatch):
@@ -341,7 +342,7 @@ def test_verify_builds_no_tower(witness_m4, monkeypatch):
     towers = count_calls(monkeypatch, words, "_tower")
     walks = count_calls(monkeypatch, words, "postorder")
     spec = witness_m4[0]
-    for filler, count in [(0, 271), (2, 2027)]:
+    for filler, count, in_g, in_dinf in [(0, 271, 173, 4), (2, 2027, 201, 32)]:
         towers.clear()
         walks.clear()
         verdict = analyze(spec, filler=filler)
@@ -362,9 +363,12 @@ def test_verify_builds_no_tower(witness_m4, monkeypatch):
         recipe, dag = results
         assert recipe[0::2] == dag[0::2]
         assert dag[1] == dag[3] == count
-        # one product per coset word and three per level, against the DAG's
-        # Concat of c and four products per level
-        assert recipe[1] == recipe[3] < count
+        # in G the solution's live towers run every level: one product per
+        # coset word and three per level, against the DAG's Concat of c and
+        # four products per level, and the filler's towers, whose y is 1,
+        # stop at their y-block.  Over D-infinity every y = a^3*b squares to
+        # 1, so every tower stops there: 2 products a term
+        assert (recipe[1], recipe[3]) == (in_g, in_dinf)
 
 
 WRITER_SPECS = [
@@ -448,6 +452,70 @@ def test_lhs_value_matches_the_dag_and_the_written_file(factors, b, a,
     assert value != PERM_OPS.identity
     assert value == evaluate(eq.lhs, perms, PERM_OPS)
     assert value == evaluate(parsed.lhs, perms, PERM_OPS)
+
+
+def _first_identity_levels(lhs, assignment, ops):
+    """Per term of a witness's built lhs with a nonzero exponent, the number
+    of levels of its tower before the first identity body, 0 for an
+    identity y-block, or None when no body is the identity.  Each level's
+    value is the product of its four parts, read off the DAG, with its
+    body's value known."""
+    stops = []
+    for term in lhs.parts:
+        if not term.exp:
+            continue
+        # a level is Concat((body, c, body^sign, c^-1)); the y-block is a Pow
+        levels = [term.base]
+        while type(levels[-1]) is Concat:
+            levels.append(levels[-1].parts[0])
+        values = [evaluate(levels.pop(), assignment, ops)]
+        for level in reversed(levels):
+            body, value = level.parts[0], ops.identity
+            for p in level.parts:
+                if p is body:
+                    v = values[-1]
+                elif p.children == (body,):  # Inv(body)
+                    v = ops.inv(values[-1])
+                else:
+                    v = evaluate(p, assignment, ops)
+                value = ops.mul(value, v)
+            values.append(value)
+        stops.append(values.index(ops.identity)
+                     if ops.identity in values else None)
+    return stops
+
+
+# the elements of S_4 on the points 0-3 of S_7, where many bodies die
+S4_IN_S7 = [p + (4, 5, 6) for p in itertools.permutations(range(4))]
+
+
+@pytest.mark.parametrize("filler", [0, 2])
+@pytest.mark.parametrize("factors, b, a", WRITER_SPECS[:2],
+                         ids=["2xDInf", "DInf-Z6"])
+def test_lhs_value_stops_at_the_first_identity_level(factors, b, a, filler):
+    # the recipe stops each tower at its first identity body and drops the
+    # term: on assignments whose bodies die at the y-block, at the first
+    # levels, later or never, its value is still the DAG's
+    eq = witness_equation(validate_spec(GroupSpec(factors, b, a)),
+                          filler=filler)[2]
+    lhs = eq.lhs
+    rng = random.Random(f"{b}:{a}:{filler}")
+    stops = {"D-infinity": set(), "S_4": set()}
+    for _ in range(40):
+        dihedral = {name: DihedralElement(rng.randint(-2, 2),
+                                          rng.randint(0, 1))
+                    for name in eq.variables()}
+        perms = {name: rng.choice(S4_IN_S7) for name in eq.variables()}
+        for group, assignment, ops in [("D-infinity", dihedral, DIHEDRAL_OPS),
+                                       ("S_4", perms, PERM_OPS)]:
+            value = eq.lhs_value(assignment, ops)
+            assert value == evaluate(lhs, assignment, ops)
+            stops[group].update(_first_identity_levels(lhs, assignment, ops))
+    # bodies died at the y-block, at each of the first two levels, and
+    # not at all; in S_4 at the same places and later
+    assert {0, 1, 2, None} <= stops["D-infinity"]
+    assert {0, 1, 2} <= stops["S_4"]
+    assert max(s for s in stops["S_4"] if s is not None) > 2
 
 
 def test_lhs_follows_the_fields_it_was_built_from(witness_m4):

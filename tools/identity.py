@@ -7,16 +7,21 @@ For each workload w in sweep, ladder, check and each seed s in 101-103,
 every spec of ``workload_specs(w, s)`` (from ``bench/family.py``) is run
 through ``verbalclosure.cli.main`` in-process, in the text format and in
 ``--format structured``.  On ``check`` each run adds ``bench/run.py``'s
-``CHECK_FLAGS`` and ``--emit-equation <format>.eq``.  Each spec runs from
-inside its own directory DIR/w/s/NAME, so every path a report prints is
-relative and the same in every checkout.  That directory holds:
+``CHECK_FLAGS`` and ``--emit-equation <format>.eq``, and each ``check``
+witness also runs in the text format with each of ``WITNESS_RUNS``: a
+default ``--verify`` (1,000 spot-check trials) and ``--filler 2``, whose
+towers are all live.  Each spec runs from inside its own directory
+DIR/w/s/NAME, so every path a report prints is relative and the same in
+every checkout.  That directory holds:
 
 * ``spec``: the spec file;
 * ``text.out``, ``structured.out``: the reports (stdout);
 * ``text.exit``, ``structured.exit``: the exit code, or the type of the
   exception the call raised, followed by anything written to stderr;
 * ``text.eq``, ``structured.eq``: the equation files, for a witness on
-  ``check``.
+  ``check``;
+* ``verify.out``, ``verify.exit``, ``filler2.out``, ``filler2.exit``: the
+  ``WITNESS_RUNS`` of a witness on ``check``.
 
 Then each demo runs as its own process against this checkout's ``src``;
 DIR/demos/NAME.out holds its stdout and DIR/demos/NAME.exit its exit code.
@@ -44,6 +49,9 @@ from run import CHECK_FLAGS, load_program  # noqa: E402
 WORKLOADS = ("sweep", "ladder", "check")
 SEEDS = (101, 102, 103)
 FORMATS = {"text": [], "structured": ["--format", "structured"]}
+# the extra runs of a check witness, in the text format
+WITNESS_RUNS = {"verify": ["--verify"],
+                "filler2": ["--filler", "2", "--verify", "--trials", "8"]}
 
 
 def run_cli(main, argv):
@@ -65,8 +73,18 @@ def write(path, text):
         fh.write(text)
 
 
+def record(main, name, argv):
+    """Run argv and write its stdout to NAME.out and its exit code and
+    stderr to NAME.exit, in the current directory; returns the code."""
+    stdout, code, stderr = run_cli(main, argv)
+    write(f"{name}.out", stdout)
+    write(f"{name}.exit", f"{code}\n{stderr}")
+    return code
+
+
 def run_specs(main, out):
-    """Every workload spec in both formats; returns the number of runs."""
+    """Every workload spec in both formats, and each check witness's
+    `WITNESS_RUNS`; returns the number of runs."""
     runs = 0
     for workload in WORKLOADS:
         for seed in SEEDS:
@@ -75,14 +93,17 @@ def run_specs(main, out):
                 os.makedirs(where)
                 write(os.path.join(where, "spec"), spec.text())
                 os.chdir(where)
+                codes = {}
                 for fmt, flags in FORMATS.items():
                     argv = ["analyze", "spec"] + flags
                     if workload == "check":
                         argv += CHECK_FLAGS + ["--emit-equation", f"{fmt}.eq"]
-                    stdout, code, stderr = run_cli(main, argv)
-                    write(f"{fmt}.out", stdout)
-                    write(f"{fmt}.exit", f"{code}\n{stderr}")
+                    codes[fmt] = record(main, fmt, argv)
                     runs += 1
+                if workload == "check" and codes["text"] == 10:
+                    for name, flags in WITNESS_RUNS.items():
+                        record(main, name, ["analyze", "spec"] + flags)
+                        runs += 1
     return runs
 
 
