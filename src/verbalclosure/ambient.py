@@ -58,7 +58,7 @@ class NotInQ(ValueError):
 
 
 class NormalizationFailure(RuntimeError):
-    """The translation functional failed to send the dihedral generator to 1."""
+    """The built retraction does not fix a and b."""
 
 
 # ---------------------------------------------------------------------------
@@ -610,30 +610,46 @@ def build_retraction(spec, data, q_vec, chi):
     """Build the retraction determined by a simple a^2 with witness chi.
 
     Steps: take the invariant complement M of <a^2> in Q and the integer
-    functional with kernel M; check that the kernel-of-sign subgroup is
-    abelian modulo M (it must be: its commutator subgroup is finite and
-    torsion-free); record the torsion of that subgroup as the finite normal
-    subgroup being quotiented away.  The resulting map fixes a and b and is
-    idempotent by construction; verify_retraction samples the rest.
+    functional with kernel M; read the torsion of the kernel-of-sign
+    subgroup modulo M in closed form, as the finite normal subgroup being
+    quotiented away; check, exactly, that the map fixes a and b; check that
+    the kernel-of-sign subgroup is abelian modulo M (it must be: its
+    commutator subgroup is finite and torsion-free).  The map is idempotent
+    by construction; verify_retraction samples the rest.
     """
-    module = data.module
-    basis, lam = module._complement_data(q_vec, chi)
-    tau_a = sum(l * x for l, x in zip(lam, q_vec))
-    if tau_a != 1:
-        raise NormalizationFailure(
-            f"translation functional sends a to {tau_a}, expected 1")
-    group = spec.group
-    if data.sign_of(chi, spec.h_a) != 1:
-        raise NormalizationFailure("sign character does not fix a")
-    if data.sign_of(chi, spec.h_b) != -1:
-        raise NormalizationFailure("sign character must negate along b")
+    basis, lam = data.module._complement_data(q_vec, chi)
 
     # lifts of the kernel of chi in G/Q: each generator but the first that
-    # chi negates, times that one when chi negates it too
+    # chi negates, times that one when chi negates it too.  Some generator
+    # is negated: b inverts a^2, so a character with chi(b) = +1 gives a^2
+    # a zero component, and _complement_data has raised NotSimple
+    group = spec.group
     d = data.d_elements
     pivot = chi.signs.index(-1)
     lifts = [group.mul(d[pivot], d[j]) if s == -1 else d[j]
              for j, s in enumerate(chi.signs) if j != pivot]
+    # the kernel subgroup modulo M is Z^(1+r) over a^2 and the r lifts g_i,
+    # modulo the rows [-t | 2I] with t_i the functional tau on g_i^2.  Some
+    # t_i is odd: chi(a) = 1, so a is some g_i times an element q of Q, and
+    # modulo M (abelian, as checked below) tau(a^2) = 1 is the sum of their
+    # t_i plus 2 tau(q).  Subtracting one odd-t lift (and a multiple of a^2)
+    # from the other odd ones leaves Z x (Z/2)^(r-1)
+    rho = RetractionData(
+        spec=spec,
+        data=data,
+        sign_character=chi,
+        functional=tuple(lam),
+        complement_basis=[tuple(b) for b in basis],
+        torsion_invariants=[2] * (len(lifts) - 1),
+    )
+    # rho(a) = a iff chi(a) = 1 and the functional sends a^2 to 1, as a has
+    # infinite order; rho(b) = b iff chi(b) = -1, as else rho(b) = 1
+    image_a, image_b = rho.apply(spec.h_a), rho.apply(spec.h_b)
+    if image_a != spec.h_a or image_b != spec.h_b:
+        raise NormalizationFailure(
+            f"retraction sends a to {image_a!r} and b to {image_b!r}, "
+            "expected a and b")
+
     # the index-two subgroup must be abelian modulo the complement.  A
     # commutator in the direct product G is trivial in every factor where
     # either lift is, so the functional reads it, factor by factor, on the
@@ -651,29 +667,7 @@ def build_retraction(spec, data, q_vec, chi):
             if t != 0:
                 raise AssertionError(
                     "kernel subgroup is not abelian modulo the complement")
-
-    # presentation of the kernel subgroup modulo the complement:
-    # generator 0 is the image of a^2, the others are the coset lifts
-    reads = _square_reads(factors, lam)
-    rows = []
-    for i, g in enumerate(lifts):
-        t = _on_square(reads, g)
-        row = [0] * (1 + len(lifts))
-        row[0] = -t
-        row[1 + i] = 2
-        rows.append(tuple(row))
-    kpres = AbelianPresentation(1 + len(lifts), rows)
-    if kpres.free_rank != 1:
-        raise NormalizationFailure("kernel subgroup is not virtually cyclic of rank 1")
-
-    return RetractionData(
-        spec=spec,
-        data=data,
-        sign_character=chi,
-        functional=tuple(lam),
-        complement_basis=[tuple(b) for b in basis],
-        torsion_invariants=list(kpres.invariant_factors),
-    )
+    return rho
 
 
 def verify_retraction(rho, spec, samples=10000, bound=100, seed=0):

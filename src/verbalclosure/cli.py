@@ -136,9 +136,9 @@ def _check_writable(path):
 
 def cmd_analyze(args):
     try:
-        with open(args.specfile) as fh:
+        with open(args.specfile, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.specfile}: {exc}", file=sys.stderr)
         return 2
     try:

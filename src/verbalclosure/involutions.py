@@ -8,8 +8,9 @@ retract-or-witness decision, and invariant complements for simple elements.
 Every eigenprojection is read from one table, `_eigensplit`, of the integer
 numerators 2^m e_chi.  The decision stays in integers: it solves 2^m times
 a component, an integer vector, in the eigenlattice scaled by 2^m, where its
-coordinates are those of the component itself.  The public projections and
-eigenlattices divide by 2^m on read.
+coordinates are those of the component itself.  The public projections
+divide by 2^m on read, and the public eigenlattices are built from the
+scaled lattice's generators over 2^m.
 """
 
 from dataclasses import dataclass
@@ -221,7 +222,8 @@ class InvolutionModule:
         entry M applied to the free projection, which are 2^m times the
         components of the unit vectors.  Scaling keeps the Smith form's U
         and V, so coordinates and membership coefficients are those of the
-        unscaled lattice."""
+        unscaled lattice, which `eigenlattice_free` builds from these
+        generators over 2^m."""
         if signs not in self._lattices:
             M = self._split.get(signs)
             gens = (list(zip(*mat_mul(M, self.group._proj))) if M is not None
@@ -231,8 +233,11 @@ class InvolutionModule:
 
     def eigenlattice_free(self, chi):
         """The lattice of chi-components of Q in free coordinates, generated
-        by the components of the unit vectors: `_lattice` divided by 2^m."""
-        return self._lattice(chi.signs).divided(self.c_size)
+        by the components of the unit vectors: `_lattice`'s generators over
+        2^m, with the same U and V, so the same coordinates."""
+        return Lattice.from_generators(
+            [tuple(_ratio(x, self.c_size) for x in g)
+             for g in self._lattice(chi.signs).generators])
 
     def eigenlattice(self, chi):
         """Z-basis of the lattice of chi-components of Q, ambient coordinates."""
@@ -292,10 +297,8 @@ class InvolutionModule:
             raise NotSimple("component is not primitive at this character")
         # the one-row Smith form U [coords] V = [1, 0, ...] gives the Bezout
         # vector mu = U[0][0] * (column 0 of V) with mu . coords = 1
-        U, D, V = smith_normal_form([list(coords)])
-        assert snf_diagonal(D) == [1]
+        U, _, V = smith_normal_form([list(coords)])
         mu = [U[0][0] * row[0] for row in V]
-        assert sum(c * x for c, x in zip(coords, mu)) == 1
         # entry i is mu on the basis coordinates of the component of the
         # i-th unit vector, the lattice's i-th generator
         lam = mat_vec(L.generator_coordinates(), mu)
@@ -306,7 +309,8 @@ class InvolutionModule:
     def _check_complement(self, q, lam, basis):
         g = self.group
         n = g.rank
-        assert sum(l * x for l, x in zip(lam, q)) == 1
+        if sum(map(mul, lam, q)) != 1:
+            raise AssertionError("functional does not send q to 1")
         stacked = [list(q)] + [list(b) for b in basis] + [list(r) for r in g.relations]
         _, D, _ = smith_normal_form(stacked)
         diag = snf_diagonal(D)

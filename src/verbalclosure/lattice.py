@@ -14,12 +14,11 @@ and the presentations of finitely generated abelian groups are read off it.
 A lattice runs it once, on its generators, and reads its basis, independence
 check, coordinates and integer membership off that one form.
 Rational input is scaled once by a common denominator, so the elimination
-itself stays in integers.  Scaling does not change the form's U and V, so a
-lattice divided by an integer shares its Smith form.
+itself stays in integers.  Scaling does not change the form's U and V, so
+dividing a lattice's generators by an integer keeps their coordinates.
 """
 
 from fractions import Fraction
-from functools import cached_property
 from itertools import compress
 from math import gcd, lcm
 from operator import mul
@@ -272,18 +271,6 @@ class Lattice:
         self._diag = [d for d in snf_diagonal(D) if d]
         self.generators = gens
 
-    def divided(self, c):
-        """This lattice scaled by 1/c for an integer c > 0, with no second
-        elimination: Mg / c has the integer rows R over denom * c, and the
-        Smith form of R is already known."""
-        L = Lattice.__new__(Lattice)
-        L._rows, L._u, L._v, L._diag = self._rows, self._u, self._v, self._diag
-        L._to_basis = self._to_basis
-        L._denom = self._denom * c
-        L.generators = [tuple(_ratio(x, c) for x in v) for v in self.generators]
-        L.basis = [tuple(_ratio(x, c) for x in v) for v in self.basis]
-        return L
-
     @property
     def rank(self):
         return len(self._diag)
@@ -391,18 +378,13 @@ class AbelianPresentation:
                              if i >= len(diag) or diag[i] == 0]
         self.free_rank = len(self.free_indices)
         self._u = U
-        # projection to free coordinates; the lift back inverts U when first
-        # read, and a presentation read only for its invariants never does
+        # projection to free coordinates and the lift back, built at once:
+        # every presentation the package builds goes into an
+        # InvolutionModule, which reads both
+        self._uinv = mat_inv(U) if rank else []
         self._proj = [U[i] for i in self.free_indices]
-
-    @cached_property
-    def _uinv(self):
-        return mat_inv(self._u) if self.rank else []
-
-    @cached_property
-    def _lift(self):
-        return [[self._uinv[i][j] for j in self.free_indices]
-                for i in range(self.rank)]
+        self._lift = [[self._uinv[i][j] for j in self.free_indices]
+                      for i in range(rank)]
 
     def free_coordinates(self, vec):
         """Image of an element in Z^free_rank, killing torsion exactly."""

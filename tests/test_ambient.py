@@ -14,6 +14,7 @@ from verbalclosure.ambient import (
     AmbientGroup,
     DInf,
     GroupSpec,
+    NormalizationFailure,
     NotAnInvolution,
     NotInfiniteOrder,
     NotInQ,
@@ -557,6 +558,102 @@ def test_build_retraction_checks_the_commutators(monkeypatch):
                         lambda q, chi: (basis, (-4, 1)))
     with pytest.raises(AssertionError, match="not abelian"):
         build_retraction(spec, data, a_sq, chi)
+
+
+def test_build_retraction_rejects_a_map_that_moves_a(monkeypatch):
+    # (2, 0) sends a^2 = (1, 5) to 2, so the built map sends a to a^2: the
+    # one exact guard on rho(a) and rho(b) refuses it, naming both images
+    spec = _dinf_spec(2, 1)
+    data = square_data(spec)
+    a_sq = image_of_a_squared(spec, data)
+    chi = data.module.is_simple(a_sq).witness_character
+    basis, lam = data.module._complement_data(a_sq, chi)
+    assert lam == (1, 0)
+    monkeypatch.setattr(data.module, "_complement_data",
+                        lambda q, chi: (basis, (2, 0)))
+    with pytest.raises(NormalizationFailure,
+                       match=r"sends a to \(.*\) and b to \(.*\)"):
+        build_retraction(spec, data, a_sq, chi)
+
+
+def test_build_retraction_builds_no_presentation(monkeypatch):
+    # the torsion invariants are read in closed form: no AbelianPresentation
+    # is built, and the three Smith forms are the complement's Bezout
+    # vector, its kernel basis and its check
+    import verbalclosure.involutions as involutions
+    import verbalclosure.lattice as lattice
+
+    spec = _dinf_spec(2, 1)
+    data = square_data(spec)
+    a_sq = image_of_a_squared(spec, data)
+    chi = data.module.is_simple(a_sq).witness_character
+    presentations = count_calls(monkeypatch, AbelianPresentation, "__init__")
+    snf = [count_calls(monkeypatch, module, "smith_normal_form")
+           for module in (lattice, involutions)]
+    rho = build_retraction(spec, data, a_sq, chi)
+    assert presentations == []
+    assert sum(map(len, snf)) == 3
+    assert rho.torsion_invariants == [2, 2]
+
+
+def _random_retract_specs(rng, count):
+    """Retract specs of DInf, Zed and ZedMod factors: a reflection shift
+    a_j^s * b_j in b on the DInf factors where a translates, and the
+    involution c_j^(k/2) of an even ZedMod factor in a or b."""
+    specs = []
+    while len(specs) < count:
+        kinds = [rng.choice(("DInf", "DInf", "Zed", "ZedMod"))
+                 for _ in range(rng.randint(1, 4))]
+        kinds[rng.randrange(len(kinds))] = "DInf"
+        factors, a, b = [], [], []
+        for j, kind in enumerate(kinds, 1):
+            if kind == "DInf":
+                factors.append(DInf())
+                p = rng.randint(-3, 3)
+                if p:
+                    a.append(f"a{j}^{p}")
+                if p or rng.random() < 0.5:
+                    b.append(f"a{j}^{rng.randint(-3, 3)}*b{j}")
+            elif kind == "Zed":
+                factors.append(Zed())
+            else:
+                k = rng.randint(1, 8)
+                factors.append(ZedMod(k))
+                for word in (a, b):
+                    if k % 2 == 0 and rng.random() < 0.5:
+                        word.append(f"c{j}^{k // 2}")
+        if not any(w.startswith("a") for w in a) or not b:
+            continue
+        spec = validate_spec(GroupSpec(factors, "*".join(b), "*".join(a)))
+        verdict = analyze(spec)
+        if verdict.is_retract:
+            specs.append(verdict)
+    return specs
+
+
+def test_torsion_invariants_match_the_kernel_presentation():
+    # the reference is the presentation Z^(1+r) / [-t | 2I] of the kernel
+    # subgroup modulo the complement, over a^2 and the r lifts g_i, with t_i
+    # the functional on g_i^2 read as a whole element.  On a Retract some
+    # t_i is odd, so its invariant factors are r - 1 twos
+    seen = set()
+    for verdict in _random_retract_specs(random.Random(37), 80):
+        rho, data = verdict.retraction, verdict.data
+        chi, d = rho.sign_character, data.d_elements
+        group = verdict.spec.group
+        pivot = chi.signs.index(-1)
+        lifts = [group.mul(d[pivot], d[j]) if s == -1 else d[j]
+                 for j, s in enumerate(chi.signs) if j != pivot]
+        r = len(lifts)
+        rows = [(-reference_translation(rho, g),)
+                + tuple(2 if k == i else 0 for k in range(r))
+                for i, g in enumerate(lifts)]
+        kernel = AbelianPresentation(1 + r, rows)
+        assert kernel.free_rank == 1
+        assert rho.torsion_invariants == kernel.invariant_factors, verdict.spec
+        seen.update(type(f).__name__ for f in verdict.spec.factors)
+        seen.add(verdict.data.c_rank)
+    assert seen >= {"Zed", "ZedMod", 2, 3, 4, 5, 6}
 
 
 def test_witness_at_c_rank_10_decides_quickly():

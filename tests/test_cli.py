@@ -118,6 +118,18 @@ def test_analyze_missing_file(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_analyze_undecodable_file(tmp_path, capsys):
+    # a byte that is not UTF-8, even inside a comment, used to escape main
+    # as a UnicodeDecodeError traceback with exit 1
+    path = tmp_path / "bad.spec"
+    path.write_bytes(RETRACT_SPEC.encode() + b"# \xff\n")
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {path}: ")
+    assert "utf-8" in captured.err
+
+
 @pytest.mark.parametrize("target", ["missing_dir/eq.txt", "."],
                          ids=["missing-directory", "a-directory"])
 def test_unwritable_equation_path_is_an_error(tmp_path, capsys, monkeypatch,

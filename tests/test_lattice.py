@@ -281,8 +281,7 @@ def test_mat_mul_matches_triple_loop():
 
 def test_integer_input_makes_no_fraction(monkeypatch):
     # ints stay ints: an integer lattice, its basis, its integral solves
-    # and its generator coordinates construct no Fraction; a lattice
-    # divided by 2 makes them only where an entry is odd
+    # and its generator coordinates construct no Fraction
     made = count_calls(monkeypatch, Fraction, "__new__")
     gens = [(2, 4, 0), (0, 2, 2), (2, 6, 2), (4, 0, 0)]
     L = Lattice.from_generators(gens)
@@ -292,11 +291,6 @@ def test_integer_input_makes_no_fraction(monkeypatch):
     assert all(type(x) is int for b in L.basis for x in b)
     assert content_and_primitive_part((4, 8, 0), L)[1] == (2, 4, 0)
     assert made == []
-    half = L.divided(2)
-    assert all(type(x) is int for g in half.generators for x in g)
-    assert made == []
-    assert half.integer_coordinates((1, 1, 0)) is None
-    assert made  # the non-integral coordinate
 
 
 def test_entries_must_be_ints_or_fractions():
@@ -310,12 +304,11 @@ def test_entries_must_be_ints_or_fractions():
         content_and_primitive_part((0.5, 0), L)
 
 
-def test_divided_lattice_shares_the_smith_form(monkeypatch):
-    # L / c is the lattice of the generators over c, with the same basis
-    # over c, coordinates, membership coefficients and generator
-    # coordinates, and runs no elimination of its own
-    import verbalclosure.lattice as lat
-
+def test_scaled_generators_keep_the_coordinates():
+    # the lattice of the generators over c has the basis over c, and the
+    # coordinates, membership coefficients and generator coordinates of
+    # the lattice of the generators: scaling keeps the Smith form's U and
+    # V, which is what lets is_simple solve in the 2^m-scaled eigenlattice
     rng = random.Random(31)
     for trial in range(40):
         n = rng.randint(1, 4)
@@ -326,25 +319,17 @@ def test_divided_lattice_shares_the_smith_form(monkeypatch):
                     for v in gens]
         c = rng.choice((2, 4, 8, 3))
         L = Lattice.from_generators(gens)
-        calls = count_calls(monkeypatch, lat, "smith_normal_form")
-        D = L.divided(c)
-        assert calls == []
-        monkeypatch.undo()
-        ref = Lattice.from_generators(
+        S = Lattice.from_generators(
             [tuple(Fraction(x) / c for x in v) for v in gens])
-        assert D.generators == ref.generators
-        assert D.basis == ref.basis == [
-            tuple(Fraction(x) / c for x in b) for b in L.basis]
-        assert D.generator_coordinates() == ref.generator_coordinates() \
-            == L.generator_coordinates()
+        assert S.basis == [tuple(Fraction(x) / c for x in b) for b in L.basis]
+        assert S.generator_coordinates() == L.generator_coordinates()
         for _ in range(4):
             coeffs = [rng.randint(-3, 3) for _ in gens]
             v = tuple(sum(k * g[i] for k, g in zip(coeffs, gens))
                       for i in range(n))
             w = tuple(Fraction(x) / c for x in v)
-            assert D.coordinates(w) == ref.coordinates(w) == L.coordinates(v)
-            assert membership_solve(D, w) == membership_solve(ref, w) \
-                == membership_solve(L, v)
+            assert S.coordinates(w) == L.coordinates(v)
+            assert membership_solve(S, w) == membership_solve(L, v)
 
 
 def test_generator_coordinates_match_per_generator_solves():
