@@ -22,7 +22,7 @@ from .dihedral import (
     draw_element,
 )
 from .involutions import Character, InvolutionModule
-from .lattice import AbelianPresentation
+from .lattice import AbelianPresentation, kernel_basis
 from .words import (
     Equation,
     GroupOps,
@@ -437,9 +437,6 @@ class SquareData:
         return tuple(bit for f, x in zip(self.spec.factors, element)
                      for bit in f.coset_bits(x))
 
-    def sign_of(self, chi, element):
-        return chi.on_element(self.coset_bits(element))
-
 
 def square_data(spec):
     """Extract Q, C = G/Q and the conjugation action from a validated spec.
@@ -553,9 +550,9 @@ class RetractionData:
     """A retraction G -> H assembled from an invariant complement.
 
     The functional reads off the coefficient of a^2 in the quotient of the
-    square subgroup by the complement; the sign character records how
-    conjugation acts on that coefficient.  torsion_invariants describe the
-    finite normal subgroup quotiented away in the final step.
+    square subgroup by its kernel, the complement; the sign character
+    records how conjugation acts on that coefficient.  The complement's
+    basis and the torsion invariants are derived on each read.
 
     rho is applied one factor at a time, with no product of whole n-tuples:
     chi's sign is read on the factors where chi negates a quotient letter,
@@ -567,8 +564,21 @@ class RetractionData:
     data: SquareData
     sign_character: Character
     functional: tuple
-    complement_basis: list
-    torsion_invariants: list
+
+    @property
+    def complement_basis(self):
+        """A basis of the invariant complement, the functional's kernel."""
+        return kernel_basis([list(self.functional)],
+                            cols=len(self.functional))
+
+    @property
+    def torsion_invariants(self):
+        """The finite normal subgroup's invariants: c_rank - 2 twos.  Modulo
+        the complement, the kernel-of-sign subgroup is Z^(1+r) over a^2 and
+        `build_retraction`'s r = c_rank - 1 lifts g_i, modulo the rows
+        [-t | 2I], t_i the functional on g_i^2.  As chi(a) = 1 and a^2
+        reads 1, some t_i is odd, which leaves Z x (Z/2)^(r-1)."""
+        return [2] * (self.data.c_rank - 2)
 
     def __post_init__(self):
         # bound once, per factor: its arithmetic and its coordinates of a
@@ -609,15 +619,22 @@ class RetractionData:
 def build_retraction(spec, data, q_vec, chi):
     """Build the retraction determined by a simple a^2 with witness chi.
 
-    Steps: take the invariant complement M of <a^2> in Q and the integer
-    functional with kernel M; read the torsion of the kernel-of-sign
-    subgroup modulo M in closed form, as the finite normal subgroup being
-    quotiented away; check, exactly, that the map fixes a and b; check that
-    the kernel-of-sign subgroup is abelian modulo M (it must be: its
-    commutator subgroup is finite and torsion-free).  The map is idempotent
-    by construction; verify_retraction samples the rest.
+    Steps: take the integer functional whose kernel is the invariant
+    complement M of <a^2> in Q; check, exactly, that the map fixes a and b;
+    check that the kernel-of-sign subgroup is abelian modulo M (it must be:
+    its commutator subgroup is finite and torsion-free).  The map is
+    idempotent by construction; verify_retraction samples the rest.
     """
-    basis, lam = data.module._complement_data(q_vec, chi)
+    lam = data.module._complement_data(q_vec, chi)
+    rho = RetractionData(spec=spec, data=data, sign_character=chi,
+                         functional=lam)
+    # rho(a) = a iff chi(a) = 1 and the functional sends a^2 to 1, as a has
+    # infinite order; rho(b) = b iff chi(b) = -1, as else rho(b) = 1
+    image_a, image_b = rho.apply(spec.h_a), rho.apply(spec.h_b)
+    if image_a != spec.h_a or image_b != spec.h_b:
+        raise NormalizationFailure(
+            f"retraction sends a to {image_a!r} and b to {image_b!r}, "
+            "expected a and b")
 
     # lifts of the kernel of chi in G/Q: each generator but the first that
     # chi negates, times that one when chi negates it too.  Some generator
@@ -628,28 +645,6 @@ def build_retraction(spec, data, q_vec, chi):
     pivot = chi.signs.index(-1)
     lifts = [group.mul(d[pivot], d[j]) if s == -1 else d[j]
              for j, s in enumerate(chi.signs) if j != pivot]
-    # the kernel subgroup modulo M is Z^(1+r) over a^2 and the r lifts g_i,
-    # modulo the rows [-t | 2I] with t_i the functional tau on g_i^2.  Some
-    # t_i is odd: chi(a) = 1, so a is some g_i times an element q of Q, and
-    # modulo M (abelian, as checked below) tau(a^2) = 1 is the sum of their
-    # t_i plus 2 tau(q).  Subtracting one odd-t lift (and a multiple of a^2)
-    # from the other odd ones leaves Z x (Z/2)^(r-1)
-    rho = RetractionData(
-        spec=spec,
-        data=data,
-        sign_character=chi,
-        functional=tuple(lam),
-        complement_basis=[tuple(b) for b in basis],
-        torsion_invariants=[2] * (len(lifts) - 1),
-    )
-    # rho(a) = a iff chi(a) = 1 and the functional sends a^2 to 1, as a has
-    # infinite order; rho(b) = b iff chi(b) = -1, as else rho(b) = 1
-    image_a, image_b = rho.apply(spec.h_a), rho.apply(spec.h_b)
-    if image_a != spec.h_a or image_b != spec.h_b:
-        raise NormalizationFailure(
-            f"retraction sends a to {image_a!r} and b to {image_b!r}, "
-            "expected a and b")
-
     # the index-two subgroup must be abelian modulo the complement.  A
     # commutator in the direct product G is trivial in every factor where
     # either lift is, so the functional reads it, factor by factor, on the

@@ -149,6 +149,13 @@ def cmd_analyze(args):
             _check_writable(args.emit_equation)
         start = time.perf_counter()
         verdict = analyze(spec, filler=args.filler)
+        try:  # every report prints the torsion order
+            str(verdict.data.presentation.torsion_order)
+        except ValueError:
+            raise SpecError(
+                "the torsion order of the square subgroup has more than "
+                f"{sys.get_int_max_str_digits()} digits, past Python's "
+                "limit on printing an integer") from None
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,7 +4,8 @@ A rank-m elementary abelian 2-group C acts on a finitely generated abelian
 group Q through one integer involution matrix per generator.  This module
 computes sign characters of C, the rational eigenprojections of elements of
 Q, the eigencomponent lattices, the simplicity test that drives the whole
-retract-or-witness decision, and invariant complements for simple elements.
+retract-or-witness decision, and for a simple element the functional
+whose kernel is an invariant complement of it.
 Every eigenprojection is read from one table, `_eigensplit`, of the integer
 numerators 2^m e_chi.  The decision stays in integers: it solves 2^m times
 a component, an integer vector, in the eigenlattice scaled by 2^m, where its
@@ -24,7 +25,6 @@ from .lattice import (
     NotInLattice,
     _ratio,
     eye,
-    kernel_basis,
     mat_mul,
     mat_vec,
     membership_solve,
@@ -279,14 +279,14 @@ class InvolutionModule:
     # -- complements --------------------------------------------------------
 
     def _complement_data(self, q, chi):
-        """Invariant complement M with Q = <q> + M (direct), plus the integer
-        functional on ambient coordinates whose kernel is M.
+        """The integer functional lam on ambient coordinates, lam(q) = 1,
+        whose kernel M is an invariant complement: Q = <q> + M, direct.
 
         Construction: extend the chi-component of q to a basis of the
-        eigenlattice; the functional reads off the coefficient of that basis
-        vector.  Both are read in the lattice scaled by 2^m, from the
-        numerator of the component, with one solve.  Raises NotSimple unless
-        the component is primitive.
+        eigenlattice; lam reads off the coefficient of that basis vector.
+        It is read in the lattice scaled by 2^m, from the numerator of the
+        component, with one solve and one one-row Smith form.  Raises
+        NotSimple unless the component is primitive.
         """
         w = _numerator(self._split, chi.signs, self.group.free_coordinates(q))
         L = self._lattice(chi.signs)
@@ -302,24 +302,21 @@ class InvolutionModule:
         # entry i is mu on the basis coordinates of the component of the
         # i-th unit vector, the lattice's i-th generator
         lam = mat_vec(L.generator_coordinates(), mu)
-        basis = kernel_basis([list(lam)], cols=self.group.rank)
-        self._check_complement(q, lam, basis)
-        return basis, lam
+        self._check_complement(q, lam, chi)
+        return lam
 
-    def _check_complement(self, q, lam, basis):
-        g = self.group
-        n = g.rank
+    def _check_complement(self, q, lam, chi):
+        """Three exact identities: lam(q) = 1 gives Z^n = Zq + ker lam;
+        lam kills the relations, so it is a functional on Q; lam A_j =
+        chi_j lam, so ker lam is invariant."""
+        # each holds for every valid module: lam_i is mu on the chi-component
+        # of e_i, A_j scales it by chi_j, and relations have no free part
         if sum(map(mul, lam, q)) != 1:
             raise AssertionError("functional does not send q to 1")
-        stacked = [list(q)] + [list(b) for b in basis] + [list(r) for r in g.relations]
-        _, D, _ = smith_normal_form(stacked)
-        diag = snf_diagonal(D)
-        if not (len([d for d in diag if d == 1]) == n and all(d in (0, 1) for d in diag)):
-            raise AssertionError("complement does not span Q together with q")
-        # lam (A b) = (lam A) b: one row product per action
-        for A in self.actions:
-            lam_a = mat_mul([lam], A)[0]
-            if any(sum(map(mul, lam_a, b)) for b in basis):
+        if any(sum(map(mul, lam, r)) for r in self.group.relations):
+            raise AssertionError("functional does not kill the relations")
+        for A, s in zip(self.actions, chi.signs):
+            if mat_mul([lam], A)[0] != [s * x for x in lam]:
                 raise AssertionError("complement is not invariant")
 
     # -- identities ---------------------------------------------------------

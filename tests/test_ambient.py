@@ -1,12 +1,13 @@
 """Tests for ambient groups, spec parsing, and the analyzer pipeline."""
 
 import contextlib
+import operator
 import random
 import sys
 import time
 from argparse import Namespace
 from fractions import Fraction
-from itertools import compress
+from itertools import combinations, compress
 
 import pytest
 
@@ -42,6 +43,8 @@ from verbalclosure.lattice import (
     eye,
     mat_mul,
     mat_vec,
+    smith_normal_form,
+    snf_diagonal,
     vec_sub,
 )
 from verbalclosure.words import UnboundGenerator, y_var
@@ -552,10 +555,9 @@ def test_build_retraction_checks_the_commutators(monkeypatch):
     data = square_data(spec)
     a_sq = image_of_a_squared(spec, data)
     chi = data.module.is_simple(a_sq).witness_character
-    basis, lam = data.module._complement_data(a_sq, chi)
-    assert lam == (1, 0)
+    assert data.module._complement_data(a_sq, chi) == (1, 0)
     monkeypatch.setattr(data.module, "_complement_data",
-                        lambda q, chi: (basis, (-4, 1)))
+                        lambda q, chi: (-4, 1))
     with pytest.raises(AssertionError, match="not abelian"):
         build_retraction(spec, data, a_sq, chi)
 
@@ -567,19 +569,20 @@ def test_build_retraction_rejects_a_map_that_moves_a(monkeypatch):
     data = square_data(spec)
     a_sq = image_of_a_squared(spec, data)
     chi = data.module.is_simple(a_sq).witness_character
-    basis, lam = data.module._complement_data(a_sq, chi)
-    assert lam == (1, 0)
+    assert data.module._complement_data(a_sq, chi) == (1, 0)
     monkeypatch.setattr(data.module, "_complement_data",
-                        lambda q, chi: (basis, (2, 0)))
+                        lambda q, chi: (2, 0))
     with pytest.raises(NormalizationFailure,
                        match=r"sends a to \(.*\) and b to \(.*\)"):
         build_retraction(spec, data, a_sq, chi)
 
 
-def test_build_retraction_builds_no_presentation(monkeypatch):
-    # the torsion invariants are read in closed form: no AbelianPresentation
-    # is built, and the three Smith forms are the complement's Bezout
-    # vector, its kernel basis and its check
+def test_build_retraction_runs_one_smith_form(monkeypatch):
+    # the complement is the functional alone: its one Smith form is the
+    # one-row Bezout form, its check is three identities with none, and no
+    # kernel basis and no AbelianPresentation is built on the way to the
+    # verdict.  The basis and the torsion invariants are derived on read
+    import verbalclosure.ambient as ambient
     import verbalclosure.involutions as involutions
     import verbalclosure.lattice as lattice
 
@@ -590,16 +593,32 @@ def test_build_retraction_builds_no_presentation(monkeypatch):
     presentations = count_calls(monkeypatch, AbelianPresentation, "__init__")
     snf = [count_calls(monkeypatch, module, "smith_normal_form")
            for module in (lattice, involutions)]
+    kernels = [count_calls(monkeypatch, module, "kernel_basis")
+               for module in (lattice, ambient)]
     rho = build_retraction(spec, data, a_sq, chi)
-    assert presentations == []
-    assert sum(map(len, snf)) == 3
+    assert presentations == [] and sum(map(len, kernels)) == 0
+    assert sum(map(len, snf)) == 1
+    data.module._check_complement(a_sq, rho.functional, chi)
+    assert sum(map(len, snf)) == 1
+    assert analyze(spec).is_retract and sum(map(len, kernels)) == 0
     assert rho.torsion_invariants == [2, 2]
+    assert rho.complement_basis == [(0, 1)]
+
+
+def _power(rng, name, e):
+    """name^e, one time in four written unreduced as name^(e+k)*name^-k."""
+    if rng.random() < 0.25:
+        k = rng.randint(1, 3)
+        return f"{name}^{e + k}*{name}^{-k}"
+    return f"{name}^{e}"
 
 
 def _random_retract_specs(rng, count):
     """Retract specs of DInf, Zed and ZedMod factors: a reflection shift
-    a_j^s * b_j in b on the DInf factors where a translates, and the
-    involution c_j^(k/2) of an even ZedMod factor in a or b."""
+    a_j^s * b_j in b on the DInf factors where a translates, a reflection
+    a_j^s * b_j in a on some DInf factors where b is trivial, the
+    involution c_j^(k/2) of an even ZedMod factor in a or b, and powers of
+    a_j written unreduced, as in a1^2*a1^-1."""
     specs = []
     while len(specs) < count:
         kinds = [rng.choice(("DInf", "DInf", "Zed", "ZedMod"))
@@ -610,10 +629,13 @@ def _random_retract_specs(rng, count):
             if kind == "DInf":
                 factors.append(DInf())
                 p = rng.randint(-3, 3)
+                reflection = _power(rng, f"a{j}", rng.randint(-3, 3)) + f"*b{j}"
                 if p:
-                    a.append(f"a{j}^{p}")
+                    a.append(_power(rng, f"a{j}", p))
                 if p or rng.random() < 0.5:
-                    b.append(f"a{j}^{rng.randint(-3, 3)}*b{j}")
+                    b.append(reflection)
+                elif rng.random() < 0.5:
+                    a.append(reflection)
             elif kind == "Zed":
                 factors.append(Zed())
             else:
@@ -622,10 +644,12 @@ def _random_retract_specs(rng, count):
                 for word in (a, b):
                     if k % 2 == 0 and rng.random() < 0.5:
                         word.append(f"c{j}^{k // 2}")
-        if not any(w.startswith("a") for w in a) or not b:
+        if not b:  # b has a reflection wherever a translates
             continue
-        spec = validate_spec(GroupSpec(factors, "*".join(b), "*".join(a)))
-        verdict = analyze(spec)
+        spec = GroupSpec(factors, "*".join(b), "*".join(a))
+        if not spec.group.has_infinite_order(spec.h_a):
+            continue
+        verdict = analyze(validate_spec(spec))
         if verdict.is_retract:
             specs.append(verdict)
     return specs
@@ -654,6 +678,79 @@ def test_torsion_invariants_match_the_kernel_presentation():
         seen.update(type(f).__name__ for f in verdict.spec.factors)
         seen.add(verdict.data.c_rank)
     assert seen >= {"Zed", "ZedMod", 2, 3, 4, 5, 6}
+
+
+def test_complement_basis_spans_q_with_a_squared():
+    # the spanning check that the complement once ran on every Retract, now
+    # a test of the derived basis: a^2, the basis and the relations of Q
+    # stack to a matrix whose Smith form has n ones and otherwise zeros
+    for verdict in _random_retract_specs(random.Random(43), 40):
+        rho, pres = verdict.retraction, verdict.data.presentation
+        basis = rho.complement_basis
+        assert len(basis) == pres.rank - 1
+        assert all(sum(map(operator.mul, rho.functional, v)) == 0
+                   for v in basis)
+        stacked = ([list(verdict.a_squared)] + [list(v) for v in basis]
+                   + [list(r) for r in pres.relations])
+        diag = snf_diagonal(smith_normal_form(stacked)[1])
+        assert diag.count(1) == pres.rank and set(diag) <= {0, 1}, \
+            verdict.spec
+
+
+def _in_h(group, a, b, g):
+    """Whether g = a^n b^e for some integers n and e, read on a factor where
+    a translates (and b, which inverts a, reflects)."""
+    i = next(j for j, x in enumerate(a) if isinstance(x, DihedralElement)
+             and x.translation and not x.flip)
+    p, s = a[i].translation, b[i].translation
+    t, e = g[i].translation, g[i].flip
+    if (t - s * e) % p:
+        return False
+    return group.mul(group.pow(a, (t - s * e) // p), group.pow(b, e)) == g
+
+
+def _word_value(group, word, images):
+    """The value of a (generator, exponent) word at the given images."""
+    value = group.identity
+    for name, e in word:
+        value = group.mul(value, group.pow(images[name], e))
+    return value
+
+
+def test_random_retractions_are_exact_retractions_onto_h():
+    # rho on G's generators, checked exactly: each image is a^t or a^t b;
+    # the images satisfy G's defining relations, b_j^2 = (a_j b_j)^2 = 1,
+    # c_j^k = 1 and commuting factors; and at them the words of a and b
+    # evaluate to a and b, so rho is a homomorphism fixing H
+    verdicts = _random_retract_specs(random.Random(41), 60)
+    shapes = set()
+    for verdict in verdicts:
+        spec, rho = verdict.spec, verdict.retraction
+        group = spec.group
+        one, a, b = group.identity, spec.h_a, spec.h_b
+        images = {name: rho.apply(group.generator_element(name))
+                  for name in group.generators}
+        for name, image in images.items():
+            assert _in_h(group, a, b, image), (spec, name)
+        for j, f in enumerate(spec.factors, 1):
+            if isinstance(f, DInf):
+                ra, rb = images[f"a{j}"], images[f"b{j}"]
+                assert group.mul(rb, rb) == one, (spec, j)
+                assert group.pow(group.mul(ra, rb), 2) == one, (spec, j)
+            elif isinstance(f, ZedMod):
+                assert group.pow(images[f"c{j}"], f.modulus) == one, (spec, j)
+        for x, y in combinations(images, 2):
+            if group.generators[x] != group.generators[y]:
+                assert group.mul(images[x], images[y]) == \
+                    group.mul(images[y], images[x]), (spec, x, y)
+        assert _word_value(group, spec.a_word, images) == a, spec
+        assert _word_value(group, spec.b_word, images) == b, spec
+        if any(isinstance(x, DihedralElement) and x.flip for x in a):
+            shapes.add("reflection in a")
+        names = [name for name, _ in spec.a_word + spec.b_word]
+        if len(set(names)) < len(names):
+            shapes.add("unreduced word")
+    assert shapes == {"reflection in a", "unreduced word"}
 
 
 def test_witness_at_c_rank_10_decides_quickly():
@@ -766,9 +863,7 @@ def test_verify_retraction_rejects_broken_map():
     rho = verdict.retraction
     broken = type(rho)(spec=spec, data=rho.data,
                        sign_character=rho.sign_character,
-                       functional=tuple(2 * x for x in rho.functional),
-                       complement_basis=rho.complement_basis,
-                       torsion_invariants=rho.torsion_invariants)
+                       functional=tuple(2 * x for x in rho.functional))
     assert not verify_retraction(broken, spec, samples=50, bound=10, seed=0)
 
     class Collapse:
@@ -806,7 +901,7 @@ def reference_apply(rho, g):
     the witness character, and `reference_translation`."""
     spec, data = rho.spec, rho.data
     group = spec.group
-    if data.sign_of(rho.sign_character, g) == 1:
+    if rho.sign_character.on_element(data.coset_bits(g)) == 1:
         return group.pow(spec.h_a, reference_translation(rho, g))
     shifted = group.mul(g, spec.h_b)
     return group.mul(group.pow(spec.h_a, reference_translation(rho, shifted)),
@@ -826,7 +921,7 @@ def test_retraction_apply_matches_the_composed_reference(factors, b, a):
     for _ in range(500):
         g = group.random_element(rng, 40)
         assert rho.apply(g) == reference_apply(rho, g)
-        signs.add(verdict.data.sign_of(rho.sign_character, g))
+        signs.add(rho.sign_character.on_element(verdict.data.coset_bits(g)))
     assert signs == {1, -1}  # both branches of apply were compared
 
 
@@ -850,9 +945,7 @@ def tampered(rho, **changes):
     """rho with its functional or sign character replaced."""
     fields = dict(spec=rho.spec, data=rho.data,
                   sign_character=rho.sign_character,
-                  functional=rho.functional,
-                  complement_basis=rho.complement_basis,
-                  torsion_invariants=rho.torsion_invariants)
+                  functional=rho.functional)
     fields.update(changes)
     return type(rho)(**fields)
 

@@ -113,6 +113,28 @@ def test_spec_integers_past_the_digit_limit_are_spec_errors(tmp_path, capsys,
                             "Python's limit on reading an integer\n")
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                    reason="this Python prints integers of any length")
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize("a", ["a1", "a1^3"], ids=["retract", "witness"])
+def test_torsion_order_past_the_digit_limit_is_a_spec_error(tmp_path, capsys,
+                                                            fmt, a):
+    # each modulus reads, but their product, the torsion order that every
+    # report prints, is past the limit on str(int): it used to escape main
+    # as a traceback with exit 1
+    limit = sys.get_int_max_str_digits()
+    modulus = "9" * (limit - 1)
+    spec = (f"groupspec v1\nfactors = [DInf, ZedMod({modulus}), "
+            f"ZedMod({modulus})]\nb = b1\na = {a}\n")
+    path = write(tmp_path, "big.spec", spec)
+    assert main(["analyze", path, "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the torsion order of the square subgroup "
+                            f"has more than {limit} digits, past Python's "
+                            "limit on printing an integer\n")
+
+
 def test_analyze_missing_file(capsys):
     assert main(["analyze", "/nonexistent/path.spec"]) == 2
     assert "cannot read" in capsys.readouterr().err

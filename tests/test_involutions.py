@@ -36,6 +36,7 @@ from verbalclosure.lattice import (
     Lattice,
     content_and_primitive_part,
     eye,
+    kernel_basis,
     mat_mul,
     mat_vec,
     membership_solve,
@@ -272,7 +273,9 @@ def test_complement_properties():
     mod = swap_module()
     rep = mod.is_simple((1, 0))
     chi = rep.witness_character
-    basis, lam = mod._complement_data((1, 0), chi)
+    lam = mod._complement_data((1, 0), chi)
+    assert lam == (1, 1)
+    basis = kernel_basis([list(lam)], cols=2)
     assert sum(l * x for l, x in zip(lam, (1, 0))) == 1
     # invariance under every action
     for A in mod.actions:
@@ -281,6 +284,26 @@ def test_complement_properties():
             assert sum(l * x for l, x in zip(lam, img)) == 0
     with pytest.raises(NotSimple):
         mod._complement_data((2, 5), mod.characters[0])
+
+
+@pytest.mark.parametrize("group, actions, chi, lam, message", [
+    # swap module, q = (1, 0), chi = (+): the true functional is (1, 1)
+    (AbelianPresentation(2, []), [[[0, 1], [1, 0]]], (1,), (1, 0),
+     "complement is not invariant"),
+    (AbelianPresentation(2, []), [[[0, 1], [1, 0]]], (1,), (2, 0),
+     "does not send q to 1"),
+    # Z + Z/2 under -I, q = (1, 0), chi = (-): (1, 1) is invariant and sends
+    # q to 1, but reads 2 on the relation (0, 2)
+    (AbelianPresentation(2, [(0, 2)]), [[[-1, 0], [0, -1]]], (-1,), (1, 1),
+     "does not kill the relations"),
+], ids=["not-invariant", "q-not-to-1", "relation-not-killed"])
+def test_check_complement_rejects_a_tampered_functional(group, actions, chi,
+                                                        lam, message):
+    # each identity rejects its own tamper, with its own message; (1, 0)
+    # and (1, 1) pass the other two identities, so each one is needed
+    mod = InvolutionModule(group, actions)
+    with pytest.raises(AssertionError, match=message):
+        mod._check_complement((1, 0), lam, Character(chi))
 
 
 # Frozen outputs of the lattice paths that the benchmark workloads never
@@ -351,7 +374,7 @@ def test_rank_two_lattice_paths_are_pinned():
             assert (rep.witness_character.label() if rep.simple
                     else None) == witness, (key, x)
             if rep.simple:
-                _, got = mod._complement_data(x, rep.witness_character)
+                got = mod._complement_data(x, rep.witness_character)
                 assert fmt(got) == lam, (key, x)
 
 
@@ -366,9 +389,9 @@ def test_complement_on_random_simple_elements():
         if not rep.simple:
             continue
         found += 1
-        basis, _ = mod._complement_data(q, rep.witness_character)
-        # q together with the complement spans Q (checked internally too);
-        # complement really excludes q
+        lam = mod._complement_data(q, rep.witness_character)
+        basis = kernel_basis([list(lam)], cols=n)
+        # the complement, the functional's kernel, excludes q
         gens = list(basis) + [list(r) for r in mod.group.relations]
         assert membership_solve(Lattice.from_generators(gens), q) is None
 

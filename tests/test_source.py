@@ -18,3 +18,24 @@ def test_no_assert_statement_in_the_package():
                   if isinstance(node, ast.Assert)]
     assert len(list(PACKAGE.rglob("*.py"))) > 1
     assert found == []
+
+
+def test_no_unused_import_in_a_package_module():
+    # a name imported and never read is left over from a removed use;
+    # __init__.py imports only to re-export
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line} {name}"
+                  for name, line in imported.items() if name not in read]
+    assert found == []
