@@ -18,6 +18,7 @@ from math import gcd
 from .dihedral import (
     IDENTITY,
     DihedralElement,
+    below,
     certify_no_solution,
     draw_element,
 )
@@ -71,8 +72,8 @@ class NormalizationFailure(RuntimeError):
 # coordinate is free); square_coordinate(x), the Q-coordinate of x·x in
 # closed form; quotient_letters, the generators it contributes to G/Q, and
 # coset_bits(x), the image of x on them.  random_element draws with
-# one-argument randrange: randrange(2·bound + 1) − bound consumes exactly
-# the bits of randint(−bound, bound).
+# `dihedral.below`, getrandbits as randrange draws it: below(rng,
+# 2·bound + 1) − bound consumes exactly the bits of randint(−bound, bound).
 
 
 @dataclass(frozen=True)
@@ -133,7 +134,7 @@ class Zed:
         return 1
 
     def random_element(self, rng, bound):
-        return rng.randrange(2 * bound + 1) - bound
+        return below(rng, 2 * bound + 1) - bound
 
     def has_infinite_order(self, x):
         return x != 0
@@ -181,7 +182,7 @@ class ZedMod:
         return x * e % self.modulus
 
     def random_element(self, rng, bound):
-        return rng.randrange(self.modulus)
+        return below(rng, self.modulus)
 
     def has_infinite_order(self, x):
         return False
@@ -555,9 +556,10 @@ class RetractionData:
     basis and the torsion invariants are derived on each read.
 
     rho is applied one factor at a time, with no product of whole n-tuples:
-    chi's sign is read on the factors where chi negates a quotient letter,
-    the functional on those where it is nonzero, and the image a^t or
-    a^t·b is built once, factor by factor.
+    `image` reads chi's sign on the factors where chi negates a quotient
+    letter and the functional on those where it is nonzero, giving the
+    exponent pair (t, s) of rho(g) = a^t·b^s; `element` builds a^t or
+    a^t·b once, factor by factor.
     """
 
     spec: GroupSpec
@@ -597,7 +599,8 @@ class RetractionData:
         self._images = tuple([(f.pow, f.mul, x, y) for f, x, y
                               in zip(spec.factors, spec.h_a, spec.h_b)])
 
-    def apply(self, g):
+    def image(self, g):
+        """rho(g) as the exponent pair (t, s) of its normal form a^t·b^s."""
         # chi's sign on g's coset: the parity of g's coset bits on the
         # generators that chi negates
         odd = 0
@@ -606,14 +609,22 @@ class RetractionData:
                 if neg:
                     odd ^= bit
         if not odd:  # a^t with t the functional on g^2
-            t = _on_square(self._reads, g)
-            return tuple([pow(x, t) for pow, _, x, _ in self._images])
+            return _on_square(self._reads, g), 0
         # a^t·b with t the functional on (g·b)^2, read on each g[j]·b[j]
         t = 0
         h_b = self.spec.h_b
         for j, l, f in self._reads:
             t += l * f.square_coordinate(f.mul(g[j], h_b[j]))
+        return t, 1
+
+    def element(self, t, s):
+        """a^t·b^s in G, built factor by factor."""
+        if not s:
+            return tuple([pow(x, t) for pow, _, x, _ in self._images])
         return tuple([mul(pow(x, t), y) for pow, mul, x, y in self._images])
+
+    def apply(self, g):
+        return self.element(*self.image(g))
 
 
 def build_retraction(spec, data, q_vec, chi):
@@ -669,27 +680,36 @@ def verify_retraction(rho, spec, samples=10000, bound=100, seed=0):
     """Sampled check that rho is an idempotent homomorphism fixing H.
 
     Checks rho(a) = a and rho(b) = b, then per sample pair g, h that
-    rho(gh) = rho(g)rho(h) and rho(rho(g)) = rho(g), both as comparisons of
-    G-elements: two products in G per sample.  `RetractionData.apply`
-    applies rho one factor at a time.  Each coordinate is drawn with
-    one-argument randrange, which consumes exactly the bits of the
-    equivalent randint draw, so a seed gives the samples that randint
-    would give.
+    rho(gh) = rho(g)rho(h) and rho(rho(g)) = rho(g), both compared in H's
+    normal form, as the exponent pairs (t, s) of a^t·b^s that
+    `RetractionData.image` reads: one product in G per sample, gh.  Each
+    comparison has the truth value of the one in G, for any rho, because
+    `validate_spec` has proved b^2 = 1 != b, a of infinite order and
+    b·a·b^-1 = a^-1:
+
+      <a> is torsion-free, so b is not in it and (t, s) -> a^t·b^s is
+      injective;
+      a^t1·b^s1 · a^t2·b^s2 = a^(t1 + (-1)^s1·t2) · b^(s1 xor s2).
+
+    Each coordinate is drawn with `dihedral.below`, which consumes exactly
+    the bits of the equivalent randint draw, so a seed gives the samples
+    that randint would give.
     """
     import random
 
     rng = random.Random(seed)
     group = spec.group
-    apply = rho.apply
-    if apply(spec.h_a) != spec.h_a or apply(spec.h_b) != spec.h_b:
+    if rho.apply(spec.h_a) != spec.h_a or rho.apply(spec.h_b) != spec.h_b:
         return False
+    image, element = rho.image, rho.element
     for _ in range(samples):
         g = group.random_element(rng, bound)
         h = group.random_element(rng, bound)
-        rg = apply(g)
-        if apply(group.mul(g, h)) != group.mul(rg, apply(h)):
+        tg, sg = image(g)
+        th, sh = image(h)
+        if image(group.mul(g, h)) != (tg - th if sg else tg + th, sg ^ sh):
             return False
-        if apply(rg) != rg:
+        if image(element(tg, sg)) != (tg, sg):
             return False
     return True
 

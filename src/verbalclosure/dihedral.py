@@ -10,7 +10,6 @@ together prove that a witness equation has no dihedral solution.
 
 import operator
 from dataclasses import dataclass, fields
-from itertools import cycle
 
 from .involutions import Character, enumerate_group_elements
 from .words import GroupOps, short_repr, x_var
@@ -73,13 +72,25 @@ A = DihedralElement(1, 0)
 B = DihedralElement(0, 1)
 
 
+def below(rng, n):
+    """A uniform integer in [0, n), n >= 1, drawn as rng.randrange(n) draws
+    it on CPython 3.10 to 3.13: getrandbits(n.bit_length()) until the value
+    is below n.  The same bits give the same value and leave the same
+    state, at less cost per call."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def draw_element(rng, bound, flip=None):
     """a^t * b^flip with t uniform in [-bound, bound] and, unless given, a
-    uniform flip bit.  One-argument randrange consumes exactly the bits of
-    rng.randint(-bound, bound) and rng.randint(0, 1), so the stream is
-    theirs."""
-    t = rng.randrange(2 * bound + 1) - bound
-    return DihedralElement(t, rng.randrange(2) if flip is None else flip)
+    uniform flip bit.  Each is one `below` draw, which consumes exactly the
+    bits of rng.randint(-bound, bound) and rng.randint(0, 1), so the stream
+    is theirs."""
+    t = below(rng, 2 * bound + 1) - bound
+    return DihedralElement(t, below(rng, 2) if flip is None else flip)
 
 
 DIHEDRAL_OPS = GroupOps(
@@ -244,10 +255,11 @@ def spot_check_no_solution(eq, bound, trials, seed=0):
     """Randomised corroboration of a certificate by direct evaluation.
 
     Substitutes x_j = a^{k_j} b^{delta_j} (cycling through every delta
-    pattern) and random dihedral values for the y-variables, and reports
-    True when no substitution hits the right-hand side.  This is a
-    heuristic, not a proof: absence of small solutions proves nothing for
-    general equations.
+    pattern in enumeration order: trial i takes the bits of i mod 2^m,
+    first generator highest, so no list of the 2^m patterns is built) and
+    random dihedral values for the y-variables, and reports True when no
+    substitution hits the right-hand side.  This is a heuristic, not a
+    proof: absence of small solutions proves nothing for general equations.
 
     A witness is evaluated from its recipe with no word built, and the
     towers raised to a zero filler exponent are not evaluated.  Each other
@@ -269,10 +281,13 @@ def spot_check_no_solution(eq, bound, trials, seed=0):
             value = self[name] = draw_element(rng, bound)
             return value
 
-    for _, delta in zip(range(trials), cycle(enumerate_group_elements(m))):
+    mask = (1 << m) - 1
+    for i in range(trials):
+        pattern = i & mask
         assignment = Draws()
         for j in range(m):
-            assignment[x_var(j)] = draw_element(rng, bound, delta[j])
+            assignment[x_var(j)] = draw_element(
+                rng, bound, (pattern >> (m - 1 - j)) & 1)
         if eq.lhs_value(assignment, DIHEDRAL_OPS) == rhs:
             return False
     return True

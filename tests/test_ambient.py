@@ -49,7 +49,12 @@ from verbalclosure.lattice import (
 )
 from verbalclosure.words import UnboundGenerator, y_var
 
-from util import count_calls, dag_nodes, randint_element
+from util import (
+    count_calls,
+    dag_nodes,
+    randint_element,
+    reference_verify_retraction,
+)
 
 
 def spec4():
@@ -926,10 +931,10 @@ def test_retraction_apply_matches_the_composed_reference(factors, b, a):
 
 
 @pytest.mark.parametrize("samples", [0, 1, 7, 60])
-def test_verify_retraction_makes_two_products_per_sample(monkeypatch,
-                                                         samples):
-    # rho is applied factor by factor: the only products in G are the two
-    # comparisons' gh and rho(g)rho(h)
+def test_verify_retraction_makes_one_product_per_sample(monkeypatch,
+                                                        samples):
+    # rho is applied factor by factor and its images are compared as
+    # exponent pairs in H: the only product in G is the sample's gh
     for factors, b, a in APPLY_SPECS:
         spec = validate_spec(GroupSpec(factors, b, a))
         rho = analyze(spec).retraction
@@ -937,7 +942,7 @@ def test_verify_retraction_makes_two_products_per_sample(monkeypatch,
         pows = count_calls(monkeypatch, AmbientGroup, "pow")
         assert verify_retraction(rho, spec, samples=samples, bound=100,
                                  seed=3)
-        assert (len(muls), len(pows)) == (2 * samples, 0), (b, a)
+        assert (len(muls), len(pows)) == (samples, 0), (b, a)
         monkeypatch.undo()
 
 
@@ -950,32 +955,64 @@ def tampered(rho, **changes):
     return type(rho)(**fields)
 
 
+def _tampered_copies(rho):
+    """rho with the functional doubled, with a coefficient put where the
+    functional is 0, and with each letter's sign flipped in the sign
+    character.  apply reads the functional only where it is nonzero, so a
+    coefficient put where the true one is 0 must be read, and rejected.  A
+    factor whose Q coordinate is trivial (ZedMod(1), ZedMod(2)) reads 0
+    from every square, so a coefficient there changes nothing, and none is
+    put there."""
+    copies = [tampered(rho, functional=tuple(2 * l for l in rho.functional))]
+    for j, (f, l) in enumerate(zip(rho.spec.factors, rho.functional)):
+        if not l and f.q_order != 1:
+            functional = list(rho.functional)
+            functional[j] = 1
+            copies.append(tampered(rho, functional=tuple(functional)))
+    signs = rho.sign_character.signs
+    for i in range(len(signs)):
+        flipped = signs[:i] + (-signs[i],) + signs[i + 1:]
+        copies.append(tampered(
+            rho, sign_character=type(rho.sign_character)(flipped)))
+    return copies
+
+
 @pytest.mark.parametrize("factors, b, a", APPLY_SPECS,
                          ids=["-".join(map(str, f)) for f, _, _ in APPLY_SPECS])
 def test_verify_retraction_rejects_a_tampered_functional_or_sign(factors, b,
                                                                  a):
-    # apply reads the functional only where it is nonzero: a coefficient
-    # put where the true one is 0 must be read, and rejected.  A factor
-    # whose Q coordinate is trivial (ZedMod(1), ZedMod(2)) reads 0 from
-    # every square, so a coefficient there changes nothing
     spec = validate_spec(GroupSpec(factors, b, a))
     rho = analyze(spec).retraction
     assert verify_retraction(rho, spec, samples=300, bound=25, seed=1)
-    for j, (f, l) in enumerate(zip(spec.factors, rho.functional)):
-        if l or f.q_order == 1:
-            continue
-        functional = list(rho.functional)
-        functional[j] = 1
-        broken = tampered(rho, functional=tuple(functional))
+    for broken in _tampered_copies(rho):
         assert not verify_retraction(broken, spec, samples=300, bound=25,
-                                     seed=1), j
-    # one letter's sign flipped in the sign character
-    signs = rho.sign_character.signs
-    for i in range(len(signs)):
-        flipped = signs[:i] + (-signs[i],) + signs[i + 1:]
-        broken = tampered(rho, sign_character=type(rho.sign_character)(flipped))
-        assert not verify_retraction(broken, spec, samples=300, bound=25,
-                                     seed=1), i
+                                     seed=1), (broken.functional,
+                                               broken.sign_character)
+
+
+def test_verify_retraction_matches_the_reference_in_g():
+    # comparing exponent pairs in H keeps every comparison's truth value,
+    # tampered maps included: the same bool as the reference that compares
+    # whole elements of G, on true and broken retractions alike, and on
+    # broken ones that fix a and b, so fail inside the sampling loop
+    verdicts = [analyze(validate_spec(GroupSpec(factors, b, a)))
+                for factors, b, a in APPLY_SPECS]
+    verdicts += _random_retract_specs(random.Random(47), 20)
+    outcomes, failed_in_loop = set(), 0
+    for verdict in verdicts:
+        spec, rho = verdict.spec, verdict.retraction
+        for candidate in [rho] + _tampered_copies(rho):
+            for seed in range(4):
+                got = verify_retraction(candidate, spec, samples=50,
+                                        bound=100, seed=seed)
+                assert got == reference_verify_retraction(
+                    candidate, spec, samples=50, bound=100, seed=seed), \
+                    (spec, candidate.functional, candidate.sign_character)
+                outcomes.add(got)
+                failed_in_loop += (not got
+                                   and candidate.apply(spec.h_a) == spec.h_a
+                                   and candidate.apply(spec.h_b) == spec.h_b)
+    assert outcomes == {True, False} and failed_in_loop
 
 
 def test_verdict_invariance_under_factor_reorder_and_inverse():
@@ -1018,3 +1055,4 @@ def test_simple_iff_retraction_builds():
         else:
             verdict = analyze(spec)
             assert verdict.kind == "not-verbally-closed"
+

@@ -3,7 +3,7 @@
 import os
 import random
 from dataclasses import replace
-from itertools import product
+from itertools import cycle, islice, product
 
 import pytest
 
@@ -15,6 +15,7 @@ from util import (
     full_component_table,
 )
 
+from verbalclosure import dihedral, involutions
 from verbalclosure.ambient import DInf, GroupSpec, analyze, validate_spec
 from verbalclosure.dihedral import (
     A,
@@ -26,6 +27,7 @@ from verbalclosure.dihedral import (
     InvalidEquation,
     NoSolutionCertificate,
     _row,
+    below,
     certify_no_solution,
     character_of_substitution,
     draw_element,
@@ -346,12 +348,63 @@ def test_spot_check_draws_only_the_variables_it_reads(monkeypatch, filler,
     # a trial draws each x's translation, then a y's translation and flip
     # on its first read: with filler 0 only the 2 y's of the m = 4
     # witness's nonzero components are read, with filler 2 all 16; a parsed
-    # equation reads the same ones.  Each draw is one randrange call
+    # equation reads the same ones.  Each draw is one `below` call
     spec = validate_spec(GroupSpec([DInf(), DInf()], "b1*b2", "a1^3*a2^5"))
     eq = analyze(spec, filler=filler).equation
     parsed = parse_equation(serialize_equation(eq))
-    draws = count_calls(monkeypatch, random.Random, "randrange")
+    draws = count_calls(monkeypatch, dihedral, "below")
     for equation in (eq, parsed):
         draws.clear()
         assert spot_check_no_solution(equation, bound=10, trials=8)
         assert len(draws) == 8 * (eq.c_rank + 2 * live)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 201, 256, 257, 2 ** 64,
+                               2 ** 64 + 1])
+def test_below_draws_as_randrange(n):
+    # getrandbits(n.bit_length()) until below n is randrange(n)'s draw:
+    # the same values from the same bits, and the same state after
+    for seed in range(3):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(200):
+            assert below(rng, n) == ref.randrange(n)
+        assert rng.getstate() == ref.getstate()
+
+
+def _drawn_flip_patterns(monkeypatch, eq, trials):
+    """The x flip patterns that a spot check of eq draws, trial by trial."""
+    calls = count_calls(monkeypatch, dihedral, "draw_element")
+    result = spot_check_no_solution(eq, bound=10, trials=trials, seed=3)
+    flips = [args[2] for args in calls if len(args) == 3]
+    m = eq.c_rank
+    return result, [tuple(flips[i:i + m]) for i in range(0, len(flips), m)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_spot_check_cycles_the_flip_patterns_in_enumeration_order(
+        monkeypatch, m):
+    # trial i takes the bits of i mod 2^m, first generator highest: the
+    # old cycle through the enumerated patterns, with no list built.  With
+    # every k and the filler 0 the left-hand side is 1, so every trial runs
+    trials = 2 * (1 << m) + 3
+    old = list(islice(cycle(product((0, 1), repeat=m)), trials))
+    eq = Equation(rhs_exponent=8, c_rank=m, torsion_order=1, filler=0,
+                  k_values=(0,) * (1 << m))
+    _, patterns = _drawn_flip_patterns(monkeypatch, eq, trials)
+    assert patterns == old
+
+
+def test_spot_check_builds_no_list_of_flip_patterns(monkeypatch):
+    spec = validate_spec(GroupSpec([DInf(), DInf()], "b1*b2", "a1^3*a2^5"))
+    eq = analyze(spec, filler=2).equation
+    expected = _drawn_flip_patterns(monkeypatch, eq, 40)
+    monkeypatch.undo()
+
+    def refuse(m):
+        raise AssertionError("the spot check listed every flip pattern")
+
+    monkeypatch.setattr(dihedral, "enumerate_group_elements", refuse)
+    monkeypatch.setattr(involutions, "enumerate_group_elements", refuse)
+    assert eq.c_rank == 4
+    assert _drawn_flip_patterns(monkeypatch, eq, 40) == expected
+    assert expected[0] is True

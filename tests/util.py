@@ -3,8 +3,9 @@ group for evaluating words against direct module arithmetic, a DAG node
 counter, the letter-by-letter flattening of a small word, a call counter,
 the canonical coset words, the closed-form value of a tower over the
 infinite dihedral group, the witness steps of `analyze`, reference
-builders of a witness's full component and certificate tables, and the
-randint draw of a factor's random element."""
+builders of a witness's full component and certificate tables, the
+randint draw of a factor's random element, and the retraction sampler
+that compares whole elements of G."""
 
 from math import gcd
 
@@ -309,3 +310,25 @@ def randint_element(factor, rng, bound):
         return rng.randint(-bound, bound)
     assert isinstance(factor, ZedMod)
     return rng.randrange(factor.modulus)
+
+
+def reference_verify_retraction(rho, spec, samples, bound, seed):
+    """Reference: `verify_retraction` comparing whole elements of G, with
+    two products in G per sample, as it once did; the same draws in the
+    same order."""
+    import random
+
+    rng = random.Random(seed)
+    group = spec.group
+    apply = rho.apply
+    if apply(spec.h_a) != spec.h_a or apply(spec.h_b) != spec.h_b:
+        return False
+    for _ in range(samples):
+        g = group.random_element(rng, bound)
+        h = group.random_element(rng, bound)
+        rg = apply(g)
+        if apply(group.mul(g, h)) != group.mul(rg, apply(h)):
+            return False
+        if apply(rg) != rg:
+            return False
+    return True
