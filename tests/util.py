@@ -7,6 +7,7 @@ builders of a witness's full component and certificate tables, the
 randint draw of a factor's random element, and the retraction sampler
 that compares whole elements of G."""
 
+import random
 from math import gcd
 
 from verbalclosure.ambient import (
@@ -316,8 +317,6 @@ def reference_verify_retraction(rho, spec, samples, bound, seed):
     """Reference: `verify_retraction` comparing whole elements of G, with
     two products in G per sample, as it once did; the same draws in the
     same order."""
-    import random
-
     rng = random.Random(seed)
     group = spec.group
     apply = rho.apply
