@@ -31,6 +31,7 @@ from .ambient import (
     square_data,
     validate_spec,
     verify_retraction,
+    verify_solution_closed_form,
     verify_solution_in_G,
 )
 from .dihedral import (

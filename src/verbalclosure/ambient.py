@@ -27,6 +27,8 @@ from .lattice import AbelianPresentation, kernel_basis
 from .words import (
     Equation,
     GroupOps,
+    _levels,
+    _read,
     build_witness_equation,
     coset_words_of,
     x_var,
@@ -439,6 +441,14 @@ class SquareData:
                      for bit in f.coset_bits(x))
 
 
+def _action_entry(f, x):
+    """How x, an element of factor f, acts on f's coordinate of Q: the
+    coordinate of x·s·x^-1, s the square of f's q_letter, which generates
+    that coordinate."""
+    s = f.pow(f.generator(f.q_letter), 2)
+    return f.q_coordinate(f.mul(f.mul(x, s), f.inv(x)))
+
+
 def square_data(spec):
     """Extract Q, C = G/Q and the conjugation action from a validated spec.
 
@@ -457,12 +467,10 @@ def square_data(spec):
     c_names = []
     actions = []
     for j, f in enumerate(factors):
-        s = f.pow(f.generator(f.q_letter), 2)
         for letter in f.quotient_letters:
-            d = f.generator(letter)
             diagonal = [1] * n
             if f.q_order != 1:
-                diagonal[j] = f.q_coordinate(f.mul(f.mul(d, s), f.inv(d)))
+                diagonal[j] = _action_entry(f, f.generator(letter))
             actions.append([[x if i == l else 0 for l in range(n)]
                             for i, x in enumerate(diagonal)])
             c_names.append(f"{letter}{j + 1}")
@@ -518,11 +526,91 @@ def verify_solution_in_G(eq, assignment, spec):
     right-hand side, a power of a.
 
     A witness is evaluated from its recipe, level by level, with no word
-    built; the towers raised to a zero exponent are not evaluated.
+    built; the towers raised to a zero exponent are not evaluated.  This is
+    the reference evaluation, 2^c_rank products per live tower on integers
+    that double at each level; `--verify` runs
+    `verify_solution_closed_form`, which tests and demos compare with it.
     """
     group = spec.group
     return (eq.lhs_value(assignment, group.ops)
             == group.pow(spec.h_a, eq.rhs_exponent))
+
+
+def verify_solution_closed_form(eq, assignment, spec):
+    """The check of `verify_solution_in_G`, with the left-hand side's value
+    read in closed form (`lhs_value_in_closed_form`): no product in G."""
+    return (lhs_value_in_closed_form(eq, assignment, spec)
+            == spec.group.pow(spec.h_a, eq.rhs_exponent))
+
+
+def lhs_value_in_closed_form(eq, assignment, spec):
+    """`eq.lhs_value(assignment, spec.group.ops)`, with no product in G and
+    no walk of a tower's integers.
+
+    Every tower body lies in Q, where c = x-product acts on coordinate j by
+    a sign eps_j(c), so body·c·body^s·c^-1 has coordinate j equal to
+    (1 + s·eps_j(c))·body_j: twice body_j when s = eps_j(c), else 0.  This
+    reads every x and then each live term's y, in the order that
+    `Equation.lhs_value` reads them.  It takes eps_j(x_i) from each
+    factor's own arithmetic (`_action_entry`), n·m conjugations, skipping
+    trivial coordinates, and a y-block's coordinates as torsion_order ×
+    square_coordinate(y_j).  It walks the term's `_levels`, dropping
+    coordinate j at the first level whose sign is not eps_j on that coset
+    word, and stops when no coordinate is left.  The survivors, times the
+    term's exponent, are summed per coordinate, 2^(2^c_rank) scales the sum
+    once, and each factor builds its part of the element of Q with those
+    coordinates.  A given lhs is evaluated by `Equation.lhs_value`.
+    """
+    if eq._lhs is not None:
+        return eq.lhs_value(assignment, spec.group.ops)
+    m, torsion = eq.c_rank, eq.torsion_order
+    coords = [(j, f) for j, f in enumerate(spec.factors) if f.q_order != 1]
+    totals = [0] * len(spec.factors)
+    masks = None  # coordinate -> the bits of a level's element that negate it
+    for ci, e in enumerate(eq._exponents()):
+        if not e:
+            continue
+        if masks is None:
+            xs = [_read(assignment, x_var(i)) for i in range(m)]
+            masks = {j: _negating_bits(f, [x[j] for x in xs])
+                     for j, f in coords}
+        y = _read(assignment, y_var(ci))
+        body = {}
+        for j, f in coords:
+            b = torsion * f.square_coordinate(y[j])
+            if f.q_order:
+                b %= f.q_order
+            if b:
+                body[j] = b
+        for level, sign in _levels(ci, m):
+            if not body:
+                break
+            odd = sign == -1
+            for j in [j for j in body
+                      if ((level & masks[j]).bit_count() & 1) != odd]:
+                del body[j]
+        for j, b in body.items():
+            totals[j] += e * b
+    # coordinate t is (q_letter^2)^t, and each tower doubled it 2^c_rank times
+    scale = 2 << (1 << m)
+    return tuple(f.pow(f.generator(f.q_letter), scale * t)
+                 for f, t in zip(spec.factors, totals))
+
+
+def _negating_bits(f, xs):
+    """The element bits, in `words._coset_word` order (generator i is bit
+    m - 1 - i), of the x's in xs, factor f's parts of x_1 .. x_m, that act
+    on f's coordinate of Q by -1."""
+    m = len(xs)
+    bits = 0
+    for i, x in enumerate(xs):
+        entry = _action_entry(f, x)
+        if entry not in (1, -1):
+            raise ValueError(f"{f} acts on its coordinate of Q by {entry}, "
+                             "not by a sign")
+        if entry == -1:
+            bits |= 1 << (m - 1 - i)
+    return bits
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .ambient import (
     SpecError,
     analyze,
     verify_retraction,
+    verify_solution_closed_form,
     verify_solution_in_G,
 )
 from .dihedral import spot_check_no_solution
@@ -110,7 +111,7 @@ def build_report(verdict, args):
     lines.append("certificate valid: " + ("yes" if valid else "NO"))
     payload["certificate_valid"] = valid
     if args.verify:
-        ok = verify_solution_in_G(eq, verdict.solution, spec)
+        ok = verify_solution_closed_form(eq, verdict.solution, spec)
         lines.append("ambient solution verified in G: "
                      + ("yes" if ok else "NO"))
         payload["solution_verified"] = ok
@@ -136,7 +137,9 @@ def _check_writable(path):
 
 def cmd_analyze(args):
     try:
-        with open(args.specfile, encoding="utf-8") as fh:
+        # utf-8-sig: a byte-order mark before the header is not read as
+        # part of it
+        with open(args.specfile, encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.specfile}: {exc}", file=sys.stderr)
@@ -362,7 +365,16 @@ def main(argv=None):
     if _parser is None:
         _parser = make_parser()
     args = _parser.parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the reader has gone (`analyze SPEC | head -3`).  Python's own
+        # flush at exit would raise again, so stdout is pointed at devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from itertools import combinations, compress
 
 import pytest
 
+import verbalclosure.ambient as ambient
 from verbalclosure.ambient import (
     AmbientGroup,
     DInf,
@@ -31,7 +32,9 @@ from verbalclosure.ambient import (
     parse_word,
     square_data,
     validate_spec,
+    lhs_value_in_closed_form,
     verify_retraction,
+    verify_solution_closed_form,
     verify_solution_in_G,
     word_to_text,
 )
@@ -47,9 +50,16 @@ from verbalclosure.lattice import (
     snf_diagonal,
     vec_sub,
 )
-from verbalclosure.words import UnboundGenerator, y_var
+from verbalclosure.words import (
+    Equation,
+    UnboundGenerator,
+    parse_equation,
+    serialize_equation,
+    y_var,
+)
 
 from util import (
+    check_workload_specs,
     count_calls,
     dag_nodes,
     randint_element,
@@ -790,22 +800,27 @@ def test_g_solution_matches_paper_assignment():
                                         group.generator_element("a2")}
 
 
-def test_verify_solution_rejects_wrong_assignments():
+SOLUTION_CHECKS = [verify_solution_in_G, verify_solution_closed_form]
+
+
+@pytest.mark.parametrize("check", SOLUTION_CHECKS)
+def test_verify_solution_rejects_wrong_assignments(check):
     spec = spec4()
     verdict = analyze(spec)
     eq = verdict.equation
     group = spec.group
     all_identity = {name: group.identity for name in eq.variables()}
-    assert not verify_solution_in_G(eq, all_identity, spec)
+    assert not check(eq, all_identity, spec)
     perturbed = dict(verdict.solution)
     # swap the two square roots
     ys = [k for k, v in perturbed.items()
           if k.startswith("y") and v != group.identity]
     perturbed[ys[0]], perturbed[ys[1]] = perturbed[ys[1]], perturbed[ys[0]]
-    assert not verify_solution_in_G(eq, perturbed, spec)
+    assert not check(eq, perturbed, spec)
 
 
-def test_verify_solution_needs_only_the_live_variables():
+@pytest.mark.parametrize("check", SOLUTION_CHECKS)
+def test_verify_solution_needs_only_the_live_variables(check):
     # the towers of zero-content characters are raised to the filler 0, so
     # their y-variables are never read; every other variable still is
     spec = spec4()
@@ -816,11 +831,181 @@ def test_verify_solution_needs_only_the_live_variables():
         (live if k else dead).append(y_var(ci))
     partial = {name: value for name, value in verdict.solution.items()
                if name not in dead}
-    assert verify_solution_in_G(eq, partial, spec)
-    for name in ["x1", live[0]]:
+    assert check(eq, partial, spec)
+    for name in ["x1", "x4", live[0], live[-1]]:
         missing = {k: v for k, v in partial.items() if k != name}
         with pytest.raises(UnboundGenerator):
-            verify_solution_in_G(eq, missing, spec)
+            check(eq, missing, spec)
+
+
+def _reads(eq, assignment, spec, check):
+    """The variables that check reads from assignment, in order."""
+    read = []
+
+    class Recorder(dict):
+        def __getitem__(self, name):
+            read.append(name)
+            return super().__getitem__(name)
+
+    check(eq, Recorder(assignment), spec)
+    return read
+
+
+def test_closed_form_reads_the_variables_in_evaluation_order():
+    for filler in (0, 2):
+        verdict = analyze(all_factor_types_spec(), filler=filler)
+        eq, spec = verdict.equation, verdict.spec
+        assert (_reads(eq, verdict.solution, spec,
+                       verify_solution_closed_form)
+                == _reads(eq, verdict.solution, spec, verify_solution_in_G))
+
+
+@pytest.mark.parametrize("seed", [101, 102, 103, 104])
+def test_closed_form_agrees_on_the_check_witnesses(seed):
+    witnesses = 0
+    for text in check_workload_specs(seed):
+        spec = validate_spec(GroupSpec.from_text(text))
+        for filler in (0, 2):
+            verdict = analyze(spec, filler=filler)
+            if verdict.is_retract:
+                break
+            witnesses += 1
+            eq, solution = verdict.equation, verdict.solution
+            assert verify_solution_closed_form(eq, solution, spec)
+            assert verify_solution_in_G(eq, solution, spec)
+            assert (lhs_value_in_closed_form(eq, solution, spec)
+                    == eq.lhs_value(solution, spec.group.ops))
+    assert witnesses == 12
+
+
+# witness specs over every factor type, with a torsion coordinate of each
+# kind: odd, even, and trivial (ZedMod(1), ZedMod(2))
+CLOSED_FORM_SPECS = [
+    ([DInf(), DInf()], "b1*b2", "a1^3*a2^5"),
+    ([DInf(), ZedMod(4), DInf(), Zed()], "b1*b3", "a1^3*c2^2*a3^5"),
+    ([DInf(), ZedMod(3), ZedMod(2), ZedMod(1), Zed(), DInf()], "b1*b6*c3",
+     "a1^4*a6^9"),
+    ([Zed(), DInf(), ZedMod(6)], "a2*b2", "a2^2*c3^3"),
+]
+
+
+@pytest.mark.parametrize("factors, b, a", CLOSED_FORM_SPECS,
+                         ids=["-".join(map(str, f))
+                              for f, _, _ in CLOSED_FORM_SPECS])
+def test_closed_form_value_is_the_evaluated_value(factors, b, a):
+    # random x's and y's, so the characters that the x's select and the
+    # coordinates that survive vary; torsion 1 and random exponents, so
+    # the torsion coordinates survive too
+    spec = validate_spec(GroupSpec(factors, b, a))
+    group = spec.group
+    m = analyze(spec).equation.c_rank
+    rng = random.Random(f"{b}:{a}")
+    nontrivial = set()
+    for _ in range(40):
+        eq = Equation(rhs_exponent=0, c_rank=m,
+                      torsion_order=rng.choice((1, 3)),
+                      filler=rng.choice((0, 2, -5)),
+                      k_values=tuple(rng.choice((0, 0, 3, -4, 7))
+                                     for _ in range(1 << m)))
+        assignment = {name: group.random_element(rng, 5)
+                      for name in eq.variables()}
+        value = eq.lhs_value(assignment, group.ops)
+        assert lhs_value_in_closed_form(eq, assignment, spec) == value
+        nontrivial.update(j for j, (f, x) in enumerate(zip(factors, value))
+                          if x != f.identity)
+    # 2^(2^m) kills a coordinate of even order
+    assert nontrivial == {j for j, f in enumerate(factors)
+                          if f.q_order is None or f.q_order % 2
+                          and f.q_order > 1}
+
+
+def _witness_tampers(verdict):
+    """(name, assignment) for a wrong lift, a y moved to another
+    character and each x with its flip toggled in a DInf factor."""
+    spec, solution, eq = verdict.spec, verdict.solution, verdict.equation
+    group = spec.group
+    live = [ci for ci, k in enumerate(eq.k_values) if k]
+    dead = [ci for ci, k in enumerate(eq.k_values) if not k]
+    y = y_var(live[0])
+    wrong_lift = dict(solution)
+    wrong_lift[y] = group.mul(solution[y], solution[y])  # twice the lift
+    moved = dict(solution)
+    moved[y], moved[y_var(dead[0])] = group.identity, solution[y]
+    out = [("wrong lift", wrong_lift), ("moved y", moved)]
+    for j, f in enumerate(spec.factors):
+        if isinstance(f, DInf):
+            flip = group.generator_element(f"b{j + 1}")
+            for i in range(eq.c_rank):
+                toggled = dict(solution)
+                toggled[f"x{i + 1}"] = group.mul(solution[f"x{i + 1}"], flip)
+                out.append((f"x{i + 1} flip in factor {j + 1}", toggled))
+    return out
+
+
+@pytest.mark.parametrize("factors, b, a", CLOSED_FORM_SPECS[:2],
+                         ids=["-".join(map(str, f))
+                              for f, _, _ in CLOSED_FORM_SPECS[:2]])
+def test_closed_form_rejects_tampered_solutions(factors, b, a):
+    verdict = analyze(validate_spec(GroupSpec(factors, b, a)))
+    spec, eq = verdict.spec, verdict.equation
+    for name, assignment in _witness_tampers(verdict):
+        assert not verify_solution_closed_form(eq, assignment, spec), name
+        assert not verify_solution_in_G(eq, assignment, spec), name
+
+
+@pytest.mark.parametrize("level", [0, 1, -1])
+def test_closed_form_rejects_a_wrong_level_sign(monkeypatch, level):
+    # a tower whose sign at one level disagrees with its character sends
+    # every coordinate to 0 there
+    verdict = analyze(spec4())
+    eq, spec = verdict.equation, verdict.spec
+    assert verify_solution_closed_form(eq, verdict.solution, spec)
+    levels = ambient._levels
+
+    def tampered(index, m):
+        out = list(levels(index, m))
+        e, sign = out[level]
+        out[level] = e, -sign
+        return iter(out)
+
+    monkeypatch.setattr(ambient, "_levels", tampered)
+    assert not verify_solution_closed_form(eq, verdict.solution, spec)
+
+
+def test_closed_form_rejects_an_action_that_is_no_sign(monkeypatch):
+    # the lemma needs each x to act on a coordinate by +-1
+    verdict = analyze(spec4())
+    monkeypatch.setattr(ambient, "_action_entry", lambda f, x: 3)
+    with pytest.raises(ValueError, match="not by a sign"):
+        verify_solution_closed_form(verdict.equation, verdict.solution,
+                                    verdict.spec)
+
+
+def test_closed_form_evaluates_a_given_lhs():
+    verdict = analyze(spec4())
+    spec, eq = verdict.spec, verdict.equation
+    given = parse_equation(serialize_equation(eq))
+    assert verify_solution_closed_form(given, verdict.solution, spec)
+    all_identity = {name: spec.group.identity for name in eq.variables()}
+    assert not verify_solution_closed_form(given, all_identity, spec)
+
+
+def test_closed_form_at_c_rank_16_is_quick(monkeypatch):
+    # evaluating the 8 live towers through all 2^16 levels, on integers of
+    # up to 2^16 bits, took about 19 s
+    n = 8
+    spec = validate_spec(GroupSpec(
+        [DInf()] * n, "*".join(f"b{i + 1}" for i in range(n)),
+        "*".join(f"a{i + 1}^{2 * i + 3}" for i in range(n))))
+    verdict = analyze(spec)
+    calls = [count_calls(monkeypatch, AmbientGroup, name)
+             for name in ("mul", "inv")]
+    t0 = time.perf_counter()
+    assert verify_solution_closed_form(verdict.equation, verdict.solution,
+                                       spec)
+    elapsed = time.perf_counter() - t0
+    assert calls == [[], []]
+    assert elapsed < 2.0, elapsed
 
 
 def test_the_package_has_no_square_root_error():
@@ -877,6 +1062,27 @@ def test_verify_retraction_rejects_broken_map():
 
     assert not verify_retraction(Collapse(), spec, samples=10, bound=5,
                                  seed=0)
+
+
+def test_verify_retraction_tests_idempotence_on_its_own():
+    # a rho whose images are a true retraction's, so every homomorphism
+    # comparison passes, but whose element(t, s) is a^(t+1)·b^s, not the
+    # element that image reads as (t, s): only rho(rho(g)) = rho(g) fails
+    spec = validate_spec(GroupSpec([DInf(), DInf()], "b1*b2", "a1*a2^5"))
+    rho = analyze(spec).retraction
+    elements = []
+
+    class Shifted:
+        apply, image = rho.apply, rho.image
+
+        def element(self, t, s):
+            elements.append((t, s))
+            return rho.element(t + 1, s)
+
+    assert verify_retraction(rho, spec, samples=50, bound=20, seed=2)
+    assert not verify_retraction(Shifted(), spec, samples=50, bound=20,
+                                 seed=2)
+    assert len(elements) == 1  # the first sample's idempotence comparison
 
 
 # Retract specs shaped like the benchmark's generated family: a reflection

@@ -152,6 +152,38 @@ def test_analyze_undecodable_file(tmp_path, capsys):
     assert "utf-8" in captured.err
 
 
+def test_analyze_reads_a_spec_with_a_byte_order_mark(tmp_path, capsys):
+    # the mark used to be read as part of the header line, which then was
+    # reported missing, with exit 2
+    path = tmp_path / "bom.spec"
+    path.write_bytes(b"\xef\xbb\xbf" + WITNESS_SPEC.encode())
+    assert main(["analyze", str(path)]) == 10
+    plain = write(tmp_path, "w.spec", WITNESS_SPEC)
+    first = capsys.readouterr()
+    assert main(["analyze", plain]) == 10
+    assert capsys.readouterr() == first
+
+
+def test_closed_stdout_is_an_error_line(tmp_path):
+    # `analyze SPEC | head -3` used to end in a BrokenPipeError traceback
+    # and exit 1; the report cannot be written, so exit 2 with one line
+    path = write(tmp_path, "w.spec", WITNESS_SPEC)
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "verbalclosure", "analyze", path],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+            timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [
+        "error: cannot write the report: [Errno 32] Broken pipe"]
+
+
 @pytest.mark.parametrize("target", ["missing_dir/eq.txt", "."],
                          ids=["missing-directory", "a-directory"])
 def test_unwritable_equation_path_is_an_error(tmp_path, capsys, monkeypatch,
@@ -312,6 +344,26 @@ a = a1^3*a2^5*a3^7*a4^9*a5^11
     assert "no dihedral solution found" in out
     assert towers == [] and walks == []
     assert elapsed < 10.0, elapsed
+
+
+def test_verify_checks_the_g_solution_with_no_product_in_g(monkeypatch):
+    # the G side is checked in closed form; the only evaluation left is
+    # the spot check's, over D-infinity
+    from verbalclosure.ambient import AmbientGroup
+    from verbalclosure.dihedral import DIHEDRAL_OPS
+
+    verdict = analyze(GroupSpec.from_text(WITNESS_SPEC))
+    args = make_parser().parse_args(["analyze", "w.spec", "--verify",
+                                     "--trials", "8"])
+    calls = [count_calls(monkeypatch, AmbientGroup, name)
+             for name in ("mul", "inv")]
+    evaluations = count_calls(monkeypatch, words.Equation, "lhs_value")
+    lines, _, code = cli.build_report(verdict, args)
+    assert code == 10
+    assert "ambient solution verified in G: yes" in lines
+    assert calls == [[], []]
+    assert len(evaluations) == 8
+    assert all(ops is DIHEDRAL_OPS for _, _, ops in evaluations)
 
 
 def test_default_verify_at_c_rank_12_is_quick(tmp_path, capsys):

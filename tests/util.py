@@ -4,10 +4,13 @@ counter, the letter-by-letter flattening of a small word, a call counter,
 the canonical coset words, the closed-form value of a tower over the
 infinite dihedral group, the witness steps of `analyze`, reference
 builders of a witness's full component and certificate tables, the
-randint draw of a factor's random element, and the retraction sampler
-that compares whole elements of G."""
+randint draw of a factor's random element, the retraction sampler
+that compares whole elements of G, and the benchmark's `check` specs."""
 
+import importlib.util
+import os
 import random
+import sys
 from math import gcd
 
 from verbalclosure.ambient import (
@@ -331,3 +334,19 @@ def reference_verify_retraction(rho, spec, samples, bound, seed):
         if apply(rg) != rg:
             return False
     return True
+
+
+def check_workload_specs(seed):
+    """The specs of the benchmark's `check` workload at a seed, as spec
+    text, from `bench/family.py`, which is loaded with no bytecode written
+    under bench/."""
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "bench", "family.py")
+    loader = importlib.util.spec_from_file_location("bench_family", path)
+    family = importlib.util.module_from_spec(loader)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        loader.loader.exec_module(family)
+    finally:
+        sys.dont_write_bytecode = saved
+    return [spec.text() for spec in family.workload_specs("check", seed)]

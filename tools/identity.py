@@ -10,9 +10,13 @@ through ``verbalclosure.cli.main`` in-process, in the text format and in
 ``CHECK_FLAGS`` and ``--emit-equation <format>.eq``, and each ``check``
 witness also runs in the text format with each of ``WITNESS_RUNS``: a
 default ``--verify`` (1,000 spot-check trials) and ``--filler 2``, whose
-towers are all live.  Each spec runs from inside its own directory
+towers are all live.  Two larger witnesses, ``LARGE_WITNESSES``, run in
+both formats with ``--verify --trials 8``: ``[DInf]*5`` and ``[DInf]*6``
+with ``a = a1^3*a2^5*...``, at c_rank 10 and 12, past the workloads' c_rank
+6.  Each spec runs from inside its own directory
 DIR/w/s/NAME, so every path a report prints is relative and the same in
-every checkout.  That directory holds:
+every checkout (DIR/large/NAME for the larger witnesses).  That
+directory holds:
 
 * ``spec``: the spec file;
 * ``text.out``, ``structured.out``: the reports (stdout);
@@ -54,6 +58,18 @@ WITNESS_RUNS = {"verify": ["--verify"],
                 "filler2": ["--filler", "2", "--verify", "--trials", "8"]}
 
 
+def dinf_witness(n):
+    """The spec text of [DInf]*n, b = b1*...*bn, a = a1^3*a2^5*...: a
+    witness at c_rank 2n."""
+    return ("groupspec v1\nfactors = [" + ", ".join(["DInf"] * n) + "]\n"
+            "b = " + "*".join(f"b{i}" for i in range(1, n + 1)) + "\n"
+            "a = " + "*".join(f"a{i}^{2 * i + 1}" for i in range(1, n + 1))
+            + "\n")
+
+
+LARGE_WITNESSES = {f"dinf{n}": dinf_witness(n) for n in (5, 6)}
+
+
 def run_cli(main, argv):
     """(stdout, the exit code or the exception's type name, stderr) of one
     in-process CLI call."""
@@ -83,8 +99,8 @@ def record(main, name, argv):
 
 
 def run_specs(main, out):
-    """Every workload spec in both formats, and each check witness's
-    `WITNESS_RUNS`; returns the number of runs."""
+    """Every workload spec in both formats, each check witness's
+    `WITNESS_RUNS` and the `LARGE_WITNESSES`; returns the number of runs."""
     runs = 0
     for workload in WORKLOADS:
         for seed in SEEDS:
@@ -104,6 +120,15 @@ def run_specs(main, out):
                     for name, flags in WITNESS_RUNS.items():
                         record(main, name, ["analyze", "spec"] + flags)
                         runs += 1
+    for name, text in LARGE_WITNESSES.items():
+        where = os.path.join(out, "large", name)
+        os.makedirs(where)
+        write(os.path.join(where, "spec"), text)
+        os.chdir(where)
+        for fmt, flags in FORMATS.items():
+            record(main, fmt, ["analyze", "spec", "--verify", "--trials", "8"]
+                   + flags)
+            runs += 1
     return runs
 
 
