@@ -600,15 +600,11 @@ def lhs_value_in_closed_form(eq, assignment, spec):
 def _negating_bits(f, xs):
     """The element bits, in `words._coset_word` order (generator i is bit
     m - 1 - i), of the x's in xs, factor f's parts of x_1 .. x_m, that act
-    on f's coordinate of Q by -1."""
+    on f's coordinate of Q by -1; the others act by 1 (`square_data`)."""
     m = len(xs)
     bits = 0
     for i, x in enumerate(xs):
-        entry = _action_entry(f, x)
-        if entry not in (1, -1):
-            raise ValueError(f"{f} acts on its coordinate of Q by {entry}, "
-                             "not by a sign")
-        if entry == -1:
+        if _action_entry(f, x) == -1:
             bits |= 1 << (m - 1 - i)
     return bits
 

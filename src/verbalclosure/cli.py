@@ -371,7 +371,9 @@ def main(argv=None):
     except BrokenPipeError as exc:
         # the reader has gone (`analyze SPEC | head -3`).  Python's own
         # flush at exit would raise again, so stdout is pointed at devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         print(f"error: cannot write the report: {exc}", file=sys.stderr)
         return 2
     return code
