@@ -75,6 +75,7 @@ from .words import (
     NotAWitness,
     Pow,
     UnboundGenerator,
+    WordEquation,
     build_v_chi,
     build_w_chi,
     build_witness_equation,

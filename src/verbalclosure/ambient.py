@@ -279,7 +279,8 @@ class AmbientGroup:
 # spec files
 
 
-_WORD_TERM = re.compile(r"([A-Za-z][A-Za-z0-9]*)(?:\^(-?\d+))?$")
+# [0-9], here and in _FACTOR_RE, since \d and int() take any Unicode digit
+_WORD_TERM = re.compile(r"([A-Za-z][A-Za-z0-9]*)(?:\^(-?[0-9]+))?$")
 
 
 def _spec_int(digits, what):
@@ -316,13 +317,16 @@ def word_to_text(word):
     return "*".join(name if exp == 1 else f"{name}^{exp}" for name, exp in word)
 
 
-_FACTOR_RE = re.compile(r"(DInf|Zed|ZedMod\(\s*(\d+)\s*\))$")
+_FACTOR_RE = re.compile(r"(DInf|Zed|ZedMod\(\s*([0-9]+)\s*\))$")
 
 
 def parse_factor(text):
-    m = _FACTOR_RE.match(text.strip())
+    text = text.strip()
+    if not text:
+        raise SpecParseError("empty factor entry")
+    m = _FACTOR_RE.match(text)
     if not m:
-        raise SpecParseError(f"unknown factor {text.strip()!r}")
+        raise SpecParseError(f"unknown factor {text!r}")
     if m.group(1) == "DInf":
         return DInf()
     if m.group(1) == "Zed":
@@ -370,8 +374,8 @@ class GroupSpec:
         if flist.startswith("[") and flist.endswith("]"):
             flist = flist[1:-1]
         # split on commas not inside ZedMod(...)
-        parts = re.split(r",(?![^()]*\))", flist)
-        factors = [parse_factor(p) for p in parts if p.strip()]
+        parts = re.split(r",(?![^()]*\))", flist) if flist.strip() else []
+        factors = [parse_factor(p) for p in parts]
         return cls(factors, entries["b"], entries["a"])
 
     def to_text(self):
@@ -512,7 +516,7 @@ def g_solution(eq, data, report):
     assignment = {}
     for j, d in enumerate(data.d_elements):
         assignment[x_var(j)] = d
-    for ci in range(len(eq.k_values)):
+    for ci in range(eq.c_size):
         assignment[y_var(ci)] = identity
     for ci, w in report.nonzero.items():
         assignment[y_var(ci)] = tuple(
@@ -550,8 +554,8 @@ def lhs_value_in_closed_form(eq, assignment, spec):
     Every tower body lies in Q, where c = x-product acts on coordinate j by
     a sign eps_j(c), so body·c·body^s·c^-1 has coordinate j equal to
     (1 + s·eps_j(c))·body_j: twice body_j when s = eps_j(c), else 0.  This
-    reads every x and then each live term's y, in the order that
-    `Equation.lhs_value` reads them.  It takes eps_j(x_i) from each
+    reads every x and then the y of each of `eq.live_terms()`, in the order
+    that `Equation.lhs_value` reads them.  It takes eps_j(x_i) from each
     factor's own arithmetic (`_action_entry`), n·m conjugations, skipping
     trivial coordinates, and a y-block's coordinates as torsion_order ×
     square_coordinate(y_j).  It walks the term's `_levels`, dropping
@@ -559,17 +563,16 @@ def lhs_value_in_closed_form(eq, assignment, spec):
     word, and stops when no coordinate is left.  The survivors, times the
     term's exponent, are summed per coordinate, 2^(2^c_rank) scales the sum
     once, and each factor builds its part of the element of Q with those
-    coordinates.  A given lhs is evaluated by `Equation.lhs_value`.
+    coordinates.  A `WordEquation` is valued by its `lhs_value`, a walk of
+    its DAG.
     """
-    if eq._lhs is not None:
+    if not isinstance(eq, Equation):
         return eq.lhs_value(assignment, spec.group.ops)
     m, torsion = eq.c_rank, eq.torsion_order
     coords = [(j, f) for j, f in enumerate(spec.factors) if f.q_order != 1]
     totals = [0] * len(spec.factors)
     masks = None  # coordinate -> the bits of a level's element that negate it
-    for ci, e in enumerate(eq._exponents()):
-        if not e:
-            continue
+    for ci, e in eq.live_terms():
         if masks is None:
             xs = [_read(assignment, x_var(i)) for i in range(m)]
             masks = {j: _negating_bits(f, [x[j] for x in xs])

@@ -267,7 +267,7 @@ def _selftest_checks():
         verdict = analyze(spec)
         if verdict.is_retract or verdict.equation.rhs_exponent != 2 ** 17:
             return False
-        contents = sorted(k for k in verdict.equation.k_values if k)
+        contents = sorted(verdict.equation.contents.values())
         return (contents == [3, 5]
                 and verdict.certificate.is_valid()
                 and verify_solution_in_G(verdict.equation, verdict.solution,
@@ -283,7 +283,7 @@ def _selftest_checks():
     def certificate_rejects_units():
         spec = validate_spec(GroupSpec([DInf(), DInf()], "b1*b2", "a1^3*a2^5"))
         eq = analyze(spec).equation
-        eq.k_values = (1,) + eq.k_values[1:]  # a unit content slipped through
+        eq.contents = {**eq.contents, 0: 1}  # a unit content slipped through
         try:
             certify_no_solution(eq)
         except InvalidEquation:

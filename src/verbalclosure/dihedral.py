@@ -9,10 +9,10 @@ together prove that a witness equation has no dihedral solution.
 """
 
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .involutions import Character, enumerate_group_elements
-from .words import GroupOps, short_repr, x_var
+from .words import GroupOps, _repr, x_var
 
 
 class InvalidEquation(ValueError):
@@ -104,14 +104,6 @@ def character_of_substitution(delta):
     """The character selected by substituting x_j = b^{delta_j} a^{k_j}:
     its value on the j-th generator is (-1)^{delta_j}."""
     return Character(tuple(-1 if d else 1 for d in delta))
-
-
-def _repr(obj):
-    """The dataclass repr, each field through `short_repr`: a witness's
-    exponents pass Python's limit on str(int) from c-rank 14."""
-    return type(obj).__name__ + "(" + ", ".join(
-        f"{f.name}={short_repr(getattr(obj, f.name))}"
-        for f in fields(obj)) + ")"
 
 
 @dataclass
@@ -232,22 +224,21 @@ def certify_no_solution(eq):
     this is a proof, not a search.  Flip pattern i matches character i of
     `enumerate_characters`: both lists are lexicographic (0 before 1, +1
     before -1) and chi_j = (-1)^{delta_j}.  So a row is listed for each
-    nonzero exponent of the equation, and the filler covers the rest.
+    entry of the equation's nonzero contents, and the filler covers the
+    rest.
     """
-    m = eq.c_rank
+    m, rhs = eq.c_rank, eq.rhs_exponent
     listed = []
-    for i, k in enumerate(eq.k_values):
-        if k:
-            if abs(k) == 1:
-                raise InvalidEquation(
-                    "effective exponent +-1: a simple component slipped through")
-            delta = tuple((i >> j) & 1 for j in range(m - 1, -1, -1))
-            listed.append(_row(delta, k, eq.rhs_exponent))
+    for i, k in sorted(eq.contents.items()):
+        if abs(k) == 1:
+            raise InvalidEquation(
+                "effective exponent +-1: a simple component slipped through")
+        delta = tuple((i >> j) & 1 for j in range(m - 1, -1, -1))
+        listed.append(_row(delta, k, rhs))
     remainder = (1 << m) - len(listed)
     if remainder and abs(eq.filler) == 1:
         raise InvalidEquation("effective exponent +-1: the filler")
-    return NoSolutionCertificate(listed=listed, c_rank=m,
-                                 rhs_exponent=eq.rhs_exponent,
+    return NoSolutionCertificate(listed=listed, c_rank=m, rhs_exponent=rhs,
                                  filler=eq.filler, remainder=remainder)
 
 

@@ -9,19 +9,19 @@ interprets letter counts over it, `serialize_equation` numbers it, and
 only the live nodes: the base of a zero power is never read, since x^0 = 1
 in every group.
 
-A witness equation keeps the recipe of its left-hand side, not the DAG:
+A witness equation has two forms, each with one representation.  An
+`Equation` (`build_witness_equation`) is the recipe of the paper's witness:
 term i is the tower of the i-th character of C, each element of C spelled
-by its own generator bits (`coset_words_of`), with c-rank, |T| and the
-exponents read from its fields.  `Equation.lhs` builds the DAG on each
-read; `Equation.lhs_value` evaluates the terms with a nonzero exponent
-level by level, one product per `_levels` entry up to the term's first
-identity level, and `serialize_chunks` writes the DAG's post-order from the
-recipe, tower by tower, each level one fill of a template made once per
-element of C, so a writer streaming it to a file holds one tower's text at a
-time.
+by its own generator bits (`coset_words_of`), and only c-rank, |T|, the
+filler and the nonzero contents are kept.  `Equation.lhs` builds the DAG
+on each read; `lhs_value` evaluates the live terms level by level, up to
+each term's first identity level; and `serialize_chunks` writes the DAG's
+post-order from the recipe, tower by tower, each level one fill of a
+template made once per element of C.  A `WordEquation`, which
+`parse_equation` reads back, holds the DAG and is valued by walking it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 
 
 class UnboundGenerator(KeyError):
@@ -39,6 +39,14 @@ def short_repr(x):
     if type(x) is not int or x.bit_length() <= 64:
         return repr(x)
     return f"<{'-' * (x < 0)}{x.bit_length()}-bit int>"
+
+
+def _repr(obj):
+    """The dataclass repr, each field through `short_repr`: a witness's
+    exponents pass Python's limit on str(int) from c-rank 14."""
+    return type(obj).__name__ + "(" + ", ".join(
+        f"{f.name}={short_repr(getattr(obj, f.name))}"
+        for f in dataclass_fields(obj)) + ")"
 
 
 class SLWord:
@@ -338,74 +346,77 @@ def y_var(char_index):
     return f"y_{char_index}_1"
 
 
+@dataclass(kw_only=True, eq=False)
 class Equation:
-    """One-sided equation: lhs(word in x's and y's) = a^rhs_exponent.
+    """The paper's witness lhs(x's, y's) = a^rhs_exponent, kept as the
+    recipe of its left-hand side: one term v_chi^used_exponent per character
+    of C in `enumerate_characters` order, whose y-block is
+    (y_chi^2)^torsion_order, over the coset words of `coset_words_of(c_rank)`.
+    Coefficients appear only on the right-hand side, a power of a.
 
-    Coefficients appear only on the right-hand side, as a power of the
-    distinguished infinite-order generator a of the dihedral subgroup.
-
-    The left-hand side is either given as `lhs`, or, when `lhs` is None, by
-    the recipe of the paper's witness: one term v_chi^used_exponent per
-    character of C in `enumerate_characters` order, whose y-block is
-    (y_chi^2)^torsion_order, over the coset words of
-    `coset_words_of(c_rank)`, every fact read from the fields.  Deciding
-    needs only the k values and the right-hand side, and `lhs_value`
-    evaluates a recipe level by level with no word built, while the paper's
-    witness DAG has about 4^c-rank nodes.  For a recipe, `lhs` is that full
-    DAG, built from the current fields, towers and all, each time it is
-    read.
+    `contents` holds only the nonzero contents, by character index, and every
+    other term's exponent is the filler, so the recipe grows with the free
+    rank, not with |C|.  The rest is derived when read: the right-hand side,
+    the 2^c-rank `k_values`, and `lhs`, the full DAG of about 4^c-rank nodes.
     """
 
-    def __init__(self, lhs=None, *, rhs_exponent, c_rank, torsion_order,
-                 filler, k_values):
-        self._lhs = lhs
-        self.rhs_exponent = rhs_exponent
-        self.c_rank = c_rank
-        self.torsion_order = torsion_order
-        self.filler = filler
-        self.k_values = k_values  # raw per-character contents, enumeration order
+    c_rank: int
+    torsion_order: int
+    filler: int
+    contents: dict  # character index -> nonzero content
 
-    def _exponents(self):
-        return map(self.used_exponent, range(len(self.k_values)))
+    @property
+    def c_size(self):
+        return 1 << self.c_rank
+
+    @property
+    def rhs_exponent(self):
+        # 2 * 2^|C| * |T|: each of the |C| commutator nestings doubles it once
+        return 2 * (1 << self.c_size) * self.torsion_order
+
+    @property
+    def k_values(self):  # every content, for the report and the header
+        return tuple(self.contents.get(ci, 0) for ci in range(self.c_size))
+
+    def used_exponent(self, char_index):
+        return self.contents.get(char_index) or self.filler
+
+    def live_terms(self):
+        """(character index, exponent) of each term with a nonzero exponent,
+        in index order: the entries of `contents` when the filler is 0,
+        else every term."""
+        if self.filler:
+            return ((ci, self.used_exponent(ci)) for ci in range(self.c_size))
+        return sorted(self.contents.items())
 
     @property
     def lhs(self):
-        if self._lhs is not None:
-            return self._lhs
         words = coset_words_of(self.c_rank)
         terms = []
-        for ci, e in enumerate(self._exponents()):
+        for ci in range(self.c_size):
             squares = Concat((Pow(Gen(y_var(ci)), 2),))
             terms.append(Pow(_v_tower(ci, self.c_rank, words,
-                                      Pow(squares, self.torsion_order)), e))
+                                      Pow(squares, self.torsion_order)),
+                             self.used_exponent(ci)))
         return Concat(tuple(terms))
 
     def lhs_value(self, assignment, ops):
-        """Value of the left-hand side under `assignment` over `ops`, equal
-        to `evaluate(self.lhs, assignment, ops)`.
+        """`evaluate(self.lhs, assignment, ops)`, with no word built.
 
-        A recipe is evaluated level by level with no word built: each x is
-        read once, and each term with a nonzero exponent reads its y, forms
-        its y-block, then body * c * body^sign * c^-1 per `_levels` entry,
-        then its power.  A coset word's value and its inverse are formed
-        when a level first reads them, and kept for the call.  A term stops
-        at its first identity body, since 1 * c * 1 * c^-1 = 1 at that level
-        and every later one, and adds nothing: over D-infinity a tower whose
-        character misses the flips of the x's dies within a few levels,
-        while in G the towers of a solution run all 2^c-rank levels.  A
-        term with exponent 0 is the identity, so its variables need no
-        value.  A given lhs is walked by `evaluate` on each call.
+        Each x is read once; each of the `live_terms` reads its y, forms its
+        y-block, then body * c * body^sign * c^-1 per `_levels` entry, then
+        its power.  A coset word's value and inverse are kept from the level
+        that first reads them.  A term stops at its first identity body, as
+        1 * c * 1 * c^-1 = 1: over D-infinity a tower whose character misses
+        the x's flips dies within a few levels, while in G the towers of a
+        solution run all 2^c-rank levels.  Other terms' y's need no value.
         """
-        if self._lhs is not None:
-            return evaluate(self._lhs, assignment, ops)
         mul, inv, identity = ops.mul, ops.inv, ops.identity
         m, torsion = self.c_rank, self.torsion_order
         value = identity
         xs = None
         cosets = {}  # element index -> (value, inverse), on first read
-        for ci, e in enumerate(self._exponents()):
-            if not e:
-                continue
+        for ci, e in self.live_terms():
             if xs is None:
                 xs = [_read(assignment, x_var(j)) for j in range(m)]
             y = _read(assignment, y_var(ci))
@@ -426,26 +437,36 @@ class Equation:
                 value = mul(value, _power(body, e, ops))
         return value
 
-    def __repr__(self):
-        # a recipe's left-hand side stays unbuilt
-        lhs = "<built when read>" if self._lhs is None else repr(self._lhs)
-        return (f"Equation(lhs={lhs}, "
-                f"rhs_exponent={short_repr(self.rhs_exponent)}, "
-                f"c_rank={self.c_rank}, torsion_order={self.torsion_order}, "
-                f"filler={self.filler}, "
-                f"k_values={self.k_values})")
-
-    @property
-    def c_size(self):
-        return 1 << self.c_rank
-
-    def used_exponent(self, char_index):
-        k = self.k_values[char_index]
-        return k if k != 0 else self.filler
-
     def variables(self):
         return ([x_var(j) for j in range(self.c_rank)]
-                + [y_var(ci) for ci in range(len(self.k_values))])
+                + [y_var(ci) for ci in range(self.c_size)])
+
+    def _node_lines(self):
+        return _recipe_lines(self.c_rank, self.torsion_order,
+                             map(self.used_exponent, range(self.c_size)))
+
+
+@dataclass(eq=False)
+class WordEquation:
+    """lhs = a^rhs_exponent with lhs a DAG, as `parse_equation` reads it
+    from a file, with the header fields the file lists.  Its value is always
+    the DAG's: the header is carried for the written form, never valued.
+    """
+
+    lhs: SLWord
+    rhs_exponent: int
+    c_rank: int
+    torsion_order: int
+    filler: int
+    k_values: tuple
+
+    __repr__ = _repr
+
+    def lhs_value(self, assignment, ops):
+        return evaluate(self.lhs, assignment, ops)
+
+    def _node_lines(self):
+        return _walk_lines(self.lhs)
 
 
 def build_witness_equation(report, n, torsion_order, c_rank,
@@ -454,11 +475,12 @@ def build_witness_equation(report, n, torsion_order, c_rank,
 
     The y-block substituted for each character is y_chi^2 raised to the
     torsion order; characters with vanishing components get the filler
-    exponent (any integer except +-1, 0 by default).  No word is built
-    here: the equation keeps the recipe of its left-hand side, whose coset
-    words follow from c_rank.  `coset_words` is not read, and n must be 1,
-    the one square per character; the benchmark's tracer still passes
-    `SquareData.coset_words` and 1 in their places.
+    exponent (any integer except +-1, 0 by default).  No word is built:
+    the equation keeps the recipe, with the content of each of the report's
+    nonzero components by its character index, the index of its term.
+    `coset_words` is not read, and n must be 1, the one square per
+    character; the benchmark's tracer still passes `SquareData.coset_words`
+    and 1 in their places.
     """
     if report.simple:
         raise NotAWitness("simple elements admit a retraction, not a witness")
@@ -466,21 +488,9 @@ def build_witness_equation(report, n, torsion_order, c_rank,
         raise ValueError("filler exponent must not be +-1")
     if n != 1:
         raise ValueError("a witness has one square per character")
-    c_size = 1 << c_rank
-    # the recipe's terms are in `enumerate_characters` order, the order of
-    # the report's character indices
-    k_values = [0] * c_size
-    for ci, w in report.nonzero.items():
-        k_values[ci] = w.content
-    # right-hand side a^(2 * 2^|C| * |T|): each of the |C| commutator
-    # nestings doubles the exponent once
-    return Equation(
-        rhs_exponent=2 * (1 << c_size) * torsion_order,
-        c_rank=c_rank,
-        torsion_order=torsion_order,
-        filler=filler,
-        k_values=tuple(k_values),
-    )
+    return Equation(c_rank=c_rank, torsion_order=torsion_order, filler=filler,
+                    contents={ci: w.content
+                              for ci, w in report.nonzero.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -499,22 +509,17 @@ def serialize_equation(eq):
 
 
 def serialize_chunks(eq):
-    """The text of `serialize_equation`, made and yielded a chunk at a time.
-
-    An equation made by `build_witness_equation` is written from its recipe
-    with no node built, one chunk per tower, so a writer holds about
-    1/|C| of the text at once; any other is written by walking its DAG, one
-    chunk per node.
+    """The text of `serialize_equation`, made and yielded a chunk at a time:
+    the header, then the equation's own node lines, then the root and the
+    right-hand side.  An `Equation` writes its recipe with no node built,
+    one chunk per tower, so a writer holds about 1/|C| of the text at once;
+    a `WordEquation` walks its DAG, one chunk per node.
     """
     yield (f"(equation (c-rank {eq.c_rank}) (torsion {eq.torsion_order}) "
            f"(n 1) (filler {eq.filler})\n"
            f"  (k{''.join(' ' + str(k) for k in eq.k_values)})\n"
            " (nodes\n")
-    if eq._lhs is not None:
-        root = yield from _walk_lines(eq._lhs)
-    else:
-        root = yield from _recipe_lines(eq.c_rank, eq.torsion_order,
-                                        eq._exponents())
+    root = yield from eq._node_lines()
     yield f" )\n (lhs n{root})\n (rhs a {eq.rhs_exponent}))\n"
 
 
@@ -604,7 +609,7 @@ _FIELD_ATOMS = {"c-rank": 1, "torsion": 1, "n": 1, "filler": 1, "k": None,
 
 
 def parse_equation(text):
-    """Inverse of serialize_equation.
+    """Inverse of serialize_equation: the `WordEquation` of the text.
 
     The text is read as one flat token list.  Node definitions are built in
     the order they were written, each from labels defined before it, so the
@@ -663,7 +668,7 @@ def parse_equation(text):
             raise ValueError("the right-hand side must be a power of a")
         if int(fields["n"][0]) != 1:
             raise ValueError("a witness has one square per character")
-        return Equation(
+        return WordEquation(
             lhs=built[fields["lhs"][0]],
             rhs_exponent=int(fields["rhs"][1]),
             c_rank=c_rank,

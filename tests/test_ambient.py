@@ -5,13 +5,17 @@ import operator
 import random
 import sys
 import time
+import tracemalloc
 from argparse import Namespace
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, compress
 
 import pytest
 
 import verbalclosure.ambient as ambient
+import verbalclosure.words as words
+from verbalclosure import dihedral, involutions
 from verbalclosure.ambient import (
     AmbientGroup,
     DInf,
@@ -39,7 +43,7 @@ from verbalclosure.ambient import (
     word_to_text,
 )
 from verbalclosure.cli import build_report
-from verbalclosure.dihedral import DihedralElement
+from verbalclosure.dihedral import DihedralElement, certify_no_solution
 from verbalclosure.lattice import (
     AbelianPresentation,
     Lattice,
@@ -53,8 +57,10 @@ from verbalclosure.lattice import (
 from verbalclosure.words import (
     Equation,
     UnboundGenerator,
+    build_witness_equation,
     parse_equation,
     serialize_equation,
+    x_var,
     y_var,
 )
 
@@ -83,6 +89,8 @@ def test_parse_word():
         parse_word("a1^")
     with pytest.raises(SpecParseError):
         parse_word("a1**b2")
+    with pytest.raises(SpecParseError):  # an Arabic-Indic 5
+        parse_word("a1^\u0665")
     assert word_to_text((("a1", 3), ("b1", 1))) == "a1^3*b1"
     assert word_to_text(()) == "1"
 
@@ -91,8 +99,9 @@ def test_parse_factor():
     assert parse_factor("DInf") == DInf()
     assert parse_factor("Zed") == Zed()
     assert parse_factor("ZedMod(6)") == ZedMod(6)
-    with pytest.raises(SpecParseError):
-        parse_factor("Free")
+    for bad in ("Free", "", " ", "ZedMod(\u0666)"):
+        with pytest.raises(SpecParseError):
+            parse_factor(bad)
 
 
 def test_spec_from_text_variants():
@@ -341,7 +350,7 @@ def test_analyze_witness_case():
     assert verdict.kind == "not-verbally-closed"
     eq = verdict.equation
     assert eq.rhs_exponent == 2 ** 17
-    assert sorted(k for k in eq.k_values if k) == [3, 5]
+    assert sorted(eq.contents.values()) == [3, 5]
     assert verdict.certificate.is_valid()
     assert verify_solution_in_G(eq, verdict.solution, verdict.spec)
 
@@ -823,8 +832,8 @@ def test_verify_solution_needs_only_the_live_variables():
     verdict = analyze(spec)
     eq = verdict.equation
     live, dead = [], []
-    for ci, k in enumerate(eq.k_values):
-        (live if k else dead).append(y_var(ci))
+    for ci in range(eq.c_size):
+        (live if ci in eq.contents else dead).append(y_var(ci))
     partial = {name: value for name, value in verdict.solution.items()
                if name not in dead}
     for check in (verify_solution_in_G, verify_solution_closed_form):
@@ -899,11 +908,10 @@ def test_closed_form_value_is_the_evaluated_value(factors, b, a):
     rng = random.Random(f"{b}:{a}")
     nontrivial = set()
     for _ in range(40):
-        eq = Equation(rhs_exponent=0, c_rank=m,
-                      torsion_order=rng.choice((1, 3)),
-                      filler=rng.choice((0, 2, -5)),
-                      k_values=tuple(rng.choice((0, 0, 3, -4, 7))
-                                     for _ in range(1 << m)))
+        torsion, filler = rng.choice((1, 3)), rng.choice((0, 2, -5))
+        ks = [rng.choice((0, 0, 3, -4, 7)) for _ in range(1 << m)]
+        eq = Equation(c_rank=m, torsion_order=torsion, filler=filler,
+                      contents={ci: k for ci, k in enumerate(ks) if k})
         assignment = {name: group.random_element(rng, 5)
                       for name in eq.variables()}
         value = eq.lhs_value(assignment, group.ops)
@@ -921,8 +929,8 @@ def _witness_tampers(verdict):
     character and each x with its flip toggled in a DInf factor."""
     spec, solution, eq = verdict.spec, verdict.solution, verdict.equation
     group = spec.group
-    live = [ci for ci, k in enumerate(eq.k_values) if k]
-    dead = [ci for ci, k in enumerate(eq.k_values) if not k]
+    live = sorted(eq.contents)
+    dead = [ci for ci in range(eq.c_size) if ci not in eq.contents]
     y = y_var(live[0])
     wrong_lift = dict(solution)
     wrong_lift[y] = group.mul(solution[y], solution[y])  # twice the lift
@@ -976,6 +984,62 @@ def test_closed_form_evaluates_a_given_lhs():
     assert verify_solution_closed_form(given, verdict.solution, spec)
     all_identity = {name: spec.group.identity for name in eq.variables()}
     assert not verify_solution_closed_form(given, all_identity, spec)
+
+
+def test_a_parsed_equation_is_valued_from_its_dag_not_its_header():
+    # a (k ...) header line that no longer matches the nodes changes no
+    # value: a WordEquation is valued from its DAG, while the recipe with
+    # the header's content would fail
+    verdict = analyze(spec4())
+    spec, eq, solution = verdict.spec, verdict.equation, verdict.solution
+    text = serialize_equation(eq)
+    ci = min(eq.contents)
+    ks = list(eq.k_values)
+    ks[ci] += 2
+    header = f"  (k{''.join(' ' + str(k) for k in eq.k_values)})\n"
+    assert text.count(header) == 1
+    parsed = parse_equation(text.replace(
+        header, f"  (k{''.join(' ' + str(k) for k in ks)})\n"))
+    assert parsed.k_values == tuple(ks) != eq.k_values
+    assert verify_solution_closed_form(parsed, solution, spec)
+    assert verify_solution_in_G(parsed, solution, spec)
+    changed = replace(eq, contents={**eq.contents, ci: ks[ci]})
+    assert not verify_solution_closed_form(changed, solution, spec)
+
+
+def test_c_rank_22_witness_holds_no_table_of_its_characters(monkeypatch):
+    # [DInf]*11 has 2^22 characters and 11 nonzero contents: the recipe and
+    # its certificate hold the contents, and one row each, not a 2^22
+    # table (64.5 MB and a 12,583,031-character repr when they did)
+    n = 11
+    spec = validate_spec(GroupSpec(
+        [DInf()] * n, "*".join(f"b{i + 1}" for i in range(n)),
+        "*".join(f"a{i + 1}^{2 * i + 3}" for i in range(n))))
+    data = square_data(spec)
+    report = data.module.is_simple(image_of_a_squared(spec, data))
+    for module in (involutions, dihedral):
+        monkeypatch.setattr(module, "enumerate_group_elements", None)
+    tracemalloc.start()
+    try:
+        eq = build_witness_equation(report, 1, 1, data.c_rank)
+        cert = certify_no_solution(eq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20, peak
+    assert eq.c_rank == 22 and len(eq.contents) == n
+    assert len(cert.listed) == n and cert.remainder == (1 << 22) - n
+    assert len(repr(eq)) < 2000
+    # with filler 0 each value reads the levels of the live towers only;
+    # the x's and the live y's are the identity, so each stops at once
+    levels = [count_calls(monkeypatch, module, "_levels")
+              for module in (words, ambient)]
+    group = spec.group
+    assignment = {x_var(j): group.identity for j in range(eq.c_rank)}
+    assignment.update((y_var(ci), group.identity) for ci in eq.contents)
+    assert eq.lhs_value(assignment, group.ops) == group.identity
+    assert lhs_value_in_closed_form(eq, assignment, spec) == group.identity
+    assert [len(calls) for calls in levels] == [n, n]
 
 
 def test_closed_form_at_c_rank_16_is_quick(monkeypatch):

@@ -92,6 +92,26 @@ def test_analyze_rejects_repeated_and_unknown_keys(tmp_path, capsys, extra,
     assert captured.err == f"error: unknown or repeated key {key!r}\n"
 
 
+@pytest.mark.parametrize("factors, a, err", [
+    ("[DInf, DInf]", "a1^3*a2^\u0665", "malformed word term 'a2^\u0665'"),
+    ("[DInf, ZedMod(\u0666)]", "a1^3", "unknown factor 'ZedMod(\u0666)'"),
+    ("[DInf,,DInf]", "a1^3*a2^5", "empty factor entry"),
+    ("[DInf, DInf,]", "a1^3*a2^5", "empty factor entry"),
+], ids=["arabic-indic-exponent", "arabic-indic-modulus", "empty-entry",
+        "trailing-comma"])
+def test_analyze_rejects_non_ascii_digits_and_empty_factors(tmp_path, capsys,
+                                                           factors, a, err):
+    # \d and int() read any Unicode digit, so a^\u0665 was read as a^5, and
+    # empty factor entries were dropped
+    spec = f"groupspec v1\nfactors = {factors}\nb = b1\na = {a}\n"
+    path = tmp_path / "lenient.spec"
+    path.write_text(spec, encoding="utf-8")
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
+
+
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
                     reason="this Python reads integers of any length")
 @pytest.mark.parametrize("factors, a, what", [

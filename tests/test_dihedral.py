@@ -250,9 +250,7 @@ def test_derived_tables_match_the_full_loops():
 
 def test_certificate_rejects_unit_exponent():
     eq = _witness_equation()
-    hacked = type(eq)(lhs=eq.lhs, rhs_exponent=eq.rhs_exponent,
-                      c_rank=eq.c_rank, torsion_order=eq.torsion_order,
-                      filler=eq.filler, k_values=(1,) + eq.k_values[1:])
+    hacked = replace(eq, contents={**eq.contents, 0: 1})
     with pytest.raises(InvalidEquation):
         certify_no_solution(hacked)
     # a unit filler stands for every vanishing character's exponent
@@ -299,15 +297,15 @@ def test_spot_check_finds_no_solution():
 def test_spot_check_detects_solvable_equation():
     # an "equation" whose lhs can hit the rhs: single character, k = 1,
     # so the word tower is the full doubling and y = a solves it
-    from verbalclosure.words import Equation, Pow, Gen as G, Concat
+    from verbalclosure.words import Pow, Gen as G, Concat, WordEquation
 
     m = 1
     coset_words = canonical_coset_words(m)
     chi = Character((-1,))
     block = Pow(Concat((Pow(G("y_1_1"), 2),)), 1)
     v = build_v_chi(chi, coset_words, y_word=block)
-    eq = Equation(lhs=Concat((Pow(v, 1),)), rhs_exponent=2 * (1 << 2),
-                  c_rank=1, torsion_order=1, filler=0, k_values=(0, 1))
+    eq = WordEquation(lhs=Concat((Pow(v, 1),)), rhs_exponent=2 * (1 << 2),
+                      c_rank=1, torsion_order=1, filler=0, k_values=(0, 1))
     # delta = (1,) with y = a gives a^(2*4) = rhs; the sampler must find it
     assert not spot_check_no_solution(eq, bound=3, trials=2000, seed=0)
 
@@ -317,16 +315,19 @@ def test_spot_check_detects_a_solvable_recipe(rhs_exponent, trials):
     # the same equation as a recipe, evaluated with no word built: its one
     # live tower, of the nontrivial character, takes y = a to a^8 when x1
     # flips.  When x1 = a^t does not flip, as in the first trial, the tower
-    # dies at its first level, so the left-hand side is 1 = a^0
-    eq = Equation(rhs_exponent=rhs_exponent, c_rank=1, torsion_order=1,
-                  filler=0, k_values=(0, 1))
-    assert "<built when read>" in repr(eq)
+    # dies at its first level, so the left-hand side is 1.  With torsion
+    # order 0 the y-block is 1 as well, and 1 = a^0 is solved at once
+    eq = Equation(c_rank=1, torsion_order=rhs_exponent // 8, filler=0,
+                  contents={1: 1})
+    assert eq.rhs_exponent == rhs_exponent
+    assert repr(eq) == (f"Equation(c_rank=1, torsion_order={rhs_exponent // 8}"
+                        ", filler=0, contents={1: 1})")
     assert not spot_check_no_solution(eq, bound=3, trials=trials, seed=0)
     x1 = DihedralElement(2, 0)
     for y in (A, DihedralElement(3, 1)):
         assert eq.lhs_value({"x1": x1, "y_1_1": y}, DIHEDRAL_OPS) == IDENTITY
     assert eq.lhs_value({"x1": B, "y_1_1": A},
-                        DIHEDRAL_OPS) == DihedralElement(8, 0)
+                        DIHEDRAL_OPS) == DihedralElement(rhs_exponent, 0)
 
 
 def test_draw_element_keeps_the_randint_stream():
@@ -388,8 +389,7 @@ def test_spot_check_cycles_the_flip_patterns_in_enumeration_order(
     # every k and the filler 0 the left-hand side is 1, so every trial runs
     trials = 2 * (1 << m) + 3
     old = list(islice(cycle(product((0, 1), repeat=m)), trials))
-    eq = Equation(rhs_exponent=8, c_rank=m, torsion_order=1, filler=0,
-                  k_values=(0,) * (1 << m))
+    eq = Equation(c_rank=m, torsion_order=1, filler=0, contents={})
     _, patterns = _drawn_flip_patterns(monkeypatch, eq, trials)
     assert patterns == old
 
