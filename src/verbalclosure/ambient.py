@@ -22,7 +22,7 @@ from .dihedral import (
     certify_no_solution,
     draw_element,
 )
-from .involutions import Character, InvolutionModule
+from .involutions import Character, InvolutionModule, c_index
 from .lattice import AbelianPresentation, kernel_basis
 from .words import (
     Equation,
@@ -557,59 +557,39 @@ def lhs_value_in_closed_form(eq, assignment, spec):
     reads every x and then the y of each of `eq.live_terms()`, in the order
     that `Equation.lhs_value` reads them.  It takes eps_j(x_i) from each
     factor's own arithmetic (`_action_entry`), n·m conjugations, skipping
-    trivial coordinates, and a y-block's coordinates as torsion_order ×
-    square_coordinate(y_j).  It walks the term's `_levels`, dropping
-    coordinate j at the first level whose sign is not eps_j on that coset
-    word, and stops when no coordinate is left.  The survivors, times the
-    term's exponent, are summed per coordinate, 2^(2^c_rank) scales the sum
-    once, and each factor builds its part of the element of Q with those
-    coordinates.  A `WordEquation` is valued by its `lhs_value`, a walk of
-    its DAG.
+    trivial coordinates, so coordinate j's own character, with signs
+    eps_j(x_1) .. eps_j(x_m), has index masks[j] (`c_index`).  A y-block's
+    coordinates are torsion_order × square_coordinate(y_j).  Nonzero
+    coordinate j of term ci survives every level iff the towers of ci and
+    of j's own character agree at each, that is, iff `_levels(ci ^
+    masks[j], m)` has no level of sign -1.  The survivors, times the
+    term's exponent, are summed per coordinate, 2^(2^c_rank) scales the
+    sum once, and each factor builds its part of the element of Q with
+    those coordinates.  A `WordEquation` is valued by its `lhs_value`, a
+    walk of its DAG.
     """
     if not isinstance(eq, Equation):
         return eq.lhs_value(assignment, spec.group.ops)
     m, torsion = eq.c_rank, eq.torsion_order
     coords = [(j, f) for j, f in enumerate(spec.factors) if f.q_order != 1]
     totals = [0] * len(spec.factors)
-    masks = None  # coordinate -> the bits of a level's element that negate it
+    masks = None  # coordinate -> the index of its own character
     for ci, e in eq.live_terms():
         if masks is None:
             xs = [_read(assignment, x_var(i)) for i in range(m)]
-            masks = {j: _negating_bits(f, [x[j] for x in xs])
+            masks = {j: c_index(_action_entry(f, x[j]) == -1 for x in xs)
                      for j, f in coords}
         y = _read(assignment, y_var(ci))
-        body = {}
         for j, f in coords:
             b = torsion * f.square_coordinate(y[j])
             if f.q_order:
                 b %= f.q_order
-            if b:
-                body[j] = b
-        for level, sign in _levels(ci, m):
-            if not body:
-                break
-            odd = sign == -1
-            for j in [j for j in body
-                      if ((level & masks[j]).bit_count() & 1) != odd]:
-                del body[j]
-        for j, b in body.items():
-            totals[j] += e * b
+            if b and all(s == 1 for _, s in _levels(ci ^ masks[j], m)):
+                totals[j] += e * b
     # coordinate t is (q_letter^2)^t, and each tower doubled it 2^c_rank times
     scale = 2 << (1 << m)
     return tuple(f.pow(f.generator(f.q_letter), scale * t)
                  for f, t in zip(spec.factors, totals))
-
-
-def _negating_bits(f, xs):
-    """The element bits, in `words._coset_word` order (generator i is bit
-    m - 1 - i), of the x's in xs, factor f's parts of x_1 .. x_m, that act
-    on f's coordinate of Q by -1; the others act by 1 (`square_data`)."""
-    m = len(xs)
-    bits = 0
-    for i, x in enumerate(xs):
-        if _action_entry(f, x) == -1:
-            bits |= 1 << (m - 1 - i)
-    return bits
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ together prove that a witness equation has no dihedral solution.
 import operator
 from dataclasses import dataclass
 
-from .involutions import Character, enumerate_group_elements
+from .involutions import Character, c_bits, enumerate_group_elements
 from .words import GroupOps, _repr, x_var
 
 
@@ -221,20 +221,21 @@ def certify_no_solution(eq):
     left-hand side lies in a proper subgroup <a^(target * k)> (or is the
     identity when k = 0); the right-hand side a^target escapes because
     |k| != 1.  The free translation parameters never need enumerating --
-    this is a proof, not a search.  Flip pattern i matches character i of
-    `enumerate_characters`: both lists are lexicographic (0 before 1, +1
-    before -1) and chi_j = (-1)^{delta_j}.  So a row is listed for each
-    entry of the equation's nonzero contents, and the filler covers the
-    rest.
+    this is a proof, not a search.  Flip pattern i, delta = `c_bits(i, m)`,
+    matches character i, whose signs are chi_j = (-1)^{delta_j}.  So a row
+    is listed for each nonzero entry of the equation's contents, and the
+    filler covers the rest: a zero entry's term, like any other, has the
+    filler as its exponent.
     """
     m, rhs = eq.c_rank, eq.rhs_exponent
     listed = []
     for i, k in sorted(eq.contents.items()):
+        if not k:
+            continue
         if abs(k) == 1:
             raise InvalidEquation(
                 "effective exponent +-1: a simple component slipped through")
-        delta = tuple((i >> j) & 1 for j in range(m - 1, -1, -1))
-        listed.append(_row(delta, k, rhs))
+        listed.append(_row(c_bits(i, m), k, rhs))
     remainder = (1 << m) - len(listed)
     if remainder and abs(eq.filler) == 1:
         raise InvalidEquation("effective exponent +-1: the filler")
@@ -246,10 +247,10 @@ def spot_check_no_solution(eq, bound, trials, seed=0):
     """Randomised corroboration of a certificate by direct evaluation.
 
     Substitutes x_j = a^{k_j} b^{delta_j} (cycling through every delta
-    pattern in enumeration order: trial i takes the bits of i mod 2^m,
-    first generator highest, so no list of the 2^m patterns is built) and
-    random dihedral values for the y-variables, and reports True when no
-    substitution hits the right-hand side.  This is a heuristic, not a
+    pattern in enumeration order: trial i takes delta = c_bits(i mod 2^m,
+    m), so no list of the 2^m patterns is built) and random dihedral values
+    for the y-variables, and reports True when no substitution hits the
+    right-hand side.  This is a heuristic, not a
     proof: absence of small solutions proves nothing for general equations.
 
     A witness is evaluated from its recipe with no word built, and the
@@ -274,11 +275,9 @@ def spot_check_no_solution(eq, bound, trials, seed=0):
 
     mask = (1 << m) - 1
     for i in range(trials):
-        pattern = i & mask
         assignment = Draws()
-        for j in range(m):
-            assignment[x_var(j)] = draw_element(
-                rng, bound, (pattern >> (m - 1 - j)) & 1)
+        for j, flip in enumerate(c_bits(i & mask, m)):
+            assignment[x_var(j)] = draw_element(rng, bound, flip)
         if eq.lhs_value(assignment, DIHEDRAL_OPS) == rhs:
             return False
     return True

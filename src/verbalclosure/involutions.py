@@ -6,6 +6,9 @@ computes sign characters of C, the rational eigenprojections of elements of
 Q, the eigencomponent lattices, the simplicity test that drives the whole
 retract-or-witness decision, and for a simple element the functional
 whose kernel is an invariant complement of it.
+C is numbered once, by `c_bits` and its inverse `c_index`: element or
+character e has the m bits of e, the first generator's the highest, as its
+exponents or as the places of its -1 signs.
 Every eigenprojection is read from one table, `_eigensplit`, of the integer
 numerators 2^m e_chi.  The decision stays in integers: it solves 2^m times
 a component, an integer vector, in the eigenlattice scaled by 2^m, where its
@@ -63,10 +66,9 @@ class Character:
 
     @property
     def index(self):
-        """Position in `enumerate_characters` order: the signs read as
-        binary digits, -1 as 1, the first generator's the highest."""
-        return sum(1 << j for j, s in enumerate(reversed(self.signs))
-                   if s == -1)
+        """Position in `enumerate_characters` order: the `c_index` of the
+        bits that are 1 where the sign is -1."""
+        return c_index(s == -1 for s in self.signs)
 
     def on_element(self, bits):
         """Value on the element of C given by a generator-exponent bit tuple."""
@@ -81,13 +83,29 @@ class Character:
 
 
 def enumerate_characters(m):
-    """All 2^m characters, lexicographic on sign vectors with +1 before -1."""
+    """All 2^m characters, lexicographic on sign vectors with +1 before -1:
+    character i has sign -1 exactly at the 1-bits of `c_bits(i, m)`."""
     return [Character(signs) for signs in product((1, -1), repeat=m)]
 
 
 def enumerate_group_elements(m):
-    """All elements of C as generator bit tuples, lexicographic with 0 before 1."""
+    """All elements of C as generator bit tuples, lexicographic with 0 before
+    1: element e is `c_bits(e, m)`."""
     return list(product((0, 1), repeat=m))
+
+
+def c_bits(e, m):
+    """Element or character e of C at c-rank m as its m bits, the first
+    generator's first (and the highest bit of e)."""
+    return tuple(e >> (m - 1 - j) & 1 for j in range(m))
+
+
+def c_index(bits):
+    """The inverse of `c_bits`: the number whose bits, first highest, are bits."""
+    i = 0
+    for b in bits:
+        i = i << 1 | b
+    return i
 
 
 @dataclass

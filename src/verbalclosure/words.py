@@ -12,16 +12,19 @@ in every group.
 A witness equation has two forms, each with one representation.  An
 `Equation` (`build_witness_equation`) is the recipe of the paper's witness:
 term i is the tower of the i-th character of C, each element of C spelled
-by its own generator bits (`coset_words_of`), and only c-rank, |T|, the
-filler and the nonzero contents are kept.  `Equation.lhs` builds the DAG
-on each read; `lhs_value` evaluates the live terms level by level, up to
-each term's first identity level; and `serialize_chunks` writes the DAG's
-post-order from the recipe, tower by tower, each level one fill of a
-template made once per element of C.  A `WordEquation`, which
+by the generators at the 1-bits of its `c_bits` (`coset_words_of`), and
+only c-rank, |T|, the filler and the nonzero contents are kept.
+`Equation.lhs` builds the DAG on each read; `lhs_value` evaluates the live
+terms level by level, up to each term's first identity level; and
+`serialize_chunks` writes the DAG's post-order from the recipe, tower by
+tower, each level one fill of a template made once per element of C.  A `WordEquation`, which
 `parse_equation` reads back, holds the DAG and is valued by walking it.
 """
 
 from dataclasses import dataclass, fields as dataclass_fields
+from itertools import compress
+
+from .involutions import c_bits
 
 
 class UnboundGenerator(KeyError):
@@ -282,24 +285,19 @@ def _levels(index, m):
     """(element index, sign) of each skew commutator of the tower of the
     index-th character of C, innermost first: the innermost commutator uses
     the last element of C in the enumeration order, and the sign is the
-    character's value on that element, (-1)^popcount(index & e), as the two
-    indices pair their bits generator by generator (as do the flip patterns
-    and characters of `certify_no_solution`).  The levels are yielded one
-    at a time, so a reader that stops early pays for the levels it read."""
+    character's value on that element, (-1)^popcount(index & e), as both
+    indices number C by `c_bits`.  This is the one place that reads a
+    character's value on an element.  The levels are yielded one at a
+    time, so a reader that stops early pays for the levels it read."""
     return ((e, -1 if (index & e).bit_count() & 1 else 1)
             for e in range((1 << m) - 1, -1, -1))
 
 
-def _coset_word(e, m):
-    """The generator indices spelling element e of C at c-rank m: its own
-    set bits, the first generator's the highest."""
-    return tuple(j for j in range(m) if e >> (m - 1 - j) & 1)
-
-
 def coset_words_of(m):
-    """The coset words of C = G/Q, as `build_v_chi` takes them, by
-    `_coset_word`, so the words depend on the c-rank m alone."""
-    return [_coset_word(e, m) for e in range(1 << m)]
+    """The coset words of C = G/Q, as `build_v_chi` takes them: element e
+    is spelled by the generators at the 1-bits of `c_bits(e, m)`, so the
+    words depend on the c-rank m alone."""
+    return [tuple(compress(range(m), c_bits(e, m))) for e in range(1 << m)]
 
 
 def _tower(index, m, c_exprs, body):
@@ -405,7 +403,8 @@ class Equation:
 
         Each x is read once; each of the `live_terms` reads its y, forms its
         y-block, then body * c * body^sign * c^-1 per `_levels` entry, then
-        its power.  A coset word's value and inverse are kept from the level
+        its power.  A coset word's value, the product of the x's at the
+        1-bits of `c_bits(i, m)`, and its inverse are kept from the level
         that first reads them.  A term stops at its first identity body, as
         1 * c * 1 * c^-1 = 1: over D-infinity a tower whose character misses
         the x's flips dies within a few levels, while in G the towers of a
@@ -427,8 +426,8 @@ class Equation:
                 pair = cosets.get(i)
                 if pair is None:
                     c = identity
-                    for j in _coset_word(i, m):
-                        c = mul(c, xs[j])
+                    for x in compress(xs, c_bits(i, m)):
+                        c = mul(c, x)
                     pair = cosets[i] = (c, inv(c))
                 c, c_inv = pair
                 body = mul(mul(mul(body, c), body if sign == 1 else inv(body)),

@@ -1030,16 +1030,19 @@ def test_c_rank_22_witness_holds_no_table_of_its_characters(monkeypatch):
     assert eq.c_rank == 22 and len(eq.contents) == n
     assert len(cert.listed) == n and cert.remainder == (1 << 22) - n
     assert len(repr(eq)) < 2000
-    # with filler 0 each value reads the levels of the live towers only;
-    # the x's and the live y's are the identity, so each stops at once
+    # with filler 0 each value reads the levels of the live towers only (a
+    # dead tower's y is unassigned, and reading it raises).  The x's are
+    # the identity and each live y is a, nonzero in all n coordinates:
+    # `lhs_value` reads one tower per live term, the closed form one
+    # `_levels` per live term and coordinate, and each stops at once
     levels = [count_calls(monkeypatch, module, "_levels")
               for module in (words, ambient)]
     group = spec.group
     assignment = {x_var(j): group.identity for j in range(eq.c_rank)}
-    assignment.update((y_var(ci), group.identity) for ci in eq.contents)
+    assignment.update((y_var(ci), spec.h_a) for ci in eq.contents)
     assert eq.lhs_value(assignment, group.ops) == group.identity
     assert lhs_value_in_closed_form(eq, assignment, spec) == group.identity
-    assert [len(calls) for calls in levels] == [n, n]
+    assert [len(calls) for calls in levels] == [n, n * n]
 
 
 def test_closed_form_at_c_rank_16_is_quick(monkeypatch):

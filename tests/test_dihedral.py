@@ -36,7 +36,10 @@ from verbalclosure.dihedral import (
 from verbalclosure.involutions import (
     Character,
     InvolutionModule,
+    c_bits,
+    c_index,
     enumerate_characters,
+    enumerate_group_elements,
 )
 from verbalclosure.lattice import AbelianPresentation
 from verbalclosure.words import (
@@ -44,6 +47,7 @@ from verbalclosure.words import (
     Gen,
     build_v_chi,
     build_witness_equation,
+    coset_words_of,
     evaluate,
     parse_equation,
     serialize_equation,
@@ -257,6 +261,53 @@ def test_certificate_rejects_unit_exponent():
     eq.filler = 1
     with pytest.raises(InvalidEquation):
         certify_no_solution(eq)
+
+
+def test_a_zero_content_takes_the_filler_in_the_certificate():
+    # a zero entry of `contents` is not a row of effective exponent 0: its
+    # term has the filler as exponent, as in `used_exponent`, `lhs_value`
+    # and the written file.  With a unit filler the equation is solvable
+    eq = Equation(c_rank=1, torsion_order=1, filler=1, contents={0: 0, 1: 0})
+    assert [eq.used_exponent(i) for i in range(2)] == [1, 1]
+    assert not spot_check_no_solution(eq, 10, 200)
+    with pytest.raises(InvalidEquation):
+        certify_no_solution(eq)
+    eq = Equation(c_rank=1, torsion_order=1, filler=2, contents={1: 0})
+    cert = certify_no_solution(eq)
+    assert cert.is_valid()
+    assert (cert.listed, cert.remainder, eq.used_exponent(1)) == ([], 2, 2)
+    assert cert.to_table() == (
+        "every other delta (2)  values in <a^16>  obstruction: a^8 not in "
+        "<a^16> since 2*l = 1 has no integer solution")
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_every_reader_numbers_c_by_c_bits(monkeypatch, m):
+    # elements, characters, coset words, certificate rows and the spot
+    # check's flip patterns all number C by c_bits and c_index
+    size = 1 << m
+    elements = enumerate_group_elements(m)
+    characters = enumerate_characters(m)
+    coset_words = coset_words_of(m)
+    for e in range(size):
+        bits = c_bits(e, m)
+        assert len(bits) == m and c_index(bits) == e
+        assert elements[e] == bits
+        assert characters[e].index == e
+        assert characters[e].signs == tuple(-1 if b else 1 for b in bits)
+        assert coset_words[e] == tuple(j for j in range(m) if bits[j])
+    eq = Equation(c_rank=m, torsion_order=1, filler=0,
+                  contents=dict.fromkeys(range(size), 2))
+    assert [row.delta for row in certify_no_solution(eq).listed] == [
+        c_bits(i, m) for i in range(size)]
+    # with no content and the filler 0 the left-hand side is 1, so every
+    # trial runs and draws its m flips, then no y
+    trials = 2 * size + 3
+    calls = count_calls(monkeypatch, dihedral, "draw_element")
+    empty = Equation(c_rank=m, torsion_order=1, filler=0, contents={})
+    assert spot_check_no_solution(empty, bound=10, trials=trials)
+    flips = [args[2] for args in calls]
+    assert flips == [b for i in range(trials) for b in c_bits(i % size, m)]
 
 
 def test_certificate_reprs_print_long_exponents_by_bit_length():

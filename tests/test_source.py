@@ -86,3 +86,27 @@ def test_only_words_reads_private_attributes_of_an_equation():
              if isinstance(node, ast.Attribute) and _private(node.attr)
              and (node.attr in private or an_equation(node.value))]
     assert found == []
+
+
+def test_only_involutions_writes_the_bit_order_of_c():
+    # C is numbered once, by involutions.c_bits and c_index: no other module
+    # shifts by m - 1 or counts down from m - 1, and only words._levels
+    # reads a character's value on an element, by a popcount
+    def m_minus_1(node):
+        return any(ast.unparse(n) == "m - 1" for n in ast.walk(node))
+
+    found = []
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            if name != "involutions.py" and (
+                    isinstance(node, ast.BinOp)
+                    and isinstance(node.op, (ast.LShift, ast.RShift))
+                    and m_minus_1(node.right)
+                    or isinstance(node, ast.Call)
+                    and ast.unparse(node) == "range(m - 1, -1, -1)"):
+                found.append(f"{name}:{node.lineno} {ast.unparse(node)}")
+            if (name != "words.py" and isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "bit_count"):
+                found.append(f"{name}:{node.lineno} {ast.unparse(node)}")
+    assert found == []
