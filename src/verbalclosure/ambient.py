@@ -23,7 +23,7 @@ from .dihedral import (
     draw_element,
 )
 from .involutions import Character, InvolutionModule, c_index
-from .lattice import AbelianPresentation, kernel_basis
+from .lattice import AbelianPresentation, eye, kernel_basis
 from .words import (
     Equation,
     GroupOps,
@@ -460,23 +460,27 @@ def square_data(spec):
     odd cyclic factors are entirely inside Q and contribute a torsion
     relation but no quotient generator.  G is a direct product, so a
     quotient generator of factor j acts on coordinate j only: its action
-    matrix is diagonal with 1 elsewhere, and entry (j, j) is computed by
-    factor j's own arithmetic, by conjugating its square.  An entry matters
-    only modulo the coordinate's order, so a trivial coordinate (ZedMod(1),
-    ZedMod(2)) gets 1, and every action squares to I exactly.
+    matrix is the identity but for entry (j, j), computed by factor j's own
+    arithmetic, by conjugating its square.  An entry matters only modulo
+    the coordinate's order, so a trivial coordinate (ZedMod(1), ZedMod(2))
+    gets 1.  Conjugation fixes or inverts a factor's square, so every entry
+    is +-1, every action is +-1-diagonal and the module is proven with O(n m) checks, no product and no relation
+    membership test (`InvolutionModule._validate`).  The actions share the
+    identity's rows but for row j; the module copies every row.
     """
     factors = spec.factors
     n = len(factors)
+    ident = eye(n)
     relations = []
     c_names = []
     actions = []
     for j, f in enumerate(factors):
         for letter in f.quotient_letters:
-            diagonal = [1] * n
+            action = list(ident)
             if f.q_order != 1:
-                diagonal[j] = _action_entry(f, f.generator(letter))
-            actions.append([[x if i == l else 0 for l in range(n)]
-                            for i, x in enumerate(diagonal)])
+                action[j] = [0] * n
+                action[j][j] = _action_entry(f, f.generator(letter))
+            actions.append(action)
             c_names.append(f"{letter}{j + 1}")
         if f.q_order is not None:
             row = [0] * n

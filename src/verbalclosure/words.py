@@ -381,11 +381,11 @@ class Equation:
 
     def live_terms(self):
         """(character index, exponent) of each term with a nonzero exponent,
-        in index order: the entries of `contents` when the filler is 0,
-        else every term."""
+        in index order: the nonzero entries of `contents` when the filler is
+        0, else every term."""
         if self.filler:
             return ((ci, self.used_exponent(ci)) for ci in range(self.c_size))
-        return sorted(self.contents.items())
+        return sorted((ci, e) for ci, e in self.contents.items() if e)
 
     @property
     def lhs(self):

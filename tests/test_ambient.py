@@ -70,6 +70,7 @@ from util import (
     dag_nodes,
     randint_element,
     reference_verify_retraction,
+    validation_products,
 )
 
 
@@ -299,16 +300,20 @@ def test_action_matrices_match_conjugation():
                 assert [*compress(got, exact)] == [*compress(col, exact)]
 
 
-def test_trivial_coordinates_validate_exactly(monkeypatch):
-    # every action squares to I as an integer matrix, so validation tests
-    # only that each action preserves each relation: one membership test
-    # per action per relation, with a trivial coordinate as with ZedMod(4)
-    calls = count_calls(monkeypatch, AbelianPresentation, "in_relation_lattice")
-    for last in (ZedMod(2), ZedMod(4)):
-        calls.clear()
-        square_data(validate_spec(GroupSpec([DInf(), DInf(), last],
-                                            "b1*b2", "a1^3*a2^5")))
-        assert len(calls) == 5, last
+def test_square_data_validates_without_products_or_membership(monkeypatch):
+    # every action is +-1-diagonal, so it squares to I and commutes with
+    # the others exactly, and it is constant on each relation's support:
+    # validation makes no product and no membership test, with a trivial
+    # coordinate (ZedMod(2)) as with a nontrivial one (ZedMod(4))
+    members = count_calls(monkeypatch, AbelianPresentation, "in_relation_lattice")
+    products = validation_products(monkeypatch)
+    specs = [validate_spec(GroupSpec([DInf(), DInf(), last], "b1*b2",
+                                     "a1^3*a2^5"))
+             for last in (ZedMod(2), ZedMod(4))]
+    for spec in specs + [all_factor_types_spec()]:
+        assert square_data(spec).module.c_rank == sum(
+            len(f.quotient_letters) for f in spec.factors)
+    assert (members, products) == ([], [])
 
 
 def test_square_data_and_g_solution_make_no_ambient_products(monkeypatch):
@@ -543,6 +548,20 @@ def test_retract_at_c_rank_64_decides_quickly():
     assert rho.functional == (1,) + (0,) * 31
     assert rho.torsion_invariants == [2] * 62
     assert elapsed < 5.0, elapsed
+
+
+def test_many_factor_retract_is_proven_without_products(monkeypatch):
+    # DInf and 60 Zed: 61 coordinates and c_rank 62.  The module's laws
+    # are read off its +-1 diagonals, with no product and no membership
+    # test, and the retraction fixes a and b
+    members = count_calls(monkeypatch, AbelianPresentation, "in_relation_lattice")
+    products = validation_products(monkeypatch)
+    spec = validate_spec(GroupSpec([DInf()] + [Zed()] * 60, "b1", "a1"))
+    verdict = analyze(spec)
+    assert verdict.is_retract and verdict.data.c_rank == 62
+    rho = verdict.retraction
+    assert rho.apply(spec.h_a) == spec.h_a and rho.apply(spec.h_b) == spec.h_b
+    assert (members, products) == ([], [])
 
 
 def test_analyze_makes_no_fraction_on_integer_specs(monkeypatch):
@@ -984,6 +1003,26 @@ def test_closed_form_evaluates_a_given_lhs():
     assert verify_solution_closed_form(given, verdict.solution, spec)
     all_identity = {name: spec.group.identity for name in eq.variables()}
     assert not verify_solution_closed_form(given, all_identity, spec)
+
+
+def test_a_zero_content_under_filler_0_is_a_dead_term():
+    # with filler 0, a zero entry of `contents` gives its term the exponent
+    # 0: it is no live term, so no valuation reads its variables, and the
+    # equation has the value of the one without the entry
+    spec = GroupSpec([Zed()], "t1", "t1")
+    eq = Equation(c_rank=1, torsion_order=1, filler=0, contents={1: 0})
+    assert list(eq.live_terms()) == [] and eq.used_exponent(1) == 0
+    ops = spec.group.ops
+    assert eq.lhs_value({}, ops) == spec.group.identity
+    assert lhs_value_in_closed_form(eq, {}, spec) == spec.group.identity
+    live = Equation(c_rank=1, torsion_order=1, filler=0, contents={0: 3, 1: 0})
+    alone = Equation(c_rank=1, torsion_order=1, filler=0, contents={0: 3})
+    assert list(live.live_terms()) == [(0, 3)]
+    assignment = {x_var(0): (1,), y_var(0): (5,)}
+    value = alone.lhs_value(assignment, ops)
+    assert value != spec.group.identity
+    assert live.lhs_value(assignment, ops) == value
+    assert lhs_value_in_closed_form(live, assignment, spec) == value
 
 
 def test_a_parsed_equation_is_valued_from_its_dag_not_its_header():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -10,6 +11,7 @@ from util import (
     count_calls,
     random_decomposable_module,
     random_module,
+    validation_products,
 )
 
 from verbalclosure.ambient import (
@@ -30,6 +32,7 @@ from verbalclosure.involutions import (
     factor_through,
     project,
     project_via_epimorphism,
+    _gf2_rank,
 )
 from verbalclosure.lattice import (
     AbelianPresentation,
@@ -430,6 +433,103 @@ def test_validation_rejects_torsion_only_mismatch():
         InvolutionModule(pres, [[[1, 0], [0, 2]]])
 
 
+def _sign_diagonal_by_entries(A):
+    """Whether A is diagonal with entries +-1, entry by entry."""
+    return all(x == 0 if i != j else x in (1, -1)
+               for i, row in enumerate(A) for j, x in enumerate(row))
+
+
+def test_validation_tests_a_general_action_once_per_relation(monkeypatch):
+    # Z^3 / <(2, 2, 0), (0, 0, 4)> with the swap of the first two
+    # coordinates and diag(1, 1, -1): the swap, which is not diagonal, is
+    # tested once per relation and squared; the diagonal action is constant
+    # on each relation's support and needs neither.  Every law holds
+    # exactly, so no difference reaches a membership test
+    members = count_calls(monkeypatch, AbelianPresentation, "in_relation_lattice")
+    products = validation_products(monkeypatch)
+    pres = AbelianPresentation(3, [(2, 2, 0), (0, 0, 4)])
+    swap = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+    sign = [[1, 0, 0], [0, 1, 0], [0, 0, -1]]
+    InvolutionModule(pres, [swap, sign])
+    assert [args[1:] for args in members] == [((2, 2, 0),), ((0, 0, 4),)]
+    assert products == [(swap, swap), (swap, sign), (sign, swap)]
+
+
+def test_mixed_signs_on_a_relation_take_the_membership_test(monkeypatch):
+    # diag(1, -1) is a +-1-diagonal action, but it is not constant on the
+    # support of (2, 2): the image (2, -2) must be tested, and it lies
+    # outside <(2, 2)> while (0, 4) brings it into the lattice
+    members = count_calls(monkeypatch, AbelianPresentation, "in_relation_lattice")
+    products = validation_products(monkeypatch)
+    action = [[1, 0], [0, -1]]
+    with pytest.raises(ValueError, match="does not preserve the relations"):
+        InvolutionModule(AbelianPresentation(2, [(2, 2)]), [action])
+    assert [args[1:] for args in members] == [((2, -2),)]
+    members.clear()
+    mod = InvolutionModule(AbelianPresentation(2, [(2, 2), (0, 4)]), [action])
+    assert [args[1:] for args in members] == [((2, -2),)]
+    assert products == [] and mod.group.torsion_order == 8
+
+
+def test_a_diagonal_action_with_another_entry_takes_the_general_path(monkeypatch):
+    # diag(1, 3) on Z + Z/4 is diagonal but not +-1: it is squared, and
+    # A^2 - I has the column (0, 8) in the relation lattice
+    products = validation_products(monkeypatch)
+    members = count_calls(monkeypatch, AbelianPresentation, "in_relation_lattice")
+    A = [[1, 0], [0, 3]]
+    mod = InvolutionModule(AbelianPresentation(2, [(0, 4)]), [A])
+    assert products == [(A, A)]
+    assert [args[1:] for args in members] == [((0, 12),), ((0, 8),)]
+    assert mod.free_actions == [[[1]]]
+
+
+def test_a_sign_diagonal_with_an_off_diagonal_entry_is_not_skipped():
+    # [[1, 1], [0, 1]] has the diagonal of the identity, but squares to
+    # [[1, 2], [0, 1]]; [[-1, 0], [2, 1]] is an involution that does not
+    # commute with diag(1, -1)
+    pres = AbelianPresentation(2, [])
+    with pytest.raises(ValueError, match="not an involution"):
+        InvolutionModule(pres, [[[1, 1], [0, 1]]])
+    with pytest.raises(ValueError, match="do not commute"):
+        InvolutionModule(pres, [[[1, 0], [0, -1]], [[-1, 0], [2, 1]]])
+
+
+def test_criteria_modules_run_the_general_products(monkeypatch):
+    # the modules of acceptance criteria 1 and 2 (the swap), 5 and 6 (the
+    # same generators and draws): each action that is not +-1-diagonal is
+    # squared, and each pair with one such action multiplied both ways, and
+    # every criterion has modules that take this path
+    products = validation_products(monkeypatch)
+    general = {1: 0, 5: 0, 6: 0}
+
+    def check(criterion, mod):
+        diagonal = [_sign_diagonal_by_entries(A) for A in mod.actions]
+        pairs = sum(not (d and e) for d, e in combinations(diagonal, 2))
+        assert len(products) == diagonal.count(False) + 2 * pairs
+        general[criterion] += bool(products)
+        products.clear()
+        return mod
+
+    check(1, swap_module())
+    rng = random.Random(55)
+    for _ in range(100):
+        mod = check(5, random_module(rng))
+        [rng.randint(-5, 5) for _ in range(mod.group.rank)]  # q's draws
+    rng = random.Random(66)
+    surjective = 0
+    while surjective < 100:
+        m, m_hat = rng.choice([(2, 1), (3, 2)])
+        mod = check(6, random_decomposable_module(
+            rng, m=m_hat, free_rank=rng.randint(1, 3)))
+        phi = [tuple(rng.randint(0, 1) for _ in range(m_hat))
+               for _ in range(m)]
+        if _gf2_rank([list(b) for b in phi]) != m_hat:
+            continue
+        surjective += 1
+        [rng.randint(-5, 5) for _ in range(mod.group.rank)]  # q's draws
+    assert general == {1: 1, 5: 38, 6: 37}
+
+
 def test_project_via_epimorphism_matches_components():
     rng = random.Random(31)
     checked = 0
@@ -441,8 +541,6 @@ def test_project_via_epimorphism_matches_components():
         while True:
             phi = [tuple(rng.randint(0, 1) for _ in range(m_hat))
                    for _ in range(m)]
-            from verbalclosure.involutions import _gf2_rank
-
             if _gf2_rank([list(b) for b in phi]) == m_hat:
                 break
         n = mod.group.rank

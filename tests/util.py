@@ -1,8 +1,9 @@
 """Shared test helpers: random module generators, a semidirect product
 group for evaluating words against direct module arithmetic, a DAG node
-counter, the letter-by-letter flattening of a small word, a call counter,
-the canonical coset words, the closed-form value of a tower over the
-infinite dihedral group, the witness steps of `analyze`, reference
+counter, the letter-by-letter flattening of a small word, a call counter
+and a counter of module validation's products, the canonical coset words,
+the closed-form value of a tower over the infinite dihedral group, the
+witness steps of `analyze`, reference
 builders of a witness's full component and certificate tables, the
 randint draw of a factor's random element, the retraction sampler
 that compares whole elements of G, and the benchmark's `check` specs."""
@@ -13,6 +14,7 @@ import random
 import sys
 from math import gcd
 
+from verbalclosure import involutions
 from verbalclosure.ambient import (
     DInf,
     Zed,
@@ -236,6 +238,32 @@ def count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def validation_products(monkeypatch):
+    """Count, for the rest of the test, the matrix products that
+    `InvolutionModule._validate` makes; returns the list that each `mat_mul`
+    call inside it appends its two arguments to."""
+    products = []
+    validating = []
+    validate = InvolutionModule._validate
+    product = involutions.mat_mul
+
+    def counted_validate(self):
+        validating.append(self)
+        try:
+            return validate(self)
+        finally:
+            validating.pop()
+
+    def counted_product(A, B):
+        if validating:
+            products.append((A, B))
+        return product(A, B)
+
+    monkeypatch.setattr(InvolutionModule, "_validate", counted_validate)
+    monkeypatch.setattr(involutions, "mat_mul", counted_product)
+    return products
 
 
 def witness_equation(spec, filler=0):
