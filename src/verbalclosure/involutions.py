@@ -18,7 +18,7 @@ scaled lattice's generators over 2^m.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, compress, product, repeat
+from itertools import combinations, product, repeat
 from math import gcd
 from operator import mul
 
@@ -155,22 +155,26 @@ class InvolutionModule:
     """
 
     def __init__(self, group: AbelianPresentation, actions, check=True):
+        """Copy the actions, prove the module laws unless check is false,
+        and build the induced actions on the free quotient, where the
+        involutions commute exactly and all projection algebra happens.
+
+        The free action of A is proj A lift = I + proj (A - I) lift, as
+        proj lift = I exactly: it is read off the rows of A that differ
+        from the identity's, each adding one column of proj times its row
+        of (A - I) lift.  A spec-built action differs from I in at most one
+        row, so its free action costs that row's nonzero entries and no
+        product.  The free actions (`_free`) and the `_eigensplit` entries
+        are kept as sparse rows (`_identity`).
+        """
         self.group = group
         self.actions = [[list(row) for row in A] for A in actions]
         self.c_rank = len(actions)
         if check:
             self._validate()
-        # induced action on the free quotient, where the involutions commute
-        # exactly and all projection algebra happens
-        f = group.free_rank
-        n = group.rank
-        proj = group._proj
-        lift = group._lift
-        self.free_actions = []
-        for A in self.actions:
-            AG = mat_mul(A, lift) if n else []
-            self.free_actions.append(mat_mul(proj, AG) if f else [])
-        self._split = _eigensplit(self.free_actions, f)
+        identity = _identity(group.free_rank)
+        self._free = [_free_action(group, A, identity) for A in self.actions]
+        self._split = _eigensplit(self._free, group.free_rank)
         self._lattices = {}  # signs -> eigenlattice scaled by 2^m
 
     # -- validation ---------------------------------------------------------
@@ -231,10 +235,14 @@ class InvolutionModule:
 
     def element_matrix(self, bits):
         """Induced free-coordinate matrix of the element of C given by bits."""
-        M = eye(self.group.free_rank)
-        for A, b in zip(self.free_actions, bits):
+        return _dense(self._element_rows(bits), self.group.free_rank)
+
+    def _element_rows(self, bits):
+        """`element_matrix` as sparse rows (`_identity`)."""
+        M = _identity(self.group.free_rank)
+        for F, b in zip(self._free, bits):
             if b:
-                M = mat_mul(M, A)
+                M = {i: _row_times(row, F) for i, row in M.items()}
         return M
 
     def project_free(self, q, chi):
@@ -256,9 +264,10 @@ class InvolutionModule:
         unscaled lattice, which `eigenlattice_free` builds from these
         generators over 2^m."""
         if signs not in self._lattices:
-            M = self._split.get(signs)
-            gens = (list(zip(*mat_mul(M, self.group._proj))) if M is not None
-                    else [(0,) * self.group.free_rank] * self.group.rank)
+            f = self.group.free_rank
+            M = _dense(self._split.get(signs, {}), f)
+            gens = (list(zip(*mat_mul(M, self.group._proj))) if f
+                    else [()] * self.group.rank)
             self._lattices[signs] = Lattice.from_generators(gens)
         return self._lattices[signs]
 
@@ -292,7 +301,7 @@ class InvolutionModule:
         fq = self.group.free_coordinates(q)
         nonzero = {}
         for signs, M in self._split.items():
-            w = mat_vec(M, fq)
+            w = _apply(M, fq)
             if not any(w):
                 continue
             chi = Character(signs)
@@ -361,9 +370,9 @@ class InvolutionModule:
         fq = self.group.free_coordinates(q)
         total = [0] * len(fq)
         for signs, M in self._split.items():
-            w = mat_vec(M, fq)
-            for A, s in zip(self.free_actions, signs):
-                if mat_vec(A, w) != tuple(s * x for x in w):
+            w = _apply(M, fq)
+            for F, s in zip(self._free, signs):
+                if _apply(F, w) != tuple(s * x for x in w):
                     return False
             total = [a + b for a, b in zip(total, w)]
         return total == [x << self.c_rank for x in fq]
@@ -388,7 +397,7 @@ def project_via_epimorphism(target_module, phi, q, chi):
     if _gf2_rank([list(bits) for bits in phi]) != target_module.c_rank:
         raise NotEpimorphism("generator images do not span the target group")
     group = target_module.group
-    split = _eigensplit([target_module.element_matrix(bits) for bits in phi],
+    split = _eigensplit([target_module._element_rows(bits) for bits in phi],
                         group.free_rank)
     return group.lift_free(_component(split, chi.signs,
                                       group.free_coordinates(q)))
@@ -414,50 +423,119 @@ def _equal_on(group, X, Y):
                for d in map(vec_sub, zip(*X), zip(*Y)) if any(d))
 
 
-def _eigensplit(matrices, f):
+def _eigensplit(actions, f):
     """The table {signs: prod_j (I + s_j A_j) = 2^m e_chi} of f x f integer
     matrices for commuting involutions A_1..A_m, for exactly the characters
-    with a nonzero eigenspace, in `enumerate_characters` order.
+    with a nonzero eigenspace, in `enumerate_characters` order.  Matrices
+    in and out are sparse rows (`_identity`).
 
-    Level j maps each matrix M of level j - 1 to (I + A_j) M and (I - A_j) M
-    and drops the zero ones.  A nonzero entry is 2^j times the projector onto
-    a joint eigenspace of A_1..A_j, so a level has at most f entries and the
-    table costs at most f * m matrix products.  A child's row is computed
-    only where the row of M or of A_j M is nonzero, and from the nonzero
-    entries of A_j M's row; every other row is a fresh zero row.  For
-    diagonal actions every entry is diagonal too, so a row costs one copy
-    and at most one addition, and the rows outside an entry's eigenspace
-    are zero.
+    Level j maps each entry M of level j - 1 to M (I + A_j) and M (I - A_j)
+    and drops the zero ones.  M is a polynomial in A_1..A_{j-1}, which
+    commute exactly with A_j, so M (I +- A_j) = (I +- A_j) M.  A child's
+    row is row +- row A_j, formed over row's nonzero entries; a zero row
+    of M stays zero, so a level only ever touches its parents' nonzero
+    rows, and no level is ever dense.  A nonzero entry is 2^j times the
+    projector onto a joint eigenspace of A_1..A_j, so a level has at most
+    f entries.  For diagonal actions every entry is diagonal and each row
+    lies in one entry, so a level touches f rows, each at the cost of one
+    entry.
     """
-    level = {(): eye(f)} if f else {}
-    cols = range(f)
-    for A in matrices:
+    level = {(): _identity(f)} if f else {}
+    for A in actions:
         split = {}
         for signs, M in level.items():
-            plus, minus = [], []
-            for row, arow in zip(M, mat_mul(A, M)):
-                if any(row) or any(arow):
-                    p, q = list(row), list(row)
-                    for j in compress(cols, arow):
-                        p[j] += arow[j]
-                        q[j] -= arow[j]
-                else:
-                    p, q = [0] * f, [0] * f
-                plus.append(p)
-                minus.append(q)
+            plus, minus = {}, {}
+            for i, row in M.items():
+                moved = _row_times(row, A)
+                p, q = _combine(row, moved, 1), _combine(row, moved, -1)
+                if p:
+                    plus[i] = p
+                if q:
+                    minus[i] = q
             for s, child in ((1, plus), (-1, minus)):
-                if any(map(any, child)):
+                if child:
                     split[signs + (s,)] = child
         level = split
     return level
+
+
+def _identity(f):
+    """The f x f identity as sparse rows: a dict from the index of each
+    nonzero row to that row as a dict from column to nonzero entry."""
+    return {i: {i: 1} for i in range(f)}
+
+
+def _sparse_row(v):
+    """The nonzero entries of a vector, as a dict from their positions."""
+    return {j: x for j, x in enumerate(v) if x}
+
+
+def _dense(S, f):
+    """The f x f list-of-lists matrix with the sparse rows S."""
+    out = [[0] * f for _ in range(f)]
+    for i, row in S.items():
+        for j, x in row.items():
+            out[i][j] = x
+    return out
+
+
+def _row_times(row, S):
+    """The sparse row vector row S, over the nonzero entries of row."""
+    out = {}
+    for k, x in row.items():
+        for j, y in S.get(k, {}).items():
+            out[j] = out.get(j, 0) + x * y
+    return {j: x for j, x in out.items() if x}
+
+
+def _combine(row, other, s):
+    """The sparse row row + s other, for s nonzero and other with no zero
+    entry."""
+    out = dict(row)
+    for j, y in other.items():
+        x = out.get(j, 0) + s * y
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    return out
+
+
+def _apply(S, v):
+    """S v for the sparse rows S of a square matrix of v's size."""
+    return tuple(sum(x * v[j] for j, x in S[i].items()) if i in S else 0
+                 for i in range(len(v)))
+
+
+def _free_action(group, A, identity):
+    """The action of the ambient matrix A on the free quotient as sparse
+    rows: I + proj (A - I) lift, summed over the rows k of A that differ
+    from the identity's, row k adding column k of proj times the row
+    (A - I)_k lift.  Every other row is the row of `identity`, the sparse
+    f x f identity, shared: sparse rows are never written in place."""
+    n = group.rank
+    F = dict(identity)
+    for k, row in enumerate(A):
+        if row[k] == 1 and row.count(0) == n - 1:
+            continue
+        d = list(row)
+        d[k] -= 1
+        moved = {}  # (A - I)_k lift
+        for l, x in _sparse_row(d).items():
+            moved = _combine(moved, _sparse_row(group._lift[l]), x)
+        if not moved:
+            continue
+        for i, p in enumerate(group._proj):
+            if p[k]:
+                F[i] = _combine(F[i], moved, p[k])
+    return {i: row for i, row in F.items() if row}
 
 
 def _numerator(split, signs, fq):
     """2^m times the eigencomponent of a free-coordinate vector at the
     character with these signs: its `_eigensplit` entry applied (zero when
     the character is absent)."""
-    M = split.get(signs)
-    return mat_vec(M, fq) if M is not None else (0,) * len(fq)
+    return _apply(split.get(signs, {}), fq)
 
 
 def _component(split, signs, fq):

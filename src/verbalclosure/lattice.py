@@ -19,7 +19,8 @@ dividing a lattice's generators by an integer keeps their coordinates.
 """
 
 from fractions import Fraction
-from itertools import compress
+from functools import cached_property
+from itertools import compress, islice
 from math import gcd, lcm
 from operator import mul
 
@@ -96,8 +97,11 @@ def smith_normal_form(M):
       unimodular (determinant +-1), D diagonal with non-negative entries
       satisfying the divisibility chain d1 | d2 | ...
 
-    The pivot at each step is an entry of smallest absolute value in the
-    remaining block, which keeps intermediate coefficients moderate.
+    The pivot at each step is the first entry of smallest absolute value
+    in the remaining block, in row-major order, which keeps intermediate
+    coefficients moderate.  The search ends at the first +-1, which no
+    entry beats, and a unit pivot divides every entry, so it needs no
+    divisibility scan.
     """
     r = len(M)
     c = len(M[0]) if r else 0
@@ -128,11 +132,7 @@ def smith_normal_form(M):
     t = 0
     while t < min(r, c):
         # move a smallest nonzero entry of the remaining block to (t, t)
-        piv = None
-        for i in range(t, r):
-            for j in range(t, c):
-                if A[i][j] != 0 and (piv is None or abs(A[i][j]) < abs(A[piv[0]][piv[1]])):
-                    piv = (i, j)
+        piv = _pivot(A, t)
         if piv is None:
             break
         if piv[0] != t:
@@ -158,6 +158,8 @@ def smith_normal_form(M):
             # pivot must divide every entry of the remaining block
             bad = None
             p = A[t][t]
+            if p in (1, -1):
+                break
             for i in range(t + 1, r):
                 for j in range(t + 1, c):
                     if A[i][j] % p != 0:
@@ -177,6 +179,27 @@ def smith_normal_form(M):
     return U, A, V
 
 
+def _pivot(A, t):
+    """The first entry of least nonzero absolute value in the block of A
+    from (t, t), in row-major order, as (i, j), or None when the block is
+    zero.  Rows t and below are zero left of column t, so a row that is
+    zero in the block is skipped whole.  The search ends at the first +-1,
+    which no entry beats."""
+    piv, least = None, 0
+    cols = range(t, len(A[0]))
+    for i in range(t, len(A)):
+        row = A[i]
+        if not any(row):
+            continue
+        for j in compress(cols, islice(row, t, None)):
+            x = abs(row[j])
+            if not least or x < least:
+                piv, least = (i, j), x
+                if x == 1:
+                    return piv
+    return piv
+
+
 def snf_diagonal(D):
     return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
 
@@ -187,7 +210,8 @@ def mat_inv(A):
 
     Raises ValueError if the matrix is singular.  Entries of the result are
     ints when they happen to be integral; for unimodular input every
-    invariant factor is 1 and the inverse is the integer product V U.
+    invariant factor is 1, so l = 1 and the inverse is the integer product
+    V U.
     """
     U, D, V = smith_normal_form(A)
     diag = snf_diagonal(D)
@@ -226,11 +250,11 @@ class Lattice:
     """A finitely generated subgroup of a rational vector space.
 
     A lattice keeps its generators, a Z-basis of their span (tuples of ints
-    and Fractions, linearly independent over the rationals) and the Smith
-    form U R V = D of the integer rows R = denom Mg of its generators Mg.
-    That form is the only elimination a lattice runs: basis coordinates,
-    content and integer membership over the generators are all read off it
-    by one solve.
+    and Fractions, linearly independent over the rationals, built on first
+    read for a lattice from generators) and the Smith form U R V = D of the
+    integer rows R = denom Mg of its generators Mg.  That form is the only
+    elimination a lattice runs: basis coordinates, content and integer
+    membership over the generators are all read off it by one solve.
     """
 
     def __init__(self, basis):
@@ -250,15 +274,21 @@ class Lattice:
         U R = D V^-1 at the nonzero invariant factors, over denom, are that
         basis B.  Then I (denom B) V = D over the rank, so the one Smith
         form of the generators is that of the basis too, and its s are
-        basis coordinates.  `dim` is not read; the benchmark's tracer
-        passes it.
+        basis coordinates.  The basis is built on its first read: the
+        solves read only the Smith form.  `dim` is not read; the
+        benchmark's tracer passes it.
         """
         L = cls.__new__(cls)
         L._eliminate(generators)
-        L.basis = [tuple(_ratio(x, L._denom) for x in row)
-                   for row in mat_mul(L._u[:L.rank], L._rows)]
         L._to_basis = None  # c B = v reads c = s
         return L
+
+    @cached_property
+    def basis(self):
+        """The rows of U R at the nonzero invariant factors, over denom;
+        a lattice built from a basis stores that basis here instead."""
+        return [tuple(_ratio(x, self._denom) for x in row)
+                for row in mat_mul(self._u[:self.rank], self._rows)]
 
     def _eliminate(self, generators):
         """Keep the generators, their integer rows R = denom Mg and the

@@ -66,11 +66,11 @@ from verbalclosure.words import (
 
 from util import (
     check_workload_specs,
+    construction_products,
     count_calls,
     dag_nodes,
     randint_element,
     reference_verify_retraction,
-    validation_products,
 )
 
 
@@ -304,9 +304,11 @@ def test_square_data_validates_without_products_or_membership(monkeypatch):
     # every action is +-1-diagonal, so it squares to I and commutes with
     # the others exactly, and it is constant on each relation's support:
     # validation makes no product and no membership test, with a trivial
-    # coordinate (ZedMod(2)) as with a nontrivial one (ZedMod(4))
+    # coordinate (ZedMod(2)) as with a nontrivial one (ZedMod(4)).  The
+    # free actions and the eigensplit are read off the actions' rows, so
+    # building the module makes no product either
     members = count_calls(monkeypatch, AbelianPresentation, "in_relation_lattice")
-    products = validation_products(monkeypatch)
+    products = construction_products(monkeypatch)
     specs = [validate_spec(GroupSpec([DInf(), DInf(), last], "b1*b2",
                                      "a1^3*a2^5"))
              for last in (ZedMod(2), ZedMod(4))]
@@ -553,9 +555,10 @@ def test_retract_at_c_rank_64_decides_quickly():
 def test_many_factor_retract_is_proven_without_products(monkeypatch):
     # DInf and 60 Zed: 61 coordinates and c_rank 62.  The module's laws
     # are read off its +-1 diagonals, with no product and no membership
-    # test, and the retraction fixes a and b
+    # test, its free actions and eigensplit off its rows, with no product,
+    # and the retraction fixes a and b
     members = count_calls(monkeypatch, AbelianPresentation, "in_relation_lattice")
-    products = validation_products(monkeypatch)
+    products = construction_products(monkeypatch)
     spec = validate_spec(GroupSpec([DInf()] + [Zed()] * 60, "b1", "a1"))
     verdict = analyze(spec)
     assert verdict.is_retract and verdict.data.c_rank == 62
@@ -577,7 +580,9 @@ def test_analyze_makes_no_fraction_on_integer_specs(monkeypatch):
 
 def test_build_retraction_solves_once(monkeypatch):
     # the functional's n entries are read off the eigenlattice's one Smith
-    # form by one product, so a Retract makes one solve at every rank
+    # form by one product, so a Retract makes one solve at every rank.
+    # Neither the decision nor the functional reads a lattice's basis, so
+    # none is built
     for n in (2, 4, 16):
         spec = _dinf_spec(n, 1)
         data = square_data(spec)
@@ -588,6 +593,8 @@ def test_build_retraction_solves_once(monkeypatch):
         monkeypatch.undo()
         assert len(solves) == 1, n
         assert rho.functional == (1,) + (0,) * (n - 1)
+        lattices = data.module._lattices.values()
+        assert lattices and not any("basis" in vars(L) for L in lattices)
 
 
 def test_build_retraction_checks_the_commutators(monkeypatch):

@@ -1,6 +1,7 @@
 """Tests for character decomposition of modules with commuting involutions."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -14,9 +15,12 @@ from util import (
     validation_products,
 )
 
+from verbalclosure import involutions
 from verbalclosure.ambient import (
     DInf,
     GroupSpec,
+    Zed,
+    ZedMod,
     image_of_a_squared,
     square_data,
     validate_spec,
@@ -32,6 +36,8 @@ from verbalclosure.involutions import (
     factor_through,
     project,
     project_via_epimorphism,
+    _dense,
+    _eigensplit,
     _gf2_rank,
 )
 from verbalclosure.lattice import (
@@ -148,6 +154,7 @@ def test_projector_algebra_on_random_modules():
         size = 1 << mod.c_rank
         idn = [[size if i == j else 0 for j in range(f)] for i in range(f)]
         total = [[0] * f for _ in range(f)]
+        free = _free_actions(mod)
         for chi in mod.characters:
             N = _split_entry(mod, chi)
             # idempotence: (N/2^m)^2 = N/2^m
@@ -157,27 +164,32 @@ def test_projector_algebra_on_random_modules():
                     total[i][j] += N[i][j]
             # eigenvector law: A_c N = chi(c) N on the free quotient
             for jgen in range(mod.c_rank):
-                A = mod.free_actions[jgen]
+                A = free[jgen]
                 s = chi.signs[jgen]
                 assert mat_mul(A, N) == [[s * x for x in row] for row in N]
         assert total == idn  # resolution of the identity
 
 
+def _free_actions(mod):
+    """The induced actions on the free quotient as dense f x f matrices."""
+    return [_dense(F, mod.group.free_rank) for F in mod._free]
+
+
 def _split_entry(mod, chi):
-    """The `_eigensplit` entry of chi, 2^m e_chi (zero when chi is absent)."""
-    f = mod.group.free_rank
-    return mod._split.get(chi.signs, [[0] * f for _ in range(f)])
+    """The `_eigensplit` entry of chi, 2^m e_chi (zero when chi is absent),
+    as a dense matrix."""
+    return _dense(mod._split.get(chi.signs, {}), mod.group.free_rank)
 
 
-def _sign_product(mod, chi):
-    """Reference numerator: prod over all c in C of (I + chi(c) A_c), which
-    is 2^|C| e_chi, by plain matrix products without the module's
+def _sign_product(actions, signs, f):
+    """Reference numerator: prod over all c in C of (I + chi(c) A_c), for
+    the f x f matrices of C's generators and the signs of chi, which is
+    2^|C| e_chi, by plain matrix products without the module's
     eigensplit."""
-    f = mod.group.free_rank
     M = eye(f)
-    for bits in enumerate_group_elements(mod.c_rank):
+    for bits in enumerate_group_elements(len(actions)):
         A, s = eye(f), 1
-        for Aj, sj, b in zip(mod.free_actions, chi.signs, bits):
+        for Aj, sj, b in zip(actions, signs, bits):
             if b:
                 A, s = mat_mul(A, Aj), s * sj
         M = mat_mul(M, [[int(i == j) + s * A[i][j] for j in range(f)]
@@ -212,7 +224,8 @@ def test_is_simple_split_matches_per_character_projection():
             mod = random_module(rng, m=m)
             shift = mod.c_size - m
             for chi in mod.characters:
-                M = _sign_product(mod, chi)
+                M = _sign_product(_free_actions(mod), chi.signs,
+                                  mod.group.free_rank)
                 zero_characters += not any(map(any, M))
                 assert [[x << shift for x in row]
                         for row in _split_entry(mod, chi)] == M, (m, chi)
@@ -225,6 +238,54 @@ def test_is_simple_split_matches_per_character_projection():
                 verdicts.add(rep.simple)
     assert verdicts == {True, False}
     assert zero_characters  # characters with a zero eigenspace are covered
+
+
+def test_split_entries_equal_the_sign_product():
+    # each sparse eigensplit entry, read densely, is the product of
+    # (I + chi(c) A_c) over C scaled down to 2^m: on modules with actions
+    # that are not diagonal (a swap, a unimodular conjugate) and torsion,
+    # and on the element matrices that project_via_epimorphism splits
+    rng = random.Random(404)
+    general = torsion = 0
+    for m in (1, 2, 3):
+        for _ in range(15):
+            mod = random_module(rng, m=m,
+                                torsion=rng.choice(([], [2], [4], [3, 2])))
+            f = mod.group.free_rank
+            free = _free_actions(mod)
+            general += not all(map(_sign_diagonal_by_entries, free))
+            torsion += mod.group.torsion_order > 1
+            for chi in mod.characters:
+                assert [[x << (mod.c_size - m) for x in row]
+                        for row in _split_entry(mod, chi)] \
+                    == _sign_product(free, chi.signs, f), (m, chi)
+            phi = [tuple(rng.randint(0, 1) for _ in range(m))
+                   for _ in range(rng.randint(1, 3))]
+            rows = [mod._element_rows(bits) for bits in phi]
+            images = [_dense(S, f) for S in rows]
+            assert images == [mod.element_matrix(bits) for bits in phi]
+            split = _eigensplit(rows, f)
+            for chi in enumerate_characters(len(phi)):
+                assert [[x << ((1 << len(phi)) - len(phi)) for x in row]
+                        for row in _dense(split.get(chi.signs, {}), f)] \
+                    == _sign_product(images, chi.signs, f), (phi, chi)
+    assert general > 10 and torsion > 10
+
+
+def test_eigensplit_of_a_spec_module_forms_f_rows_per_level(monkeypatch):
+    # a spec-built module's actions are +-1-diagonal, so every entry is
+    # diagonal and each row of the free quotient lies in one entry of a
+    # level: a level forms at most f rows, and no row of zeros
+    rows = count_calls(monkeypatch, involutions, "_row_times")
+    for factors in ([DInf(), DInf(), ZedMod(4), ZedMod(3)],
+                    [DInf()] + [Zed()] * 60):
+        rows.clear()
+        mod = square_data(validate_spec(GroupSpec(factors, "b1", "a1"))).module
+        f = mod.group.free_rank
+        per_level = Counter(id(A) for _, A in rows)
+        assert len(per_level) == mod.c_rank
+        assert max(per_level.values()) <= f
+        assert all(row for row, _ in rows)
 
 
 def test_is_simple_solves_once_per_nonzero_component(monkeypatch):
@@ -422,7 +483,7 @@ def test_validation_accepts_laws_that_hold_only_modulo_relations():
     assert mat_mul(A, B) != mat_mul(B, A)
     mod = InvolutionModule(pres, [A, B])
     assert mod.c_rank == 2
-    assert mod.free_actions == [[[1]], [[1]]]
+    assert _free_actions(mod) == [[[1]], [[1]]]
 
 
 def test_validation_rejects_torsion_only_mismatch():
@@ -480,7 +541,7 @@ def test_a_diagonal_action_with_another_entry_takes_the_general_path(monkeypatch
     mod = InvolutionModule(AbelianPresentation(2, [(0, 4)]), [A])
     assert products == [(A, A)]
     assert [args[1:] for args in members] == [((0, 12),), ((0, 8),)]
-    assert mod.free_actions == [[[1]]]
+    assert _free_actions(mod) == [[[1]]]
 
 
 def test_a_sign_diagonal_with_an_off_diagonal_entry_is_not_skipped():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from util import count_calls
+from util import count_calls, random_unimodular, reference_smith_normal_form
 
 from verbalclosure.lattice import (
     AbelianPresentation,
@@ -239,6 +239,64 @@ def test_mat_inv_random():
                    for row in inv for x in row)
         fractional += any(isinstance(x, Fraction) for row in inv for x in row)
     assert fractional > 10  # non-unimodular inputs are covered
+
+
+def _pivot_case(rng):
+    """A random integer matrix of the shapes the decision meets: entries
+    with several +-1 among them, or a permuted diagonal scaled by powers
+    of 2 as a scaled eigenlattice's, with some rows and columns zeroed."""
+    r, c = rng.randint(1, 6), rng.randint(1, 6)
+    if rng.random() < 0.5:
+        M = [[rng.choice((0, 0, 2, -3, 4, 6, -8, 9)) for _ in range(c)]
+             for _ in range(r)]
+        for _ in range(rng.randint(0, 4)):
+            M[rng.randrange(r)][rng.randrange(c)] = rng.choice((1, -1))
+    else:
+        m = rng.randint(1, 8)
+        M = [[0] * c for _ in range(r)]
+        rows, cols = rng.sample(range(r), r), rng.sample(range(c), c)
+        for i, j in zip(rows, cols):
+            M[i][j] = rng.choice((1, -1, 3, 5)) << rng.randint(0, m)
+    for i in rng.sample(range(r), rng.randint(0, r - 1)):
+        M[i] = [0] * c
+    for j in rng.sample(range(c), rng.randint(0, c - 1)):
+        for row in M:
+            row[j] = 0
+    return M
+
+
+def test_smith_normal_form_matches_the_exhaustive_pivot_search():
+    # the pivot search that ends at the first +-1 and skips the
+    # divisibility scan under a unit pivot gives the U, D and V of the
+    # search that scans every block whole
+    rng = random.Random(34)
+    units = zero_rows = zero_cols = scaled = 0
+    for _ in range(400):
+        M = _pivot_case(rng)
+        assert smith_normal_form(M) == reference_smith_normal_form(M), M
+        entries = {abs(x) for row in M for x in row} - {0}
+        units += 1 in entries
+        scaled += 1 not in entries and any(x % 4 == 0 for x in entries)
+        zero_rows += not all(map(any, M))
+        zero_cols += not all(map(any, zip(*M)))
+    assert min(units, zero_rows, zero_cols, scaled) > 40
+
+
+def test_mat_inv_of_a_unimodular_matrix_is_the_general_path_in_ints():
+    # every invariant factor of a unimodular matrix is 1, so mat_inv's
+    # V D^-1 U, checked here in exact rationals, comes back as ints
+    rng = random.Random(35)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        A = random_unimodular(rng, n, steps=12)
+        U, D, V = smith_normal_form(A)
+        general = mat_mul([[Fraction(x, d) for x, d in zip(row, snf_diagonal(D))]
+                           for row in V], U)
+        inv = mat_inv(A)
+        assert inv == general
+        assert all(type(x) is int for row in inv for x in row)
+        assert mat_mul(A, inv) == eye(n)
+    assert mat_inv([]) == []
 
 
 def _mat_mul_reference(A, B):

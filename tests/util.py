@@ -1,7 +1,8 @@
 """Shared test helpers: random module generators, a semidirect product
 group for evaluating words against direct module arithmetic, a DAG node
-counter, the letter-by-letter flattening of a small word, a call counter
-and a counter of module validation's products, the canonical coset words,
+counter, the letter-by-letter flattening of a small word, a call counter,
+counters of the products that a module's construction and validation
+make, the exhaustive-pivot Smith normal form, the canonical coset words,
 the closed-form value of a tower over the infinite dihedral group, the
 witness steps of `analyze`, reference
 builders of a witness's full component and certificate tables, the
@@ -14,7 +15,7 @@ import random
 import sys
 from math import gcd
 
-from verbalclosure import involutions
+from verbalclosure import involutions, lattice
 from verbalclosure.ambient import (
     DInf,
     Zed,
@@ -240,30 +241,114 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
-def validation_products(monkeypatch):
-    """Count, for the rest of the test, the matrix products that
-    `InvolutionModule._validate` makes; returns the list that each `mat_mul`
-    call inside it appends its two arguments to."""
+def products_within(monkeypatch, owner, name):
+    """Count, for the rest of the test, the matrix products made while the
+    method owner.name runs; returns the list that each `mat_mul` call
+    inside it, from `involutions` or from `lattice`, appends its two
+    arguments to."""
     products = []
-    validating = []
-    validate = InvolutionModule._validate
-    product = involutions.mat_mul
+    running = []
+    method = getattr(owner, name)
+    product = lattice.mat_mul
 
-    def counted_validate(self):
-        validating.append(self)
+    def counted_method(*args, **kwargs):
+        running.append(args)
         try:
-            return validate(self)
+            return method(*args, **kwargs)
         finally:
-            validating.pop()
+            running.pop()
 
     def counted_product(A, B):
-        if validating:
+        if running:
             products.append((A, B))
         return product(A, B)
 
-    monkeypatch.setattr(InvolutionModule, "_validate", counted_validate)
-    monkeypatch.setattr(involutions, "mat_mul", counted_product)
+    monkeypatch.setattr(owner, name, counted_method)
+    for module in (involutions, lattice):
+        monkeypatch.setattr(module, "mat_mul", counted_product)
     return products
+
+
+def validation_products(monkeypatch):
+    """The products that `InvolutionModule._validate` makes, counted by
+    `products_within`."""
+    return products_within(monkeypatch, InvolutionModule, "_validate")
+
+
+def construction_products(monkeypatch):
+    """The products made while an `InvolutionModule` is built, its
+    validation included, counted by `products_within`."""
+    return products_within(monkeypatch, InvolutionModule, "__init__")
+
+
+def reference_smith_normal_form(M):
+    """Reference: the Smith normal form with the exhaustive pivot search,
+    as `smith_normal_form` once ran it.  Each step scans the whole
+    remaining block for the first entry of least absolute value in
+    row-major order, and runs the divisibility scan under every pivot."""
+    r = len(M)
+    c = len(M[0]) if r else 0
+    A = [list(row) for row in M]
+    U = eye(r)
+    V = eye(c)
+
+    def row_sub(i, k, q):
+        A[i] = [a - q * b for a, b in zip(A[i], A[k])]
+        U[i] = [a - q * b for a, b in zip(U[i], U[k])]
+
+    def col_sub(j, k, q):
+        for row in A:
+            row[j] -= q * row[k]
+        for row in V:
+            row[j] -= q * row[k]
+
+    def row_swap(i, k):
+        A[i], A[k] = A[k], A[i]
+        U[i], U[k] = U[k], U[i]
+
+    def col_swap(j, k):
+        for row in A:
+            row[j], row[k] = row[k], row[j]
+        for row in V:
+            row[j], row[k] = row[k], row[j]
+
+    t = 0
+    while t < min(r, c):
+        piv = None
+        for i in range(t, r):
+            for j in range(t, c):
+                if A[i][j] != 0 and (piv is None or abs(A[i][j])
+                                     < abs(A[piv[0]][piv[1]])):
+                    piv = (i, j)
+        if piv is None:
+            break
+        if piv[0] != t:
+            row_swap(t, piv[0])
+        if piv[1] != t:
+            col_swap(t, piv[1])
+        while True:
+            for i in range(t + 1, r):
+                while A[i][t] != 0:
+                    row_sub(i, t, A[i][t] // A[t][t])
+                    if A[i][t] != 0:
+                        row_swap(i, t)
+            for j in range(t + 1, c):
+                while A[t][j] != 0:
+                    col_sub(j, t, A[t][j] // A[t][t])
+                    if A[t][j] != 0:
+                        col_swap(j, t)
+            if any(A[i][t] != 0 for i in range(t + 1, r)):
+                continue
+            bad = next((i for i in range(t + 1, r) for j in range(t + 1, c)
+                        if A[i][j] % A[t][t] != 0), None)
+            if bad is None:
+                break
+            row_sub(t, bad, -1)
+        if A[t][t] < 0:
+            A[t] = [-a for a in A[t]]
+            U[t] = [-a for a in U[t]]
+        t += 1
+    return U, A, V
 
 
 def witness_equation(spec, filler=0):
