@@ -263,10 +263,17 @@ class AmbientGroup:
         return tuple(out)
 
     def evaluate_word(self, word):
-        val = self.identity
+        """The element of a parsed word.  A term is a power of one factor's
+        generator and the factors commute, so each term is multiplied into
+        its own factor's coordinate alone."""
+        val = list(self.identity)
         for name, exp in word:
-            val = self.mul(val, self.pow(self.generator_element(name), exp))
-        return val
+            j = self.generators.get(name)
+            if j is None:
+                raise SpecParseError(f"unknown generator {name!r}")
+            f = self.factors[j]
+            val[j] = f.mul(val[j], f.pow(f.generator(name[0]), exp))
+        return tuple(val)
 
     def random_element(self, rng, bound):
         return tuple([f.random_element(rng, bound) for f in self.factors])
@@ -466,7 +473,7 @@ def square_data(spec):
     gets 1.  Conjugation fixes or inverts a factor's square, so every entry
     is +-1, every action is +-1-diagonal and the module is proven with O(n m) checks, no product and no relation
     membership test (`InvolutionModule._validate`).  The actions share the
-    identity's rows but for row j; the module copies every row.
+    identity's rows but for row j; the module shares them too.
     """
     factors = spec.factors
     n = len(factors)

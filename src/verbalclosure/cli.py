@@ -35,6 +35,71 @@ def _format_vector(v):
     return "(" + ", ".join(str(x) for x in v) + ")"
 
 
+# ---------------------------------------------------------------------------
+# the structured report
+
+
+_escape = json.encoder.encode_basestring_ascii  # json's own, in C
+
+
+def _write_json(value, out, pad):
+    """Append the text of `value` to the list `out`, as json.dumps with
+    indent=2 and sort_keys=True writes it at indentation `pad`.  A list
+    of ints, as most report fields are, is joined in one call."""
+    if isinstance(value, str):
+        out.append(_escape(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):  # NaN and the infinities as json has them
+        out.append(json.dumps(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if {*map(type, value)} == {int}:
+            out.append("[\n" + inner + sep.join(map(int.__repr__, value))
+                       + "\n" + pad + "]")
+            return
+        head = "[\n" + inner
+        for item in value:
+            out.append(head)
+            head = sep
+            _write_json(item, out, inner)
+        out.append("\n" + pad + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        head = "{\n" + inner
+        for key in sorted(value):
+            out.append(head + _escape(key) + ": ")
+            head = ",\n" + inner
+            _write_json(value[key], out, inner)
+        out.append("\n" + pad + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} "
+                        "is not JSON serializable")
+
+
+def structured_text(payload):
+    """The structured report: the text of json.dumps(payload, indent=2,
+    sort_keys=True), written in one pass.  With indent set, json runs its
+    pure-Python encoder; this writer escapes strings with json's C escaper
+    and joins each list of ints at once."""
+    out = []
+    _write_json(payload, out, "")
+    return "".join(out)
+
+
 def build_report(verdict, args):
     """Assemble the human-readable report lines and the structured payload."""
     spec = verdict.spec
@@ -182,7 +247,7 @@ def cmd_analyze(args):
             return 2
         lines.append(f"equation written to {args.emit_equation}")
     if args.format == "structured":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(structured_text(payload))
     else:
         print("\n".join(lines))
     return code

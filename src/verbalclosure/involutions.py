@@ -155,9 +155,11 @@ class InvolutionModule:
     """
 
     def __init__(self, group: AbelianPresentation, actions, check=True):
-        """Copy the actions, prove the module laws unless check is false,
-        and build the induced actions on the free quotient, where the
-        involutions commute exactly and all projection algebra happens.
+        """Copy each action's list of rows, prove the module laws unless
+        check is false, and build the induced actions on the free quotient,
+        where the involutions commute exactly and all projection algebra
+        happens.  The rows themselves are shared with the caller, not
+        copied: nothing here writes a row in place.
 
         The free action of A is proj A lift = I + proj (A - I) lift, as
         proj lift = I exactly: it is read off the rows of A that differ
@@ -168,7 +170,7 @@ class InvolutionModule:
         are kept as sparse rows (`_identity`).
         """
         self.group = group
-        self.actions = [[list(row) for row in A] for A in actions]
+        self.actions = [list(A) for A in actions]
         self.c_rank = len(actions)
         if check:
             self._validate()

@@ -9,8 +9,9 @@ nonzero entries select, and of those only their nonzero entries, so the
 cost follows the nonzero entries.  A quotient is an int wherever the
 division is exact, so integer input makes no Fraction.
 
-The Smith normal form is the one elimination routine.  The inverse, kernels
-and the presentations of finitely generated abelian groups are read off it.
+The Smith normal form is the one elimination routine.  Kernels and the
+presentations of finitely generated abelian groups are read off it; a
+presentation also reads U^-1, which the elimination tracks on request.
 A lattice runs it once, on its generators, and reads its basis, independence
 check, coordinates and integer membership off that one form.
 Rational input is scaled once by a common denominator, so the elimination
@@ -85,17 +86,22 @@ def _integral(rows):
 # Smith normal form
 
 
-def smith_normal_form(M):
+def smith_normal_form(M, u_inverse=False):
     """Diagonalise an integer matrix by unimodular row and column operations.
 
     Args:
       M: an integer matrix given as a list of rows (may be empty or have
         zero columns).
+      u_inverse: also return U^-1, tracked through the elimination: each
+        row operation on U is undone by a column operation on U^-1, kept
+        as the rows of its transpose so that the column operation is a row
+        operation too.
 
     Returns:
       A triple (U, D, V) of integer matrices with U * M * V = D, U and V
       unimodular (determinant +-1), D diagonal with non-negative entries
-      satisfying the divisibility chain d1 | d2 | ...
+      satisfying the divisibility chain d1 | d2 | ...; with u_inverse,
+      the quadruple (U, D, V, U^-1).
 
     The pivot at each step is the first entry of smallest absolute value
     in the remaining block, in row-major order, which keeps intermediate
@@ -108,10 +114,13 @@ def smith_normal_form(M):
     A = [list(row) for row in M]
     U = eye(r)
     V = eye(c)
+    W = eye(r) if u_inverse else None  # the transpose of U^-1
 
     def row_sub(i, k, q):
         A[i] = [a - q * b for a, b in zip(A[i], A[k])]
         U[i] = [a - q * b for a, b in zip(U[i], U[k])]
+        if W is not None:  # U^-1 (I + q e_i e_k^T): column k += q column i
+            W[k] = [a + q * b for a, b in zip(W[k], W[i])]
 
     def col_sub(j, k, q):
         for row in A:
@@ -122,6 +131,8 @@ def smith_normal_form(M):
     def row_swap(i, k):
         A[i], A[k] = A[k], A[i]
         U[i], U[k] = U[k], U[i]
+        if W is not None:
+            W[i], W[k] = W[k], W[i]
 
     def col_swap(j, k):
         for row in A:
@@ -174,8 +185,12 @@ def smith_normal_form(M):
         if A[t][t] < 0:
             A[t] = [-a for a in A[t]]
             U[t] = [-a for a in U[t]]
+            if W is not None:
+                W[t] = [-a for a in W[t]]
         t += 1
 
+    if W is not None:
+        return U, A, V, [list(col) for col in zip(*W)]
     return U, A, V
 
 
@@ -202,25 +217,6 @@ def _pivot(A, t):
 
 def snf_diagonal(D):
     return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
-
-
-def mat_inv(A):
-    """Exact inverse of a square integer matrix, read off its Smith form:
-    U A V = D gives A^-1 = V D^-1 U.
-
-    Raises ValueError if the matrix is singular.  Entries of the result are
-    ints when they happen to be integral; for unimodular input every
-    invariant factor is 1, so l = 1 and the inverse is the integer product
-    V U.
-    """
-    U, D, V = smith_normal_form(A)
-    diag = snf_diagonal(D)
-    if 0 in diag:
-        raise ValueError("matrix is singular")
-    # l A^-1 = V diag(l / d) U is integral for l the lcm of the factors
-    l = lcm(*diag)
-    VD = [[x * (l // d) for x, d in zip(row, diag)] for row in V]
-    return [[_ratio(x, l) for x in row] for row in mat_mul(VD, U)]
 
 
 def kernel_basis(M, cols=None):
@@ -383,7 +379,9 @@ class AbelianPresentation:
     Elements are integer coordinate vectors over the formal generators.
     Smith normal form of the relation matrix is computed once and cached; it
     yields the invariant factors, the torsion order and an integer projection
-    onto the free part (used to realise the rational quotient space).
+    onto the free part (used to realise the rational quotient space).  The
+    same elimination tracks U^-1, which gives the lift back and the
+    canonical representatives, so a presentation runs one Smith form.
     """
 
     def __init__(self, rank, relations=()):
@@ -396,7 +394,7 @@ class AbelianPresentation:
         B = [[row[i] for row in self.relations] for i in range(rank)]
         if not self.relations:
             B = [[] for _ in range(rank)]
-        U, D, _ = smith_normal_form(B)
+        U, D, _, Uinv = smith_normal_form(B, u_inverse=True)
         diag = snf_diagonal(D)
         self.snf_diagonal = diag
         self.invariant_factors = [d for d in diag if d not in (0, 1)]
@@ -411,7 +409,7 @@ class AbelianPresentation:
         # projection to free coordinates and the lift back, built at once:
         # every presentation the package builds goes into an
         # InvolutionModule, which reads both
-        self._uinv = mat_inv(U) if rank else []
+        self._uinv = Uinv
         self._proj = [U[i] for i in self.free_indices]
         self._lift = [[self._uinv[i][j] for j in self.free_indices]
                       for i in range(rank)]

@@ -43,7 +43,7 @@ from verbalclosure.ambient import (
     word_to_text,
 )
 from verbalclosure.cli import build_report
-from verbalclosure.dihedral import DihedralElement, certify_no_solution
+from verbalclosure.dihedral import IDENTITY, DihedralElement, certify_no_solution
 from verbalclosure.lattice import (
     AbelianPresentation,
     Lattice,
@@ -65,12 +65,13 @@ from verbalclosure.words import (
 )
 
 from util import (
-    check_workload_specs,
     construction_products,
     count_calls,
     dag_nodes,
     randint_element,
+    reference_evaluate_word,
     reference_verify_retraction,
+    workload_specs,
 )
 
 
@@ -174,6 +175,33 @@ def test_generator_elements():
     assert group.generator_element("c3") == (DihedralElement(0, 0), 0, 1)
     with pytest.raises(SpecParseError):
         group.generator_element("a2")
+
+
+def test_evaluate_word_is_the_product_of_whole_tuples():
+    # each term goes into its own factor's coordinate; the factors commute,
+    # so that is the product of whole tuples, on words that repeat a
+    # generator, mix a DInf factor's a and b, and have exponents that are
+    # negative, zero or past a modulus
+    group = AmbientGroup([DInf(), Zed(), ZedMod(6), ZedMod(5), DInf(),
+                          ZedMod(1), ZedMod(2)])
+    names = sorted(group.generators)
+    rng = random.Random(35)
+    for _ in range(500):
+        word = []
+        for _ in range(rng.randint(0, 8)):
+            name = rng.choice(names)
+            word += [(name, rng.randint(-13, 13))] * rng.choice((1, 1, 2))
+        assert group.evaluate_word(word) == reference_evaluate_word(group,
+                                                                   word)
+    word = (("a1", 3), ("b1", 1), ("a1", -1), ("c3", 7), ("t2", -4))
+    assert group.evaluate_word(word) == (DihedralElement(4, 1), -4, 1, 0,
+                                         IDENTITY, 0, 0)
+    for name in ("a2", "t1", "x9"):
+        with pytest.raises(SpecParseError) as got:
+            group.evaluate_word((("a1", 1), (name, 2)))
+        with pytest.raises(SpecParseError) as want:
+            group.generator_element(name)
+        assert str(got.value) == str(want.value)
 
 
 def test_validate_spec_errors():
@@ -567,6 +595,22 @@ def test_many_factor_retract_is_proven_without_products(monkeypatch):
     assert (members, products) == ([], [])
 
 
+def test_many_factor_analyze_shares_the_action_rows():
+    # DInf and 200 Zed (c_rank 202): each action differs from the identity
+    # in one row and the module shares the rest with square_data, so the
+    # peak stays near one 201 x 201 identity.  Copying every row of every
+    # action peaked at 70.5 MiB
+    spec = validate_spec(GroupSpec([DInf()] + [Zed()] * 200, "b1", "a1"))
+    tracemalloc.start()
+    try:
+        verdict = analyze(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.is_retract and verdict.data.c_rank == 202
+    assert peak < 16 << 20, peak
+
+
 def test_analyze_makes_no_fraction_on_integer_specs(monkeypatch):
     # the decision solves integer numerators in 2^m-scaled lattices, so
     # an all-integer spec constructs no Fraction, for either verdict
@@ -895,7 +939,7 @@ def test_closed_form_reads_the_variables_in_evaluation_order():
 @pytest.mark.parametrize("seed", [101, 102, 103, 104])
 def test_closed_form_agrees_on_the_check_witnesses(seed):
     witnesses = 0
-    for text in check_workload_specs(seed):
+    for text in workload_specs("check", seed):
         spec = validate_spec(GroupSpec.from_text(text))
         for filler in (0, 2):
             verdict = analyze(spec, filler=filler)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from util import count_calls
+from util import count_calls, workload_specs
 
 import verbalclosure.words as words
 from verbalclosure import GroupSpec, analyze, cli
@@ -334,6 +334,77 @@ def test_structured_format(tmp_path, capsys):
     payload2 = json.loads(capsys.readouterr().out)
     assert payload2["verdict"] == "Retract"
     assert payload2["retraction_verified"] is True
+
+
+def _dumps(payload):
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+# no verification; the checks sampled, as on the benchmark's `check`; and
+# checks that sample and try nothing, which report null
+REPORT_FLAGS = ([], ["--verify", "--samples", "20", "--trials", "8"],
+                ["--verify", "--samples", "0", "--trials", "0"])
+
+
+@pytest.mark.parametrize("seed", [101, 102, 103, 104])
+@pytest.mark.parametrize("workload", ["sweep", "ladder", "check"])
+def test_structured_text_is_json_dumps_on_every_workload_payload(workload,
+                                                                 seed):
+    parser = make_parser()
+    runs = [parser.parse_args(["analyze", "spec"] + flags)
+            for flags in REPORT_FLAGS]
+    nulls = 0
+    for text in workload_specs(workload, seed):
+        verdict = analyze(GroupSpec.from_text(text))
+        for args in runs:
+            payload = cli.build_report(verdict, args)[1]
+            assert cli.structured_text(payload) == _dumps(payload), text
+            nulls += None in payload.values()
+    assert nulls
+
+
+def test_a_timed_structured_report_is_json_dumps(tmp_path, capsys,
+                                                 monkeypatch):
+    # the report printed is the writer's text of the payload, whose
+    # elapsed time is a float
+    payloads = []
+    writer = cli.structured_text
+    monkeypatch.setattr(cli, "structured_text",
+                        lambda payload: payloads.append(payload)
+                        or writer(payload))
+    for spec in (WITNESS_SPEC, RETRACT_SPEC):
+        path = write(tmp_path, "s.spec", spec)
+        main(["analyze", path, "--format", "structured", "--timing"])
+        payload = payloads.pop()
+        assert type(payload["elapsed_seconds"]) is float
+        assert capsys.readouterr().out == _dumps(payload) + "\n"
+
+
+@pytest.mark.parametrize("payload", [
+    {},
+    [],
+    {"a": [], "b": {}, "c": [[]], "d": [{}], "e": [[], {}]},
+    {"z": {"y": {"x": [1, [2, [3, []]]]}, "a": None}, "b": [{"k": [4]}]},
+    {"quote\"": "back\\slash", "new\nline": "tab\t", "é": "日本 \u2028 \x00",
+     "emoji": "\U0001F600", "": ""},
+    {"ints": [0, -1, 10 ** 40, True, False, None], "bools": [True, False],
+     "mixed": [1, "1", 1.5, None], "one": [7]},
+    {"floats": [0.1, -0.0, 1e300, 2.5e-8, float("inf"), float("-inf"),
+                float("nan")], "one": 1.0},
+    {"tuple": (1, 2, (3, "x")), "order": {"b": 1, "a": 2, "B": 3, "_": 4,
+                                          "aa": 5, "a b": 6}},
+    "just a string", 7, -2.5, None, True, False,
+])
+def test_structured_text_is_json_dumps_on_hand_payloads(payload):
+    assert cli.structured_text(payload) == _dumps(payload)
+
+
+def test_structured_text_rejects_what_json_rejects():
+    for payload in ({"x": object()}, [1, {2, 3}]):
+        with pytest.raises(TypeError):
+            _dumps(payload)
+        with pytest.raises(TypeError):
+            cli.structured_text(payload)
 
 
 def test_verify_flag_witness(tmp_path, capsys):

@@ -5,7 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from util import count_calls, random_unimodular, reference_smith_normal_form
+from util import (
+    count_calls,
+    mat_inv,
+    random_unimodular,
+    reference_smith_normal_form,
+)
 
 from verbalclosure.lattice import (
     AbelianPresentation,
@@ -14,7 +19,6 @@ from verbalclosure.lattice import (
     content_and_primitive_part,
     eye,
     kernel_basis,
-    mat_inv,
     mat_mul,
     mat_vec,
     membership_solve,
@@ -280,6 +284,31 @@ def test_smith_normal_form_matches_the_exhaustive_pivot_search():
         zero_rows += not all(map(any, M))
         zero_cols += not all(map(any, zip(*M)))
     assert min(units, zero_rows, zero_cols, scaled) > 40
+
+
+def test_the_tracked_u_inverse_is_the_inverse_of_u():
+    # on the matrices of the pivot-search test: asking for U^-1 leaves U,
+    # D and V as they were, and U^-1 is the inverse read off U's own form
+    rng = random.Random(34)
+    for _ in range(400):
+        M = _pivot_case(rng)
+        U, D, V, Uinv = smith_normal_form(M, u_inverse=True)
+        assert (U, D, V) == smith_normal_form(M)
+        assert Uinv == mat_inv(U), M
+        assert mat_mul(U, Uinv) == eye(len(M))
+    assert smith_normal_form([], u_inverse=True) == ([], [], [], [])
+
+
+def test_a_presentation_runs_one_smith_form(monkeypatch):
+    # U^-1, for the lift back, comes out of the one elimination
+    import verbalclosure.lattice as lat
+
+    calls = count_calls(monkeypatch, lat, "smith_normal_form")
+    pres = AbelianPresentation(4, [(2, 4, 0, 0), (0, 6, 0, 3), (1, 1, 1, 0)])
+    assert len(calls) == 1
+    assert pres.free_rank == 1
+    # proj lift = I: the lift is read off U^-1 and proj off U
+    assert pres.free_coordinates(pres.lift_free((1,))) == (1,)
 
 
 def test_mat_inv_of_a_unimodular_matrix_is_the_general_path_in_ints():

@@ -7,13 +7,15 @@ the closed-form value of a tower over the infinite dihedral group, the
 witness steps of `analyze`, reference
 builders of a witness's full component and certificate tables, the
 randint draw of a factor's random element, the retraction sampler
-that compares whole elements of G, and the benchmark's `check` specs."""
+that compares whole elements of G, the inverse of a matrix read off its
+own Smith form, a word's value as a product of whole tuples, and the
+benchmark's workload specs."""
 
 import importlib.util
 import os
 import random
 import sys
-from math import gcd
+from math import gcd, lcm
 
 from verbalclosure import involutions, lattice
 from verbalclosure.ambient import (
@@ -38,13 +40,44 @@ from verbalclosure.involutions import (
 )
 from verbalclosure.lattice import (
     AbelianPresentation,
+    _ratio,
     eye,
-    mat_inv,
     mat_mul,
     mat_vec,
     membership_solve,
+    smith_normal_form,
+    snf_diagonal,
 )
 from verbalclosure.words import Concat, Gen, Inv, Pow, build_witness_equation
+
+
+def mat_inv(A):
+    """Reference: the exact inverse of a square integer matrix, read off its
+    own Smith form: U A V = D gives A^-1 = V D^-1 U.
+
+    Raises ValueError if the matrix is singular.  Entries of the result are
+    ints when they happen to be integral; for unimodular input every
+    invariant factor is 1, so l = 1 and the inverse is the integer product
+    V U.
+    """
+    U, D, V = smith_normal_form(A)
+    diag = snf_diagonal(D)
+    if 0 in diag:
+        raise ValueError("matrix is singular")
+    # l A^-1 = V diag(l / d) U is integral for l the lcm of the factors
+    l = lcm(*diag)
+    VD = [[x * (l // d) for x, d in zip(row, diag)] for row in V]
+    return [[_ratio(x, l) for x in row] for row in mat_mul(VD, U)]
+
+
+def reference_evaluate_word(group, word):
+    """Reference: the element of a parsed word as the product of whole
+    tuples, each term's generator element raised to its exponent in every
+    coordinate and multiplied into the value so far."""
+    val = group.identity
+    for name, exp in word:
+        val = group.mul(val, group.pow(group.generator_element(name), exp))
+    return val
 
 
 def random_unimodular(rng, n, steps=8):
@@ -449,10 +482,10 @@ def reference_verify_retraction(rho, spec, samples, bound, seed):
     return True
 
 
-def check_workload_specs(seed):
-    """The specs of the benchmark's `check` workload at a seed, as spec
-    text, from `bench/family.py`, which is loaded with no bytecode written
-    under bench/."""
+def workload_specs(workload, seed):
+    """The specs of a benchmark workload at a seed, as spec text, from
+    `bench/family.py`, which is loaded with no bytecode written under
+    bench/."""
     path = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "bench", "family.py")
     loader = importlib.util.spec_from_file_location("bench_family", path)
@@ -462,4 +495,4 @@ def check_workload_specs(seed):
         loader.loader.exec_module(family)
     finally:
         sys.dont_write_bytecode = saved
-    return [spec.text() for spec in family.workload_specs("check", seed)]
+    return [spec.text() for spec in family.workload_specs(workload, seed)]
