@@ -17,8 +17,10 @@ only c-rank, |T|, the filler and the nonzero contents are kept.
 `Equation.lhs` builds the DAG on each read; `lhs_value` evaluates the live
 terms level by level, up to each term's first identity level; and
 `serialize_chunks` writes the DAG's post-order from the recipe, tower by
-tower, each level one fill of a template made once per element of C.  A `WordEquation`, which
-`parse_equation` reads back, holds the DAG and is valued by walking it.
+tower, filling the torsion order and the exponents into text that depends
+on the c-rank alone, held per c-rank up to 6 (`_recipe_frames`).  A
+`WordEquation`, which `parse_equation` reads back, holds the DAG and is
+valued by walking it.
 """
 
 from dataclasses import dataclass, fields as dataclass_fields
@@ -511,8 +513,12 @@ def serialize_chunks(eq):
     """The text of `serialize_equation`, made and yielded a chunk at a time:
     the header, then the equation's own node lines, then the root and the
     right-hand side.  An `Equation` writes its recipe with no node built,
-    one chunk per tower, so a writer holds about 1/|C| of the text at once;
-    a `WordEquation` walks its DAG, one chunk per node.
+    one chunk per tower (`_recipe_lines`).  Up to c-rank 6 the towers' text
+    is built once per process and held, under 1 MB for every c-rank
+    together, so a later file of the same c-rank costs only its numbers;
+    above 6 it is built tower by tower as the file is written, so a writer
+    holds about 1/|C| of the text at once and memory does not grow with the
+    file.  A `WordEquation` walks its DAG, one chunk per node.
     """
     yield (f"(equation (c-rank {eq.c_rank}) (torsion {eq.torsion_order}) "
            f"(n 1) (filler {eq.filler})\n"
@@ -544,7 +550,10 @@ def _walk_lines(lhs):
 def _level_templates(m):
     """Per element of C at c-rank m, the text of one tower level with sign
     +1 and with sign -1, as `str.format` templates, with the count of labels
-    each adds.
+    each adds.  `_recipe_frames` fills them once per tower: up to c-rank 6
+    (`_HELD_C_RANK`) once per process, the towers held under 1 MB in all;
+    above it once per file, tower by tower as it is written, so memory does
+    not grow with the file.
 
     A level's labels are consecutive and follow its body's label, so field
     {0} is the body and field {t} the t-th label the level defines.  A level
@@ -571,35 +580,72 @@ def _level_templates(m):
     return plus, minus
 
 
-def _recipe_lines(m, torsion, exponents):
-    """`_walk_lines` of a recipe's left-hand side, from the tower layout:
-    yields one chunk per term, then the root's line; returns the root's
-    label number.
+def _recipe_frames(m):
+    """The text of a recipe's left-hand side at c-rank m, less its torsion
+    order and exponents: yields (head, tower) per term, then the root's
+    line and label number.
 
     The walk lists each term Pow(v_chi, e) in turn, then the root Concat.
     In a term it lists the y-block (the y, its square, the one-part Concat
     of that square, its power), then one level per `_levels` entry,
-    innermost first, then the term's Pow.  No two terms share a node.
+    innermost first, then the term's Pow.  No two terms share a node, and
+    every label, y name and coset word is fixed by m, so the head ends
+    where the y-block's torsion order goes, and the tower runs from the end
+    of that line to where the term's exponent goes.
     """
     plus, minus = _level_templates(m)
     k = 0  # the next label number
     terms = ""
-    for ci, e in enumerate(exponents):
-        parts = [f"  (n{k} (gen {y_var(ci)}))\n"
-                 f"  (n{k + 1} (pow n{k} 2))\n"
-                 f"  (n{k + 2} (cat n{k + 1}))\n"
-                 f"  (n{k + 3} (pow n{k + 2} {torsion}))\n"]
+    for ci in range(1 << m):
+        head = (f"  (n{k} (gen {y_var(ci)}))\n"
+                f"  (n{k + 1} (pow n{k} 2))\n"
+                f"  (n{k + 2} (cat n{k + 1}))\n"
+                f"  (n{k + 3} (pow n{k + 2} ")
+        parts = ["))\n"]
         body = k + 3
         for i, sign in _levels(ci, m):
             template, size = plus[i] if sign == 1 else minus[i]
             parts.append(template.format(*range(body, body + size + 1)))
             body += size
-        parts.append(f"  (n{body + 1} (pow n{body} {e}))\n")
+        parts.append(f"  (n{body + 1} (pow n{body} ")
         terms += f" n{body + 1}"
         k = body + 2
-        yield "".join(parts)
-    yield f"  (n{k} (cat{terms}))\n"
-    return k
+        yield head, "".join(parts)
+    yield f"  (n{k} (cat{terms}))\n", k
+
+
+# The frames of each c-rank up to this one are built once per process and
+# held: 0.92 MB of text for every c-rank up to 6 (715 KB at 6), where c-rank
+# 7 alone would be 3.2 MB and c-rank 8 14.4 MB.  Above it a file's frames
+# are made tower by tower as it is written, and none is kept
+_HELD_C_RANK = 6
+_held_frames = {}  # c-rank -> tuple of `_recipe_frames`
+
+
+def _recipe_lines(m, torsion, exponents):
+    """`_walk_lines` of a recipe's left-hand side: yields one chunk per
+    term, the frames of `_recipe_frames` with the torsion order and the
+    term's exponent filled in, then the root's line; returns the root's
+    label number.
+
+    Up to c-rank `_HELD_C_RANK` the frames are built on the first write of
+    a c-rank and held for the process, under 1 MB in all, so a later file
+    costs a fill of 2^m + 1 numbers.  Above it each tower's frame is built
+    as its chunk is written, so memory does not grow with the file.
+    """
+    if m <= _HELD_C_RANK:
+        if m not in _held_frames:
+            _held_frames[m] = tuple(_recipe_frames(m))
+        frames = iter(_held_frames[m])
+    else:
+        frames = _recipe_frames(m)
+    torsion = str(torsion)
+    # the exponents first: zip then stops before it reads the root's frame
+    for e, (head, tower) in zip(exponents, frames):
+        yield head + torsion + tower + str(e) + "))\n"
+    root_line, root = next(frames)
+    yield root_line
+    return root
 
 
 # atoms per field; k must hold 2^c-rank, and the nodes are read one by one

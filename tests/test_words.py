@@ -3,6 +3,7 @@
 import gc
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -582,6 +583,55 @@ def test_witness_text_streams_tower_by_tower():
     assert total == 14_396_844
     assert chunks > 1 << m
     assert longest <= 2 * total / (1 << m)
+
+
+def _frame_equations(m):
+    """Three recipes of c_rank m that differ in torsion order, filler and
+    contents: a negative, a large and no nonzero content."""
+    last = (1 << m) - 1
+    return [Equation(c_rank=m, torsion_order=1, filler=0, contents={last: -5}),
+            Equation(c_rank=m, torsion_order=3, filler=2,
+                     contents={0: 7, last: 2 ** 70 + 1}),
+            Equation(c_rank=m, torsion_order=15, filler=-3, contents={})]
+
+
+@pytest.mark.parametrize("m", range(8))
+def test_written_frames_are_shared_across_equations(m, monkeypatch):
+    # frames hold no torsion order and no exponent: equations of one
+    # c_rank, written in either order from a cold start, each get the text
+    # of their own walked DAG
+    monkeypatch.setattr(words, "_held_frames", {})
+    eqs = _frame_equations(m)
+    walked = [serialize_equation(_given(eq, eq.lhs)) for eq in eqs]
+    for order in (eqs, eqs[::-1]):
+        words._held_frames.clear()
+        for eq in order:
+            assert serialize_equation(eq) == walked[eqs.index(eq)]
+        assert list(words._held_frames) == ([m] if m <= 6 else [])
+    for eq, text in zip(eqs, walked):
+        parsed = parse_equation(text)
+        assert ((parsed.c_rank, parsed.torsion_order, parsed.filler,
+                 parsed.k_values, parsed.rhs_exponent)
+                == (eq.c_rank, eq.torsion_order, eq.filler, eq.k_values,
+                    eq.rhs_exponent))
+
+
+def test_held_frames_stay_under_the_cap(monkeypatch):
+    # c_rank 7 and 8 are written from frames made tower by tower and not
+    # kept; the frames of every c_rank up to 6 together stay under 1 MB
+    monkeypatch.setattr(words, "_held_frames", {})
+    for m in range(9):
+        for _ in serialize_chunks(_frame_equations(m)[1]):
+            pass
+    held = words._held_frames
+    assert sorted(held) == list(range(words._HELD_C_RANK + 1)) == list(range(7))
+    size = 0
+    for frames in held.values():
+        root_line, _ = frames[-1]
+        size += sys.getsizeof(root_line) + sum(
+            sys.getsizeof(head) + sys.getsizeof(tower)
+            for head, tower in frames[:-1])
+    assert size < 1_000_000
 
 
 @pytest.mark.parametrize("matching", [True, False])
