@@ -12,7 +12,7 @@ witness equation solvable in G but certified unsolvable in H is built.
 import operator
 import re
 from dataclasses import dataclass
-from itertools import islice
+from itertools import combinations, islice
 from math import gcd
 
 from .dihedral import (
@@ -21,6 +21,8 @@ from .dihedral import (
     below,
     certify_no_solution,
     draw_element,
+    draw_moduli,
+    skip_below,
 )
 from .involutions import Character, InvolutionModule, c_index
 from .lattice import AbelianPresentation, eye, kernel_basis
@@ -76,6 +78,8 @@ class NormalizationFailure(RuntimeError):
 # coset_bits(x), the image of x on them.  random_element draws with
 # `dihedral.below`, getrandbits as randrange draws it: below(rng,
 # 2·bound + 1) − bound consumes exactly the bits of randint(−bound, bound).
+# draw_moduli(bound) names the n of each below(rng, n) that random_element
+# makes, in order, so a draw can be skipped bit for bit (`skip_below`).
 
 
 @dataclass(frozen=True)
@@ -92,6 +96,7 @@ class DInf:
     mul = staticmethod(operator.mul)
     inv = staticmethod(DihedralElement.inverse)
     pow = staticmethod(operator.pow)
+    draw_moduli = staticmethod(draw_moduli)
     random_element = staticmethod(draw_element)
 
     def __str__(self):
@@ -135,8 +140,12 @@ class Zed:
     def generator(self, letter):
         return 1
 
+    def draw_moduli(self, bound):
+        return (2 * bound + 1,)
+
     def random_element(self, rng, bound):
-        return below(rng, 2 * bound + 1) - bound
+        span, = self.draw_moduli(bound)
+        return below(rng, span) - bound
 
     def has_infinite_order(self, x):
         return x != 0
@@ -183,8 +192,12 @@ class ZedMod:
     def pow(self, x, e):
         return x * e % self.modulus
 
+    def draw_moduli(self, bound):
+        return (self.modulus,)
+
     def random_element(self, rng, bound):
-        return below(rng, self.modulus)
+        modulus, = self.draw_moduli(bound)
+        return below(rng, modulus)
 
     def has_infinite_order(self, x):
         return False
@@ -607,21 +620,18 @@ def lhs_value_in_closed_form(eq, assignment, spec):
 # retraction construction
 
 
-def _square_reads(factors, functional):
-    """The functional on squares, read factor by factor: one (index,
-    coefficient, factor) per factor where the functional is nonzero.  The
-    functional on g·g, an element of Q, is the sum of coefficient ×
-    factor.square_coordinate(g[index]) over them (`_on_square`)."""
-    return tuple((j, l, f) for j, (f, l) in enumerate(zip(factors, functional))
-                 if l)
-
-
-def _on_square(reads, g):
-    """The functional of `_square_reads` on g·g."""
-    t = 0
-    for j, l, f in reads:
-        t += l * f.square_coordinate(g[j])
-    return t
+def _power_pair(images, t, s):
+    """a^t·b^s on the factors of images, one (pow, mul, a_j, b_j) each, as
+    the list of its coordinates there."""
+    # plain loops: a comprehension costs one more frame per call
+    out = []
+    if not s:
+        for pow, _, x, _ in images:
+            out.append(pow(x, t))
+    else:
+        for pow, mul, x, y in images:
+            out.append(mul(pow(x, t), y))
+    return out
 
 
 @dataclass
@@ -633,11 +643,14 @@ class RetractionData:
     records how conjugation acts on that coefficient.  The complement's
     basis and the torsion invariants are derived on each read.
 
-    rho is applied one factor at a time, with no product of whole n-tuples:
-    `image` reads chi's sign on the factors where chi negates a quotient
-    letter and the functional on those where it is nonzero, giving the
-    exponent pair (t, s) of rho(g) = a^t·b^s; `element` builds a^t or
-    a^t·b once, factor by factor.
+    rho is applied one factor at a time, with no product of whole n-tuples,
+    and reads g on `reads` alone: the sorted indices of the factors where
+    chi negates a quotient letter and of those where the functional is
+    nonzero.  `image_on_reads` takes g's coordinates there, in that order,
+    and reads chi's sign on them, then the functional, giving the exponent
+    pair (t, s) of rho(g) = a^t·b^s.  `element` builds a^t·b^s factor by
+    factor, and `element_on_reads` its coordinates on `reads` alone;
+    `image`, `element` and `apply` take and give whole elements of G.
     """
 
     spec: GroupSpec
@@ -661,45 +674,61 @@ class RetractionData:
         return [2] * (self.data.c_rank - 2)
 
     def __post_init__(self):
-        # bound once, per factor: its arithmetic and its coordinates of a
-        # and b; where chi negates a generator that the factor adds to G/Q
-        # (its quotient letters), which ones
+        # bound once, per factor that rho reads, by its place in `reads`:
+        # where chi negates a generator that the factor adds to G/Q (its
+        # quotient letters), the places of those among its coset bits;
+        # where the functional is nonzero, the coefficient, the factor's
+        # arithmetic and its coordinate of b
         spec = self.spec
         signs = iter(self.sign_character.signs)
         signed = []
         for j, f in enumerate(spec.factors):
-            negated = tuple([s == -1 for s in
-                             islice(signs, len(f.quotient_letters))])
-            if any(negated):
+            negated = tuple([i for i, s in enumerate(
+                islice(signs, len(f.quotient_letters))) if s == -1])
+            if negated:
                 signed.append((j, f.coset_bits, negated))
-        self._signed = tuple(signed)
-        self._reads = _square_reads(spec.factors, self.functional)
+        squares = [(j, l, f.square_coordinate, f.mul, b) for j, (f, l, b)
+                   in enumerate(zip(spec.factors, self.functional, spec.h_b))
+                   if l]
+        self.reads = tuple(sorted({j for j, *_ in signed + squares}))
+        place = {j: r for r, j in enumerate(self.reads)}
+        self._signed = tuple([(place[j], *rest) for j, *rest in signed])
+        self._squares = tuple([(place[j], *rest) for j, *rest in squares])
         self._images = tuple([(f.pow, f.mul, x, y) for f, x, y
                               in zip(spec.factors, spec.h_a, spec.h_b)])
+        self._read_images = tuple([self._images[j] for j in self.reads])
 
-    def image(self, g):
-        """rho(g) as the exponent pair (t, s) of its normal form a^t·b^s."""
+    def image_on_reads(self, values):
+        """rho(g) as the exponent pair (t, s) of its normal form a^t·b^s,
+        from g's coordinates on `reads`, in that order."""
         # chi's sign on g's coset: the parity of g's coset bits on the
         # generators that chi negates
         odd = 0
-        for j, coset_bits, negated in self._signed:
-            for bit, neg in zip(coset_bits(g[j]), negated):
-                if neg:
-                    odd ^= bit
-        if not odd:  # a^t with t the functional on g^2
-            return _on_square(self._reads, g), 0
-        # a^t·b with t the functional on (g·b)^2, read on each g[j]·b[j]
+        for r, coset_bits, negated in self._signed:
+            bits = coset_bits(values[r])
+            for i in negated:
+                odd ^= bits[i]
         t = 0
-        h_b = self.spec.h_b
-        for j, l, f in self._reads:
-            t += l * f.square_coordinate(f.mul(g[j], h_b[j]))
+        if not odd:  # a^t with t the functional on g^2
+            for r, l, square_coordinate, _, _ in self._squares:
+                t += l * square_coordinate(values[r])
+            return t, 0
+        # a^t·b with t the functional on (g·b)^2, read on each g[j]·b[j]
+        for r, l, square_coordinate, mul, b in self._squares:
+            t += l * square_coordinate(mul(values[r], b))
         return t, 1
+
+    def image(self, g):
+        """rho(g) as the exponent pair (t, s) of its normal form a^t·b^s."""
+        return self.image_on_reads([g[j] for j in self.reads])
+
+    def element_on_reads(self, t, s):
+        """The coordinates of a^t·b^s on `reads`, in that order."""
+        return _power_pair(self._read_images, t, s)
 
     def element(self, t, s):
         """a^t·b^s in G, built factor by factor."""
-        if not s:
-            return tuple([pow(x, t) for pow, _, x, _ in self._images])
-        return tuple([mul(pow(x, t), y) for pow, mul, x, y in self._images])
+        return tuple(_power_pair(self._images, t, s))
 
     def apply(self, g):
         return self.element(*self.image(g))
@@ -712,7 +741,8 @@ def build_retraction(spec, data, q_vec, chi):
     complement M of <a^2> in Q; check, exactly, that the map fixes a and b;
     check that the kernel-of-sign subgroup is abelian modulo M (it must be:
     its commutator subgroup is finite and torsion-free).  The map is
-    idempotent by construction; verify_retraction samples the rest.
+    idempotent by construction; verify_retraction samples the rest, on the
+    factors that the map reads.
     """
     lam = data.module._complement_data(q_vec, chi)
     rho = RetractionData(spec=spec, data=data, sign_character=chi,
@@ -728,29 +758,44 @@ def build_retraction(spec, data, q_vec, chi):
     # lifts of the kernel of chi in G/Q: each generator but the first that
     # chi negates, times that one when chi negates it too.  Some generator
     # is negated: b inverts a^2, so a character with chi(b) = +1 gives a^2
-    # a zero component, and _complement_data has raised NotSimple
-    group = spec.group
-    d = data.d_elements
+    # a zero component, and _complement_data has raised NotSimple.  Each
+    # d_element is a generator of one factor, so a lift is built on the
+    # factors of its one or two generators, as {factor: its coordinate}
+    # where that is nontrivial
+    factors, d = spec.factors, data.d_elements
+    home = [spec.group.generators[name] for name in data.c_names]
     pivot = chi.signs.index(-1)
-    lifts = [group.mul(d[pivot], d[j]) if s == -1 else d[j]
-             for j, s in enumerate(chi.signs) if j != pivot]
+    lifts = []
+    for j, s in enumerate(chi.signs):
+        if j == pivot:
+            continue
+        lift = {}
+        for i in ((pivot, j) if s == -1 else (j,)):
+            k = home[i]
+            f = factors[k]
+            lift[k] = f.mul(lift.get(k, f.identity), d[i][k])
+        lifts.append({k: x for k, x in lift.items()
+                      if x != factors[k].identity})
     # the index-two subgroup must be abelian modulo the complement.  A
     # commutator in the direct product G is trivial in every factor where
-    # either lift is, so the functional reads it, factor by factor, on the
-    # factors where both are nontrivial
-    factors = spec.factors
-    support = [{k for k, (f, x) in enumerate(zip(factors, g))
-                if x != f.identity} for g in lifts]
-    for i in range(len(lifts)):
-        for j in range(i + 1, len(lifts)):
-            t = 0
-            for k in support[i] & support[j]:
-                f, x, y = factors[k], lifts[i][k], lifts[j][k]
-                comm = f.mul(f.mul(x, y), f.inv(f.mul(y, x)))
-                t += lam[k] * f.q_coordinate(comm)
-            if t != 0:
-                raise AssertionError(
-                    "kernel subgroup is not abelian modulo the complement")
+    # either lift is, so only the pairs of lifts that share a factor are
+    # visited, found by indexing the lifts by factor, and the functional
+    # reads each pair's commutator on the factors both touch
+    touching = {}  # factor -> the lifts nontrivial there, in order
+    for i, lift in enumerate(lifts):
+        for k in lift:
+            touching.setdefault(k, []).append(i)
+    pairs = {pair for ids in touching.values()
+             for pair in combinations(ids, 2)}
+    for i, j in pairs:
+        t = 0
+        for k in lifts[i].keys() & lifts[j].keys():
+            f, x, y = factors[k], lifts[i][k], lifts[j][k]
+            comm = f.mul(f.mul(x, y), f.inv(f.mul(y, x)))
+            t += lam[k] * f.q_coordinate(comm)
+        if t != 0:
+            raise AssertionError(
+                "kernel subgroup is not abelian modulo the complement")
     return rho
 
 
@@ -760,32 +805,66 @@ def verify_retraction(rho, spec, samples=10000, bound=100, seed=0):
     Checks rho(a) = a and rho(b) = b, then per sample pair g, h that
     rho(gh) = rho(g)rho(h) and rho(rho(g)) = rho(g), both compared in H's
     normal form, as the exponent pairs (t, s) of a^t·b^s that
-    `RetractionData.image` reads: one product in G per sample, gh.  Each
-    comparison has the truth value of the one in G, for any rho, because
-    `validate_spec` has proved b^2 = 1 != b, a of infinite order and
-    b·a·b^-1 = a^-1:
+    `RetractionData.image_on_reads` reads.  Each comparison has the truth
+    value of the one in G, for any rho, because `validate_spec` has proved
+    b^2 = 1 != b, a of infinite order and b·a·b^-1 = a^-1:
 
       <a> is torsion-free, so b is not in it and (t, s) -> a^t·b^s is
       injective;
       a^t1·b^s1 · a^t2·b^s2 = a^(t1 + (-1)^s1·t2) · b^(s1 xor s2).
 
-    Each coordinate is drawn with `dihedral.below`, which consumes exactly
-    the bits of the equivalent randint draw, so a seed gives the samples
-    that randint would give.
+    rho's image of x depends on x[j] for j in `rho.reads` alone, and G is
+    a direct product, so (gh)[j] = g[j]·h[j] and (a^t·b^s)[j] =
+    a_j^t·b_j^s.  Each sample therefore forms g, h, gh and rho(g) on those
+    factors only, by each factor's own arithmetic, one factor product per
+    factor read for gh, and every comparison has exactly the truth value
+    that it has on whole elements of G, for true and tampered maps alike.
+
+    Every factor is still drawn, in order, g's factors then h's.  Each
+    coordinate that rho reads is drawn with `dihedral.below`, which
+    consumes exactly the bits of the equivalent randint draw; a factor that
+    rho does not read builds no element and consumes the same bits
+    (`skip_below` over its `draw_moduli`).  So a seed gives the samples
+    that randint would give, whichever factors rho reads.
     """
     import random
 
     rng = random.Random(seed)
-    group = spec.group
     if rho.apply(spec.h_a) != spec.h_a or rho.apply(spec.h_b) != spec.h_b:
         return False
-    image, element = rho.image, rho.element
+    # an element's draws: for each factor read, the moduli of the unread
+    # factors before it and its own draw; then the unread factors after
+    reads, factors = rho.reads, spec.factors
+    read = set(reads)
+    steps, skipped = [], []
+    for j, f in enumerate(factors):
+        if j in read:
+            steps.append((tuple(skipped), f.random_element))
+            skipped = []
+        else:
+            skipped.extend(f.draw_moduli(bound))
+
+    def draw():
+        values = []
+        for moduli, random_element in steps:
+            if moduli:
+                skip_below(rng, moduli)
+            values.append(random_element(rng, bound))
+        if skipped:
+            skip_below(rng, skipped)
+        return values
+
+    muls = [factors[j].mul for j in reads]
+    image, element = rho.image_on_reads, rho.element_on_reads
     for _ in range(samples):
-        g = group.random_element(rng, bound)
-        h = group.random_element(rng, bound)
+        g = draw()
+        h = draw()
         tg, sg = image(g)
         th, sh = image(h)
-        if image(group.mul(g, h)) != (tg - th if sg else tg + th, sg ^ sh):
+        gh = []
+        for mul, x, y in zip(muls, g, h):
+            gh.append(mul(x, y))
+        if image(gh) != (tg - th if sg else tg + th, sg ^ sh):
             return False
         if image(element(tg, sg)) != (tg, sg):
             return False

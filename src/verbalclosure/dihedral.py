@@ -84,13 +84,31 @@ def below(rng, n):
     return r
 
 
+def skip_below(rng, moduli):
+    """Consume the bits of `below(rng, n)` for each n of moduli in turn:
+    the same getrandbits calls, leaving the same state, with no value
+    kept."""
+    getrandbits = rng.getrandbits
+    for n in moduli:
+        k = n.bit_length()
+        while getrandbits(k) >= n:
+            pass
+
+
+def draw_moduli(bound):
+    """The moduli that `draw_element` draws below, in order: 2·bound + 1
+    for the translation, then 2 for the flip."""
+    return 2 * bound + 1, 2
+
+
 def draw_element(rng, bound, flip=None):
     """a^t * b^flip with t uniform in [-bound, bound] and, unless given, a
-    uniform flip bit.  Each is one `below` draw, which consumes exactly the
-    bits of rng.randint(-bound, bound) and rng.randint(0, 1), so the stream
-    is theirs."""
-    t = below(rng, 2 * bound + 1) - bound
-    return DihedralElement(t, below(rng, 2) if flip is None else flip)
+    uniform flip bit.  Each is one `below` draw (`draw_moduli`), which
+    consumes exactly the bits of rng.randint(-bound, bound) and
+    rng.randint(0, 1), so the stream is theirs."""
+    span, two = draw_moduli(bound)
+    t = below(rng, span) - bound
+    return DihedralElement(t, below(rng, two) if flip is None else flip)
 
 
 DIHEDRAL_OPS = GroupOps(

@@ -656,6 +656,28 @@ def test_build_retraction_checks_the_commutators(monkeypatch):
         build_retraction(spec, data, a_sq, chi)
 
 
+@pytest.mark.parametrize("factors, commutators", [
+    ([DInf(), DInf(), Zed(), ZedMod(4)], 1),
+    ([DInf()] + [Zed()] * 200, 0),
+])
+def test_build_retraction_reads_the_commutators_of_lifts_that_share_a_factor(
+        monkeypatch, factors, commutators):
+    # chi negates b1 alone, so each lift is one generator other than b1,
+    # on its own factor: of a1, a2, b2, t3 and c4 only a2 and b2 share a
+    # factor, and of a1 and 200 t's none do.  The lifts are indexed by
+    # factor, so only those pairs are visited, and a commutator, the one
+    # use of a factor's inv, is formed for each
+    spec = validate_spec(GroupSpec(factors, "b1", "a1"))
+    data = square_data(spec)
+    a_sq = image_of_a_squared(spec, data)
+    chi = data.module.is_simple(a_sq).witness_character
+    assert chi.signs.count(-1) == 1
+    inverses = [count_calls(monkeypatch, cls, "inv")
+                for cls in (DInf, Zed, ZedMod)]
+    build_retraction(spec, data, a_sq, chi)
+    assert sum(map(len, inverses)) == commutators
+
+
 def test_build_retraction_rejects_a_map_that_moves_a(monkeypatch):
     # (2, 0) sends a^2 = (1, 5) to 2, so the built map sends a to a^2: the
     # one exact guard on rho(a) and rho(b) refuses it, naming both images
@@ -1211,18 +1233,19 @@ def test_verify_retraction_rejects_broken_map():
 
 def test_verify_retraction_tests_idempotence_on_its_own():
     # a rho whose images are a true retraction's, so every homomorphism
-    # comparison passes, but whose element(t, s) is a^(t+1)·b^s, not the
-    # element that image reads as (t, s): only rho(rho(g)) = rho(g) fails
+    # comparison passes, but whose a^t·b^s on the factors it reads is
+    # a^(t+1)·b^s there, not the element that image reads as (t, s): only
+    # rho(rho(g)) = rho(g) fails
     spec = validate_spec(GroupSpec([DInf(), DInf()], "b1*b2", "a1*a2^5"))
     rho = analyze(spec).retraction
     elements = []
 
     class Shifted:
-        apply, image = rho.apply, rho.image
+        apply, reads, image_on_reads = rho.apply, rho.reads, rho.image_on_reads
 
-        def element(self, t, s):
+        def element_on_reads(self, t, s):
             elements.append((t, s))
-            return rho.element(t + 1, s)
+            return rho.element_on_reads(t + 1, s)
 
     assert verify_retraction(rho, spec, samples=50, bound=20, seed=2)
     assert not verify_retraction(Shifted(), spec, samples=50, bound=20,
@@ -1281,19 +1304,50 @@ def test_retraction_apply_matches_the_composed_reference(factors, b, a):
     assert signs == {1, -1}  # both branches of apply were compared
 
 
+@pytest.fixture(scope="module")
+def wide_retracts():
+    """(spec, retraction) of DInf with 200 Zed and of 64 DInf, the wide
+    Retracts of CI; each retraction reads its first factor alone."""
+    cases = [
+        ([DInf()] + [Zed()] * 200, "b1", "a1"),
+        ([DInf()] * 64, "*".join(f"b{i}" for i in range(1, 65)),
+         "*".join(["a1"] + [f"a{i}^{2 * i + 1}" for i in range(2, 65)])),
+    ]
+    specs = [validate_spec(GroupSpec(*case)) for case in cases]
+    return [(spec, analyze(spec).retraction) for spec in specs]
+
+
 @pytest.mark.parametrize("samples", [0, 1, 7, 60])
 def test_verify_retraction_makes_one_product_per_sample(monkeypatch,
+                                                        wide_retracts,
                                                         samples):
-    # rho is applied factor by factor and its images are compared as
-    # exponent pairs in H: the only product in G is the sample's gh
-    for factors, b, a in APPLY_SPECS:
-        spec = validate_spec(GroupSpec(factors, b, a))
-        rho = analyze(spec).retraction
-        muls = count_calls(monkeypatch, AmbientGroup, "mul")
-        pows = count_calls(monkeypatch, AmbientGroup, "pow")
+    # image reads rho.reads alone, one factor here, so a sample forms g,
+    # h, gh and rho(g) there only: one product of that factor's per sample
+    # for gh, no product or power in G, and no element drawn or built on
+    # any other factor, however many there are.  rho binds its own
+    # arithmetic when it is built, so the counters see the check's draws
+    # and products
+    for spec, rho in wide_retracts:
+        assert rho.reads == (0,)
+        group_ops = [count_calls(monkeypatch, AmbientGroup, name)
+                     for name in ("mul", "pow", "random_element")]
+        draws = [count_calls(monkeypatch, cls, "random_element")
+                 for cls in (DInf, Zed)]
+        products = [count_calls(monkeypatch, cls, "mul")
+                    for cls in (DInf, Zed)]
+        powers = count_calls(monkeypatch, Zed, "pow")
+        elements = count_calls(monkeypatch, DihedralElement, "__init__")
+        assert verify_retraction(rho, spec, samples=0, bound=100, seed=3)
+        fixed = len(elements)  # rho(a) and rho(b), whole elements
         assert verify_retraction(rho, spec, samples=samples, bound=100,
                                  seed=3)
-        assert (len(muls), len(pows)) == (samples, 0), (b, a)
+        assert [len(calls) for calls in group_ops] == [0, 0, 0]
+        assert [len(calls) for calls in draws] == [2 * samples, 0]
+        assert [len(calls) for calls in products] == [samples, 0]
+        assert powers == []
+        # per sample g, h, gh, a^t and a^t·b, and one g·b per image in
+        # chi's odd branch
+        assert len(elements) - 2 * fixed <= 9 * samples
         monkeypatch.undo()
 
 
@@ -1341,29 +1395,91 @@ def test_verify_retraction_rejects_a_tampered_functional_or_sign(factors, b,
                                                broken.sign_character)
 
 
-def test_verify_retraction_matches_the_reference_in_g():
-    # comparing exponent pairs in H keeps every comparison's truth value,
-    # tampered maps included: the same bool as the reference that compares
-    # whole elements of G, on true and broken retractions alike, and on
-    # broken ones that fix a and b, so fail inside the sampling loop
+def _record_draws(monkeypatch):
+    """Make random.Random record the k of each of its getrandbits(k) calls,
+    for the rest of the test; returns the list they are appended to."""
+    calls = []
+
+    class Recording(random.Random):
+        def getrandbits(self, k):
+            calls.append(k)
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(random, "Random", Recording)
+    return calls
+
+
+def _check_against_the_reference(calls, rho, spec, **sampling):
+    """verify_retraction's bool, asserting that it and the reference in G
+    return the same bool after the same getrandbits calls."""
+    calls.clear()
+    got = verify_retraction(rho, spec, **sampling)
+    drawn = calls[:]
+    calls.clear()
+    want = reference_verify_retraction(rho, spec, **sampling)
+    assert (got, drawn) == (want, calls), (spec, rho.functional,
+                                           rho.sign_character)
+    return got
+
+
+def test_verify_retraction_matches_the_reference_in_g(monkeypatch):
+    # comparing exponent pairs in H, on the factors rho reads, keeps every
+    # comparison's truth value, tampered maps included: the same bool as
+    # the reference that compares whole elements of G, after the same
+    # draws, on true and broken retractions alike, and on broken ones that
+    # fix a and b, so fail inside the sampling loop
     verdicts = [analyze(validate_spec(GroupSpec(factors, b, a)))
                 for factors, b, a in APPLY_SPECS]
     verdicts += _random_retract_specs(random.Random(47), 20)
+    calls = _record_draws(monkeypatch)
     outcomes, failed_in_loop = set(), 0
     for verdict in verdicts:
         spec, rho = verdict.spec, verdict.retraction
         for candidate in [rho] + _tampered_copies(rho):
             for seed in range(4):
-                got = verify_retraction(candidate, spec, samples=50,
-                                        bound=100, seed=seed)
-                assert got == reference_verify_retraction(
-                    candidate, spec, samples=50, bound=100, seed=seed), \
-                    (spec, candidate.functional, candidate.sign_character)
+                got = _check_against_the_reference(
+                    calls, candidate, spec, samples=50, bound=100, seed=seed)
                 outcomes.add(got)
                 failed_in_loop += (not got
                                    and candidate.apply(spec.h_a) == spec.h_a
                                    and candidate.apply(spec.h_b) == spec.h_b)
     assert outcomes == {True, False} and failed_in_loop
+
+
+# Retracts that read one factor, whose unread factors take every shape of
+# draw: a DInf's two, a Zed's, ZedMod(1), ZedMod(2), odd and even ZedMods
+# and moduli past 2^32, before and after the factor read
+STREAM_SPECS = [
+    ([DInf(), DInf()], "b1", "a1"),
+    ([Zed(), DInf(), Zed()], "b2", "a2"),
+    ([DInf(), ZedMod(1), ZedMod(2), ZedMod(5)], "b1", "a1"),
+    ([ZedMod(3), DInf(), ZedMod(2 ** 40 + 7), ZedMod(2 ** 33 + 2)],
+     f"b2*c4^{2 ** 32 + 1}", "a2"),
+]
+
+
+@pytest.mark.parametrize("bound", [0, 100, 2 ** 40 + 3])
+@pytest.mark.parametrize("factors, b, a", STREAM_SPECS,
+                         ids=["-".join(map(str, f)) for f, _, _ in STREAM_SPECS])
+def test_verify_retraction_skips_the_unread_draws_bit_for_bit(
+        monkeypatch, factors, b, a, bound):
+    # an unread factor builds no element but makes its draws' getrandbits
+    # calls, so the true map and each tampered one, whose reads differ,
+    # see the samples of the reference, which draws every factor whole.
+    # A bound past 2^32 makes each translation draw take two 32-bit words
+    spec = validate_spec(GroupSpec(factors, b, a))
+    rho = analyze(spec).retraction
+    assert len(rho.reads) == 1
+    calls = _record_draws(monkeypatch)
+    widest = 0
+    for candidate in [rho] + _tampered_copies(rho):
+        for seed in range(3):
+            _check_against_the_reference(calls, candidate, spec, samples=30,
+                                         bound=bound, seed=seed)
+            widest = max([widest, *calls])
+    # every modulus was drawn, past 32 bits where one is
+    assert widest == max(n.bit_length() for f in factors
+                         for n in f.draw_moduli(bound))
 
 
 def test_verdict_invariance_under_factor_reorder_and_inverse():

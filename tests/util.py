@@ -262,7 +262,7 @@ def flatten(word):
 def count_calls(monkeypatch, owner, name):
     """Wrap owner.name for the rest of the test; returns the list that each
     call appends its positional arguments to.  A method patched on its
-    class records self first."""
+    class records self first; a staticmethod stays one."""
     calls = []
     original = getattr(owner, name)
 
@@ -270,6 +270,8 @@ def count_calls(monkeypatch, owner, name):
         calls.append(args)
         return original(*args, **kwargs)
 
+    if isinstance(vars(owner).get(name), staticmethod):
+        counted = staticmethod(counted)
     monkeypatch.setattr(owner, name, counted)
     return calls
 
