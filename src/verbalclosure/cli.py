@@ -100,95 +100,97 @@ def structured_text(payload):
     return "".join(out)
 
 
-def build_report(verdict, args):
-    """Assemble the human-readable report lines and the structured payload."""
-    spec = verdict.spec
-    data = verdict.data
-    lines = []
-    payload = {}
-    lines.append("spec:")
-    for raw in spec.to_text().strip().splitlines():
-        lines.append("  " + raw)
-    payload["spec"] = spec.to_text()
-    pres = data.presentation
-    lines.append(f"square subgroup: rank {pres.free_rank}, "
-                 f"torsion order {pres.torsion_order}")
-    lines.append(f"quotient 2-group: rank {data.c_rank} "
-                 f"(generators {', '.join(data.c_names) or 'none'})")
-    lines.append(f"a^2 coordinates: {_format_vector(verdict.a_squared)}")
-    payload["square_rank"] = pres.free_rank
-    payload["torsion_order"] = pres.torsion_order
-    payload["c_rank"] = data.c_rank
-    payload["c_generators"] = list(data.c_names)
-    payload["a_squared"] = list(verdict.a_squared)
-
-    report = verdict.report
+def report_model(verdict, args):
+    """(payload, text_only, exit code): the payload writes each field once;
+    text_only holds the certificate and the sampled checks' parameters."""
+    spec, data, rho = verdict.spec, verdict.data, verdict.retraction
+    payload = {"spec": spec.to_text(),
+               "square_rank": data.presentation.free_rank,
+               "torsion_order": data.presentation.torsion_order,
+               "c_rank": data.c_rank, "c_generators": list(data.c_names),
+               "a_squared": list(verdict.a_squared)}
+    text_only = {"certificate": verdict.certificate, "checked": {}}
     if verdict.is_retract:
-        lines.append("verdict: Retract")
-        payload["verdict"] = "Retract"
-        rho = verdict.retraction
-        lines.append(f"witness character: {rho.sign_character.label()}")
-        lines.append("translation functional: "
-                     + _format_vector(rho.functional))
-        lines.append("finite normal subgroup invariants: "
-                     + str(list(rho.torsion_invariants)))
-        payload["witness_character"] = rho.sign_character.label()
-        payload["functional"] = list(rho.functional)
-        payload["torsion_invariants"] = list(rho.torsion_invariants)
-        if args.verify:
-            ok = verify_retraction(rho, spec, samples=args.samples,
-                                   bound=args.bound, seed=args.seed)
-            if ok and not args.samples:
-                ok = None  # H is fixed, but no sample tested the rest
-            lines.append(f"retraction verified (samples={args.samples}, "
-                         f"bound={args.bound}, seed={args.seed}): "
-                         + {True: "yes", False: "NO",
-                            None: "nothing sampled"}[ok])
-            payload["retraction_verified"] = ok
-        return lines, payload, 0
-
-    lines.append("verdict: NotVerballyClosed")
-    payload["verdict"] = "NotVerballyClosed"
-    lines.append("component contents by character:")
-    payload["components"] = []
-    for w in report.nonzero.values():
-        lines.append(f"  {w.character.label()}  k={w.content}"
-                     f"  lift={_format_vector(w.lift)}")
-        payload["components"].append(
-            {"character": w.character.label(), "content": w.content,
-             "lift": list(w.lift)})
-    vanishing = (1 << data.c_rank) - len(report.nonzero)
-    if vanishing:
-        lines.append(f"  every other character ({vanishing}): k=0")
-    payload["vanishing_components"] = vanishing
-    eq = verdict.equation
-    lines.append(f"witness equation: rhs = a^{eq.rhs_exponent} "
-                 f"(2 * 2^{eq.c_size} * {eq.torsion_order}), "
-                 f"filler exponent {eq.filler}")
-    payload["rhs_exponent"] = eq.rhs_exponent
-    payload["filler"] = eq.filler
-    payload["k_values"] = list(eq.k_values)
-    cert = verdict.certificate
-    lines.append("no-solution certificate:")
-    for raw in cert.to_table().splitlines():
-        lines.append("  " + raw)
-    valid = cert.is_valid()
-    lines.append("certificate valid: " + ("yes" if valid else "NO"))
-    payload["certificate_valid"] = valid
+        payload.update(verdict="Retract",
+                       witness_character=rho.sign_character.label(),
+                       functional=list(rho.functional),
+                       torsion_invariants=list(rho.torsion_invariants))
+        if args.verify:  # H is fixed; with no sample, nothing else is tested
+            payload["retraction_verified"] = verify_retraction(
+                rho, spec, samples=args.samples, bound=args.bound,
+                seed=args.seed) and (args.samples > 0 or None)
+            text_only["checked"] = {"samples": args.samples,
+                                    "bound": args.bound, "seed": args.seed}
+        return payload, text_only, 0
+    eq, nonzero = verdict.equation, verdict.report.nonzero
+    payload.update(
+        verdict="NotVerballyClosed",
+        components=[{"character": w.character.label(), "content": w.content,
+                     "lift": list(w.lift)} for w in nonzero.values()],
+        vanishing_components=(1 << data.c_rank) - len(nonzero),
+        rhs_exponent=eq.rhs_exponent, k_values=list(eq.k_values),
+        filler=eq.filler, certificate_valid=verdict.certificate.is_valid())
     if args.verify:
-        ok = verify_solution_closed_form(eq, verdict.solution, spec)
-        lines.append("ambient solution verified in G: "
-                     + ("yes" if ok else "NO"))
-        payload["solution_verified"] = ok
-        bound, trials = SPOT_CHECK_BOUND, args.trials
-        no_hit = (spot_check_no_solution(eq, bound, trials, seed=args.seed)
-                  if trials else None)
-        lines.append(f"spot check (bound={bound}, trials={trials}, "
-                     f"seed={args.seed}): "
-                     + {True: "no dihedral solution found",
-                        False: "FOUND A SOLUTION", None: "nothing tried"}[no_hit])
-        payload["spot_check_clean"] = no_hit
-    return lines, payload, 10
+        payload["solution_verified"] = verify_solution_closed_form(
+            eq, verdict.solution, spec)
+        payload["spot_check_clean"] = spot_check_no_solution(
+            eq, SPOT_CHECK_BOUND, args.trials, args.seed) if args.trials else None
+        text_only["checked"] = {"bound": SPOT_CHECK_BOUND,
+                                "trials": args.trials, "seed": args.seed}
+    return payload, text_only, 10
+
+
+def render_text(p, text_only):
+    """The text report's lines, from the model (`p`, `text_only`) alone."""
+    said = {True: "yes", False: "NO", None: "nothing sampled"}
+    checked = ", ".join(f"{k}={v}" for k, v in text_only["checked"].items())
+    lines = ["spec:", *("  " + s for s in p["spec"].strip().splitlines()),
+             f"square subgroup: rank {p['square_rank']}, "
+             f"torsion order {p['torsion_order']}",
+             f"quotient 2-group: rank {p['c_rank']} "
+             f"(generators {', '.join(p['c_generators']) or 'none'})",
+             "a^2 coordinates: " + _format_vector(p["a_squared"]),
+             "verdict: " + p["verdict"]]
+    if p["verdict"] == "Retract":
+        lines += ["witness character: " + p["witness_character"],
+                  "translation functional: " + _format_vector(p["functional"]),
+                  f"finite normal subgroup invariants: {p['torsion_invariants']}"]
+        if "retraction_verified" in p:
+            lines.append(f"retraction verified ({checked}): "
+                         + said[p["retraction_verified"]])
+    else:
+        lines += ["component contents by character:",
+                  *(f"  {c['character']}  k={c['content']}  "
+                    f"lift={_format_vector(c['lift'])}"
+                    for c in p["components"])]
+        if p["vanishing_components"]:
+            lines.append("  every other character "
+                         f"({p['vanishing_components']}): k=0")
+        lines += [f"witness equation: rhs = a^{p['rhs_exponent']} (2 * "
+                  f"2^{1 << p['c_rank']} * {p['torsion_order']}), "
+                  f"filler exponent {p['filler']}", "no-solution certificate:",
+                  *("  " + s for s
+                    in text_only["certificate"].to_table().splitlines()),
+                  "certificate valid: " + said[p["certificate_valid"]]]
+        if "solution_verified" in p:
+            lines += ["ambient solution verified in G: "
+                      + said[p["solution_verified"]],
+                      f"spot check ({checked}): "
+                      + {None: "nothing tried", True: "no dihedral solution found",
+                         False: "FOUND A SOLUTION"}[p["spot_check_clean"]]]
+    if "elapsed_seconds" in p:
+        lines.append(f"elapsed: {p['elapsed_seconds']:.3f}s")
+    if "equation_path" in text_only:
+        lines.append("equation written to " + text_only["equation_path"])
+    return lines
+
+
+def build_report(verdict, args):
+    """(lines, payload, exit code).  Callers json.dumps the payload and
+    compare it with the `--format structured` report, so it carries the
+    report's fields only, never a key of the model's text-only part."""
+    payload, text_only, code = report_model(verdict, args)
+    return render_text(payload, text_only), payload, code
 
 
 def _check_writable(path):
@@ -232,9 +234,8 @@ def cmd_analyze(args):
               file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - start
-    lines, payload, code = build_report(verdict, args)
+    payload, text_only, code = report_model(verdict, args)
     if args.timing:
-        lines.append(f"elapsed: {elapsed:.3f}s")
         payload["elapsed_seconds"] = elapsed
     if args.emit_equation and verdict.equation is not None:
         # streamed tower by tower, so memory does not grow with the file
@@ -245,11 +246,9 @@ def cmd_analyze(args):
             print(f"error: cannot write {args.emit_equation}: {exc}",
                   file=sys.stderr)
             return 2
-        lines.append(f"equation written to {args.emit_equation}")
-    if args.format == "structured":
-        print(structured_text(payload))
-    else:
-        print("\n".join(lines))
+        text_only["equation_path"] = args.emit_equation
+    print(structured_text(payload) if args.format == "structured"
+          else "\n".join(render_text(payload, text_only)))
     return code
 
 

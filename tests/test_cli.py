@@ -336,6 +336,59 @@ def test_structured_format(tmp_path, capsys):
     assert payload2["retraction_verified"] is True
 
 
+# a witness whose content k = 10^4299 - 1 is one digit under Python's
+# default limit on str(int); each certificate row prints a^(rhs*k), of
+# 4,301 digits, past it
+LARGE_K_SPEC = f"""groupspec v1
+factors = [DInf, DInf]
+b = b1*b2
+a = a1^{"9" * 4299}*a2^3
+"""
+
+
+def test_a_structured_report_builds_no_certificate_text(tmp_path, capsys):
+    # the structured report used to exit 1 with a ValueError from the
+    # certificate table that only the text report prints
+    path = write(tmp_path, "k.spec", LARGE_K_SPEC)
+    assert main(["analyze", path, "--format", "structured"]) == 10
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["certificate_valid"] is True
+    assert 10 ** 4299 - 1 in payload["k_values"]
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                    reason="this Python prints integers of any length")
+@pytest.mark.xfail(raises=ValueError, strict=True,
+                   reason="the certificate rows print a^(rhs*k) in decimal, "
+                          "past the limit on str(int); ROADMAP item 1, "
+                          "Part B prints it in closed form")
+def test_a_text_report_prints_a_certificate_of_a_large_content(tmp_path,
+                                                               capsys):
+    path = write(tmp_path, "k.spec", LARGE_K_SPEC)
+    assert main(["analyze", path]) == 10
+
+
+def test_only_the_text_format_renders_text(tmp_path, capsys, monkeypatch):
+    # a structured run prints the payload alone: it calls neither the text
+    # renderer nor the certificate's table; a text run renders once and
+    # builds a witness's table once
+    from verbalclosure.dihedral import NoSolutionCertificate
+
+    renders = count_calls(monkeypatch, cli, "render_text")
+    tables = count_calls(monkeypatch, NoSolutionCertificate, "to_table")
+    for spec, code, certificates in ((WITNESS_SPEC, 10, 1),
+                                     (RETRACT_SPEC, 0, 0)):
+        path = write(tmp_path, "s.spec", spec)
+        assert main(["analyze", path, "--format", "structured"]) == code
+        json.loads(capsys.readouterr().out)
+        assert (len(renders), len(tables)) == (0, 0)
+        assert main(["analyze", path]) == code
+        assert capsys.readouterr().out.startswith("spec:\n")
+        assert (len(renders), len(tables)) == (1, certificates)
+        renders.clear()
+        tables.clear()
+
+
 def _dumps(payload):
     return json.dumps(payload, indent=2, sort_keys=True)
 

@@ -1,6 +1,7 @@
 """Checks on the package's source text."""
 
 import ast
+import builtins
 from pathlib import Path
 
 import verbalclosure
@@ -110,3 +111,18 @@ def test_only_involutions_writes_the_bit_order_of_c():
                     and node.func.attr == "bit_count"):
                 found.append(f"{name}:{node.lineno} {ast.unparse(node)}")
     assert found == []
+
+
+def test_the_text_report_reads_only_the_report_model():
+    # cli.render_text builds every text line from the payload and the
+    # model's text-only part: it reads no verdict, argument, equation or
+    # module constant, so the text cannot show what the model does not hold
+    tree = dict(_modules())["cli.py"]
+    render, = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+               and node.name == "render_text"]
+    params = {arg.arg for arg in ast.walk(render.args)
+              if isinstance(arg, ast.arg)}
+    names = [node for node in ast.walk(render) if isinstance(node, ast.Name)]
+    local = {node.id for node in names if isinstance(node.ctx, ast.Store)}
+    allowed = params | local | set(dir(builtins)) | {"_format_vector"}
+    assert sorted({node.id for node in names} - allowed) == []
